@@ -1,15 +1,17 @@
 """Command-line interface.
 
 Subcommands: rates, kme-coverage, whitenoise-verify, noise-exponent,
-approx-error, train, predict. Exit codes: 0 success, 2 input error,
-3 internal numerical-consistency error. All outputs are pure functions of
-(config, seed).
+approx-error, train, predict. Exit codes: 0 success, 2 input error
+(including an output path that cannot be written, found before any
+computation), 3 internal numerical-consistency error or a rate sweep in
+which no row succeeded. All outputs are pure functions of (config, seed).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -22,15 +24,7 @@ from .experiments import ExperimentConfig, rate_report_csv, run_kme_coverage, ru
 from .hilbert_kernel import HilbertKernel
 from .kme import SampleSet
 from .rng import normals, stream
-from .svm import (
-    build_gram,
-    clip,
-    decision_value,
-    model_from_json,
-    model_to_json,
-    sgn,
-    train,
-)
+from .svm import build_gram, clip, decision_values, model_from_json, model_to_json, sgn, train
 from .synth import MetaDistribution, bags_from_json
 from .whitenoise import (
     CovarianceOperator,
@@ -47,15 +41,31 @@ from .kme import embed
 def _load_json(path: str) -> dict:
     p = Path(path)
     if not p.exists():
-        raise InputError(f"config file not found: {path}")
+        raise InputError(f"file not found: {path}")
     try:
         return json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
 
 
+def _check_writable(path: str):
+    p = Path(path)
+    if p.is_dir() or not p.parent.is_dir() or not os.access(p.parent, os.W_OK | os.X_OK):
+        raise InputError(f"cannot write output {path}: not a file in an existing, writable directory")
+
+
+def _write_output(path: str, text: str):
+    """Write via a temporary file in the same directory and a rename, so no run leaves a truncated file."""
+    tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _write_json(path: str, payload: dict):
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_output(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _cmd_rates(args) -> int:
@@ -64,10 +74,13 @@ def _cmd_rates(args) -> int:
         cfg_data["seed"] = args.seed
     cfg = ExperimentConfig.from_json(cfg_data)
     report = run_rate_experiment(cfg, threads=args.threads)
-    Path(args.out).write_text(rate_report_csv(report, timing=args.timing))
+    _write_output(args.out, rate_report_csv(report, timing=args.timing))
     if args.summary:
         _write_json(args.summary, report.summary_json(cfg))
     print(f"rates: wrote {len(report.rows)} rows to {args.out} (slope {report.slope:.4f})")
+    if len(report.failures) == len(report.rows):
+        print(f"error: no row succeeded; first failure: {report.failures[0]}", file=sys.stderr)
+        return 3
     return 0
 
 
@@ -204,22 +217,16 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    model_path = Path(args.model)
-    if not model_path.exists():
-        raise InputError(f"model file not found: {args.model}")
-    model = model_from_json(json.loads(model_path.read_text()))
+    model = model_from_json(_load_json(args.model))
     data_path = Path(args.data)
     if not data_path.exists():
         raise InputError(f"dataset file not found: {args.data}")
     bags, labels = bags_from_json(data_path.read_text())
     base = model.support[0].kernel
-    records = []
-    correct = 0
-    for bag, label in zip(bags, labels):
-        val = decision_value(model, embed(base, bag))
-        pred = int(sgn(clip(val, model.clip_bound)))
-        correct += int(pred == label)
-        records.append({"decision": val, "label": pred})
+    vals = decision_values(model, [embed(base, bag) for bag in bags])
+    preds = [int(sgn(clip(val, model.clip_bound))) for val in vals]
+    records = [{"decision": float(val), "label": pred} for val, pred in zip(vals, preds)]
+    correct = sum(pred == label for pred, label in zip(preds, labels))
     payload = {"predictions": records, "accuracy": correct / len(bags)}
     _write_json(args.out, payload)
     print(f"predict: {len(bags)} bags, accuracy {payload['accuracy']:.4f} -> {args.out}")
@@ -287,6 +294,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
+        for path in (vars(args).get("out"), vars(args).get("summary")):
+            if path is not None:
+                _check_writable(path)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

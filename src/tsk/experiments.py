@@ -19,7 +19,7 @@ import numpy as np
 
 from .base_kernels import BaseKernel, sup_norm
 from .bounds import OracleTerms, Schedule, make_schedule, oracle_rhs
-from .errors import InputError
+from .errors import InputError, NumericalConsistencyError
 from .hilbert_kernel import HilbertKernel, lipschitz_modulus
 from .kme import SampleSet, concentration_bound, embed, exact_gaussian_embedding, rkhs_distance
 from .rng import normals, stream, subseed
@@ -209,7 +209,7 @@ class RateRow:
     excess_01: float = math.nan
     excess_hinge: float = math.nan
     oracle_rhs_value: float = math.nan
-    oracle_violated: bool = False
+    oracle_violated: bool | float = math.nan  # a failed row has no verdict
     wall_seconds: float = math.nan
     se_01: float = math.nan
     se_hinge: float = math.nan
@@ -308,7 +308,8 @@ def _compute_row(cfg: ExperimentConfig, n: int, m_n: int, lam_n: float, gamma_n:
             se_01=se01,
             se_hinge=se_hinge,
         )
-    except Exception as exc:  # failed rows are recorded, the sweep continues
+    # failed rows are recorded, the sweep continues; anything else is a bug
+    except (_RowTimeout, NumericalConsistencyError, InputError) as exc:
         wall = time.perf_counter() - start
         return RateRow(**base, wall_seconds=wall, error=f"{type(exc).__name__}: {exc}")
 

@@ -1,9 +1,10 @@
 """Second-level kernels acting on embedding-space elements.
 
 The gaussian family is the Hilbert-space Gaussian kernel evaluated on RKHS
-distances; linear is the plain inner product, kept as a baseline. The
-gaussian kernel's feature map is Lipschitz with an explicit power-law
-modulus, which the bound evaluators consume.
+distances; linear is the plain inner product, kept as a baseline. Both are
+computed only by `hk_from_inner`, from first-level inner products and
+squared norms. The gaussian kernel's feature map is Lipschitz with an
+explicit power-law modulus, which the bound evaluators consume.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, UnsupportedError
-from .kme import Embedding, inner, squared_distance
+from .kme import Embedding, _clamp_sq, cross_inner, squared_norms
 
-__all__ = ["HilbertKernel", "HolderModulus", "hk_eval", "feature_distance", "lipschitz_modulus"]
+__all__ = ["HilbertKernel", "HolderModulus", "hk_from_inner", "hk_eval", "feature_distance", "lipschitz_modulus"]
 
 H_GAUSSIAN = "gaussian"
 H_LINEAR = "linear"
@@ -72,11 +73,21 @@ class HolderModulus:
         return self.coefficient * s**self.exponent
 
 
+def hk_from_inner(hk: HilbertKernel, inners: np.ndarray, norms_a: np.ndarray, norms_b: np.ndarray) -> np.ndarray:
+    """Second-level values from <a_i, b_j>, ||a_i||^2 and ||b_j||^2.
+
+    gaussian: exp(-d2 / width^2) with d2 = ||a_i||^2 + ||b_j||^2 - 2 <a_i, b_j>
+    clamped by `kme._clamp_sq`; linear: the inner products themselves.
+    """
+    if hk.family == H_LINEAR:
+        return inners
+    d2 = _clamp_sq(norms_a[:, None] + norms_b[None, :] - 2.0 * inners)
+    return np.exp(-d2 / (hk.width**2))
+
+
 def hk_eval(hk: HilbertKernel, e1: Embedding, e2: Embedding) -> float:
     """k(e1, e2): exp(-||e1-e2||^2 / width^2) for gaussian, <e1, e2> for linear."""
-    if hk.family == H_LINEAR:
-        return inner(e1, e2)
-    return math.exp(-squared_distance(e1, e2) / (hk.width * hk.width))
+    return float(hk_from_inner(hk, cross_inner([e1], [e2]), squared_norms([e1]), squared_norms([e2]))[0, 0])
 
 
 def feature_distance(hk: HilbertKernel, e1: Embedding, e2: Embedding) -> float:
@@ -94,10 +105,3 @@ def lipschitz_modulus(hk: HilbertKernel) -> HolderModulus:
     if hk.family != H_GAUSSIAN:
         raise UnsupportedError("the power-law modulus is defined for the gaussian family only")
     return HolderModulus(coefficient=math.sqrt(2.0) / hk.width, exponent=1.0)
-
-
-def gaussian_gram_from_sqdist(hk: HilbertKernel, d2: np.ndarray) -> np.ndarray:
-    """Gram matrix from a precomputed squared-distance matrix (gaussian family)."""
-    if hk.family != H_GAUSSIAN:
-        raise UnsupportedError("squared-distance Grams apply to the gaussian family only")
-    return np.exp(-d2 / (hk.width * hk.width))

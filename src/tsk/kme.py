@@ -2,16 +2,18 @@
 
 Elements of the base RKHS are carried in two forms: finite weighted point
 expansions (empirical embeddings of bags) and closed-form embeddings of
-isotropic Gaussian inputs. Everything downstream consumes only inner
-products, so the two forms mix freely.
+isotropic Gaussian inputs. Everything downstream consumes only
+`cross_inner` and `squared_norms`, the one place that picks a formula by
+embedding kind, so the two forms mix freely.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from . import _backend
 from .base_kernels import FAMILY_CODES, GAUSSIAN, BaseKernel
@@ -24,6 +26,8 @@ __all__ = [
     "embed",
     "exact_gaussian_embedding",
     "inner",
+    "cross_inner",
+    "squared_norms",
     "squared_distance",
     "rkhs_distance",
     "concentration_bound",
@@ -68,12 +72,12 @@ class EmpiricalEmbedding:
     def __post_init__(self):
         pts = np.ascontiguousarray(self.points, dtype=np.float64)
         w = np.ascontiguousarray(self.weights, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != self.kernel.dim:
+        if pts.ndim != 2 or pts.shape[1] != self.kernel.dim or not np.all(np.isfinite(pts)):
             raise InputError(
-                f"embedding points must be (m, {self.kernel.dim}), got shape {pts.shape}"
+                f"embedding points must be finite and (m, {self.kernel.dim}), got shape {pts.shape}"
             )
-        if w.shape != (pts.shape[0],):
-            raise InputError("weights must match the number of points")
+        if w.shape != (pts.shape[0],) or not np.all(np.isfinite(w)):
+            raise InputError("weights must be finite and match the number of points")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
 
@@ -119,70 +123,111 @@ def gaussian_family_kme_inner(m, sigma: float, mp, sigma_p: float, k: BaseKernel
     (g / v)^(d/2) * exp(-||m - m'||^2 / v). Reduces to the base kernel at
     sigma = sigma_p = 0.
     """
-    if k.family != GAUSSIAN:
-        raise UnsupportedError("closed-form KME inner products require the gaussian base kernel")
     m = np.asarray(m, dtype=np.float64)
     mp = np.asarray(mp, dtype=np.float64)
     if m.shape != (k.dim,) or mp.shape != (k.dim,):
         raise InputError(f"means must have shape ({k.dim},)")
     if sigma < 0 or sigma_p < 0:
         raise InputError("spreads must be >= 0")
-    g = k.width * k.width
+    return float(gaussian_kme_cross_inner(k, m[None, :], [sigma], mp[None, :], [sigma_p])[0, 0])
+
+
+def _closed_form(k: BaseKernel, d2, s2a, s2b):
     # symmetric grouping keeps the swap (m, s) <-> (m', s') bit-exact
-    v = g + 2.0 * (sigma * sigma + sigma_p * sigma_p)
-    diff = m - mp
-    return float((g / v) ** (k.dim / 2.0) * np.exp(-np.dot(diff, diff) / v))
-
-
-def _require_same_kernel(e1: Embedding, e2: Embedding) -> BaseKernel:
-    if e1.kernel != e2.kernel:
-        raise InputError(f"embeddings use different base kernels: {e1.kernel} vs {e2.kernel}")
-    return e1.kernel
-
-
-def _mixed_inner(ge: GaussianKmeEmbedding, ee: EmpiricalEmbedding) -> float:
-    # each expansion atom is the sigma' = 0 case of the closed form
-    k = ge.kernel
     g = k.width * k.width
-    v = g + 2.0 * ge.spread * ge.spread
-    diff = ee.points - ge.mean
-    sq = np.einsum("ij,ij->i", diff, diff)
-    vals = (g / v) ** (k.dim / 2.0) * np.exp(-sq / v)
-    return float(ee.weights @ vals)
+    v = g + 2.0 * (s2a + s2b)
+    return (g / v) ** (k.dim / 2.0) * np.exp(-d2 / v)
+
+
+def _common_kernel(embs) -> BaseKernel | None:
+    k = embs[0].kernel if embs else None
+    for e in embs:
+        if e.kernel != k:
+            raise InputError(f"embeddings use different base kernels: {k} vs {e.kernel}")
+    return k
+
+
+def _split(embs):
+    """Indices, means and spreads of the exact embeddings; indices of the empirical ones."""
+    x = [i for i, e in enumerate(embs) if isinstance(e, GaussianKmeEmbedding)]
+    e = [i for i, emb in enumerate(embs) if isinstance(emb, EmpiricalEmbedding)]
+    return x, np.array([embs[i].mean for i in x]), np.array([embs[i].spread for i in x]), e
+
+
+def _pair_sum(k: BaseKernel, e1: EmpiricalEmbedding, e2: EmpiricalEmbedding) -> float:
+    return _backend.pair_sum(e1.points, e1.weights, e2.points, e2.weights, FAMILY_CODES[k.family], k.width)
+
+
+def _atoms_inner(k: BaseKernel, means, spreads, e: EmpiricalEmbedding) -> np.ndarray:
+    # each expansion atom of e is the sigma' = 0 case of the closed form
+    return gaussian_kme_cross_inner(k, means, spreads, e.points, np.zeros(len(e.points))) @ e.weights
+
+
+def cross_inner(a, b) -> np.ndarray:
+    """Matrix of <a_i, b_j> between two sequences of embeddings with one base kernel.
+
+    The single place where the formula depends on the embedding kind: the
+    closed form for exact x exact, one `_backend.pair_sum` per entry for
+    empirical x empirical, and the sigma' = 0 closed form per expansion atom
+    for mixed pairs. When b is a, only the upper triangle is computed and
+    mirrored, so the matrix is exactly symmetric and its diagonal equals
+    `squared_norms(a)` bit for bit.
+    """
+    same = b is a
+    a = list(a)
+    b = a if same else list(b)
+    k = _common_kernel(a if same else a + b)
+    out = np.empty((len(a), len(b)))
+    xa, ma, sa, ea = _split(a)
+    xb, mb, sb, eb = (xa, ma, sa, ea) if same else _split(b)
+    if xa and xb:
+        out[np.ix_(xa, xb)] = gaussian_kme_cross_inner(k, ma, sa, mb, sb)
+    if xa:
+        for j in eb:
+            out[xa, j] = _atoms_inner(k, ma, sa, b[j])
+    for i in ea:
+        if same:
+            out[i, xa] = out[xa, i]
+        elif xb:
+            out[i, xb] = _atoms_inner(k, mb, sb, a[i])
+        for j in eb:
+            out[i, j] = out[j, i] if same and j < i else _pair_sum(k, a[i], b[j])
+    return out
+
+
+def squared_norms(embs) -> np.ndarray:
+    """||e||^2 for each embedding, computed once each: the closed form at zero
+    mean distance for exact embeddings, one pair sum for empirical ones."""
+    embs = list(embs)
+    k = _common_kernel(embs)
+    out = np.empty(len(embs))
+    x, _, spreads, e = _split(embs)
+    if x:
+        out[x] = _closed_form(k, 0.0, spreads**2, spreads**2)
+    for i in e:
+        out[i] = _pair_sum(k, embs[i], embs[i])
+    return out
 
 
 def inner(e1: Embedding, e2: Embedding) -> float:
     """RKHS inner product via the reproducing property; symmetric in arguments."""
-    k = _require_same_kernel(e1, e2)
-    emp1 = isinstance(e1, EmpiricalEmbedding)
-    emp2 = isinstance(e2, EmpiricalEmbedding)
-    if emp1 and emp2:
-        return _backend.pair_sum(
-            e1.points, e1.weights, e2.points, e2.weights, FAMILY_CODES[k.family], k.width
+    return float(cross_inner([e1], [e2])[0, 0])
+
+
+def _clamp_sq(sq):
+    """Squared distances (scalar or array) with noise in [-NEG_TOL, 0) set to 0; lower or NaN raises."""
+    low = np.min(sq, initial=0.0)
+    if not low >= -NEG_TOL:
+        raise NumericalConsistencyError(
+            f"squared RKHS distance {low} is below -{NEG_TOL}; inner products are inconsistent"
         )
-    if not emp1 and not emp2:
-        return gaussian_family_kme_inner(e1.mean, e1.spread, e2.mean, e2.spread, k)
-    if emp1:
-        return _mixed_inner(e2, e1)
-    return _mixed_inner(e1, e2)
-
-
-def _clamp_sq(sq: float) -> float:
-    if sq >= 0.0:
-        return sq
-    if sq >= -NEG_TOL:
-        return 0.0
-    raise NumericalConsistencyError(
-        f"squared RKHS distance {sq} is below -{NEG_TOL}; Gram data is inconsistent"
-    )
+    return np.maximum(sq, 0.0)
 
 
 def squared_distance(e1: Embedding, e2: Embedding) -> float:
     """||e1 - e2||^2 with tiny negative values clamped to 0."""
-    if e1 is e2:
-        return 0.0
-    sq = inner(e1, e1) - 2.0 * inner(e1, e2) + inner(e2, e2)
-    return _clamp_sq(sq)
+    n1, n2 = squared_norms([e1, e2])
+    return float(_clamp_sq(n1 + n2 - 2.0 * inner(e1, e2)))
 
 
 def rkhs_distance(e1: Embedding, e2: Embedding) -> float:
@@ -208,33 +253,20 @@ def concentration_bound(m: int, delta: float, kernel_sup: float) -> float:
 
 def gaussian_kme_inner_matrix(k: BaseKernel, means: np.ndarray, spreads: np.ndarray) -> np.ndarray:
     """All pairwise exact-KME inner products for isotropic Gaussian inputs."""
-    if k.family != GAUSSIAN:
-        raise UnsupportedError("closed-form KME inner products require the gaussian base kernel")
-    means = np.asarray(means, dtype=np.float64)
-    spreads = np.asarray(spreads, dtype=np.float64)
-    g = k.width * k.width
-    s2 = spreads * spreads
-    v = g + 2.0 * (s2[:, None] + s2[None, :])
-    sq = np.sum(means * means, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * means @ means.T
-    np.maximum(d2, 0.0, out=d2)
-    return (g / v) ** (k.dim / 2.0) * np.exp(-d2 / v)
+    return gaussian_kme_cross_inner(k, means, spreads, means, spreads)
 
 
 def gaussian_kme_cross_inner(
     k: BaseKernel, means_a: np.ndarray, spreads_a: np.ndarray, means_b: np.ndarray, spreads_b: np.ndarray
 ) -> np.ndarray:
-    """Cross inner-product matrix between two families of exact Gaussian KMEs."""
+    """Cross inner-product matrix between two families of exact Gaussian KMEs.
+
+    Mean distances come from cdist, so a pair with equal means and spreads
+    gets exactly the squared norm of `squared_norms`.
+    """
     if k.family != GAUSSIAN:
         raise UnsupportedError("closed-form KME inner products require the gaussian base kernel")
-    means_a = np.asarray(means_a, dtype=np.float64)
-    means_b = np.asarray(means_b, dtype=np.float64)
+    d2 = cdist(np.asarray(means_a, dtype=np.float64), np.asarray(means_b, dtype=np.float64), "sqeuclidean")
     sa2 = np.asarray(spreads_a, dtype=np.float64) ** 2
     sb2 = np.asarray(spreads_b, dtype=np.float64) ** 2
-    g = k.width * k.width
-    v = g + 2.0 * (sa2[:, None] + sb2[None, :])
-    qa = np.sum(means_a * means_a, axis=1)
-    qb = np.sum(means_b * means_b, axis=1)
-    d2 = qa[:, None] + qb[None, :] - 2.0 * means_a @ means_b.T
-    np.maximum(d2, 0.0, out=d2)
-    return (g / v) ** (k.dim / 2.0) * np.exp(-d2 / v)
+    return _closed_form(k, d2, sa2[:, None], sb2[None, :])

@@ -7,6 +7,9 @@ offset term, so its dual is a plain box-constrained quadratic maximization
 solved here by cyclic coordinate ascent. The reported objective is rescaled
 to primal units (2 lambda * dual), which at the optimum equals the minimal
 regularized empirical risk.
+
+Grams and decision values over embeddings come only from `kme.cross_inner`,
+`kme.squared_norms` and `hilbert_kernel.hk_from_inner`.
 """
 
 from __future__ import annotations
@@ -19,18 +22,8 @@ from scipy.spatial.distance import cdist
 
 from . import _backend
 from .errors import InputError, NumericalConsistencyError, UnsupportedError
-from .hilbert_kernel import H_GAUSSIAN, H_LINEAR, HilbertKernel, hk_eval
-from .kme import (
-    Embedding,
-    EmpiricalEmbedding,
-    GaussianKmeEmbedding,
-    SampleSet,
-    embed,
-    gaussian_kme_cross_inner,
-    gaussian_kme_inner_matrix,
-    inner,
-    NEG_TOL,
-)
+from .hilbert_kernel import H_GAUSSIAN, HilbertKernel, hk_from_inner
+from .kme import Embedding, EmpiricalEmbedding, GaussianKmeEmbedding, SampleSet, cross_inner, embed, squared_norms
 
 __all__ = [
     "GramMatrix",
@@ -101,9 +94,6 @@ class GramMatrix:
     @property
     def size(self) -> int:
         return self.entries.shape[0]
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.entries)[0])
 
 
 @dataclass(frozen=True)
@@ -229,41 +219,20 @@ def _require_support(model: SvmModel):
         raise InputError("model carries no support embeddings; prediction is unavailable")
 
 
-def decision_value(model: SvmModel, e: Embedding) -> float:
-    """f(e) = sum_i alpha_i y_i k(support_i, e)."""
-    _require_support(model)
-    coef = model.dual_coefs * model.labels
-    return float(sum(c * hk_eval(model.hkernel, s, e) for c, s in zip(coef, model.support) if c != 0.0))
-
-
-def _all_exact(embs) -> bool:
-    return all(isinstance(e, GaussianKmeEmbedding) for e in embs)
-
-
 def decision_values(model: SvmModel, embeddings) -> np.ndarray:
-    """Vectorized f over many inputs; closed-form fast path when everything is exact."""
+    """f(e) = sum_i alpha_i y_i k(support_i, e) for each embedding, summed over
+    the support entries with nonzero coefficients only."""
     _require_support(model)
     coef = model.dual_coefs * model.labels
-    sup = model.support
-    if (
-        isinstance(sup, tuple)
-        and _all_exact(sup)
-        and _all_exact(embeddings)
-        and model.hkernel.family == H_GAUSSIAN
-    ):
-        k = sup[0].kernel
-        sm = np.array([e.mean for e in sup])
-        ss = np.array([e.spread for e in sup])
-        tm = np.array([e.mean for e in embeddings])
-        ts = np.array([e.spread for e in embeddings])
-        cross = gaussian_kme_cross_inner(k, sm, ss, tm, ts)
-        sup_sq = np.array([inner(e, e) for e in sup])
-        tgt_sq = np.array([inner(e, e) for e in embeddings])
-        d2 = sup_sq[:, None] + tgt_sq[None, :] - 2.0 * cross
-        np.maximum(d2, 0.0, out=d2)
-        km = np.exp(-d2 / (model.hkernel.width**2))
-        return coef @ km
-    return np.array([decision_value(model, e) for e in embeddings])
+    nonzero = np.flatnonzero(coef)
+    support, targets = [model.support[i] for i in nonzero], list(embeddings)
+    inners = cross_inner(support, targets)
+    return coef[nonzero] @ hk_from_inner(model.hkernel, inners, squared_norms(support), squared_norms(targets))
+
+
+def decision_value(model: SvmModel, e: Embedding) -> float:
+    """f(e) for one embedding."""
+    return float(decision_values(model, [e])[0])
 
 
 def predict(model: SvmModel, s: SampleSet) -> int:
@@ -295,48 +264,16 @@ def regularized_empirical_risk(
 def build_gram(hk: HilbertKernel, embeddings) -> GramMatrix:
     """Second-level Gram over a list of embeddings.
 
-    All-exact Gaussian-family inputs take a closed-form vectorized path;
-    anything else goes through pairwise inner products.
+    The inner products come from one `kme.cross_inner` pass over the upper
+    triangle, whose diagonal holds the squared norms, so the matrix is exactly
+    symmetric and a gaussian Gram has an exact unit diagonal.
     """
     embs = list(embeddings)
-    n = len(embs)
-    if n == 0:
+    if not embs:
         raise InputError("cannot build a Gram matrix from zero embeddings")
-    if _all_exact(embs):
-        k = embs[0].kernel
-        means = np.array([e.mean for e in embs])
-        spreads = np.array([e.spread for e in embs])
-        m = gaussian_kme_inner_matrix(k, means, spreads)
-        if hk.family == H_LINEAR:
-            entries = m
-        else:
-            diag = np.diag(m)
-            d2 = diag[:, None] + diag[None, :] - 2.0 * m
-            _clamp_d2(d2)
-            entries = np.exp(-d2 / (hk.width**2))
-    else:
-        inners = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                inners[i, j] = inners[j, i] = inner(embs[i], embs[j])
-        if hk.family == H_LINEAR:
-            entries = inners
-        else:
-            diag = np.diag(inners).copy()
-            d2 = diag[:, None] + diag[None, :] - 2.0 * inners
-            _clamp_d2(d2)
-            entries = np.exp(-d2 / (hk.width**2))
-    entries = np.tril(entries) + np.tril(entries, -1).T  # exact symmetry
-    return GramMatrix(entries)
-
-
-def _clamp_d2(d2: np.ndarray):
-    low = d2.min(initial=0.0)
-    if low < -NEG_TOL:
-        raise NumericalConsistencyError(
-            f"pairwise squared distance {low} is below -{NEG_TOL}; embedding data is inconsistent"
-        )
-    np.maximum(d2, 0.0, out=d2)
+    inners = cross_inner(embs, embs)
+    norms = np.diag(inners)
+    return GramMatrix(hk_from_inner(hk, inners, norms, norms))
 
 
 def gram_from_points(hk: HilbertKernel, x: np.ndarray) -> GramMatrix:
@@ -382,6 +319,11 @@ def model_to_json(model: SvmModel) -> dict:
 
 
 def model_from_json(data: dict) -> SvmModel:
+    """Rebuild a model written by `model_to_json`, validating it once here.
+
+    Coefficient, label and support counts must agree and be nonzero,
+    coefficients finite and >= 0, labels +-1, lambda and clip_bound > 0.
+    """
     from .base_kernels import BaseKernel
 
     try:
@@ -396,14 +338,19 @@ def model_from_json(data: dict) -> SvmModel:
             else:
                 support.append(GaussianKmeEmbedding(base, np.asarray(rec["mean"]), float(rec["spread"])))
         alpha = np.asarray(data["dual_coefs"], dtype=np.float64)
-        labels = np.asarray(data["labels"], dtype=np.float64)
-        lam = float(data["lambda"])
+        n = len(support)
+        labels = _as_labels(data["labels"], n)
+        lam, clip_bound = float(data["lambda"]), float(data["clip_bound"])
+        if n == 0 or alpha.shape != (n,) or not np.all(np.isfinite(alpha) & (alpha >= 0.0)):
+            raise InputError(f"dual_coefs must hold {n} > 0 finite values >= 0, one per support bag; got {alpha}")
+        if not (lam > 0 and clip_bound > 0):
+            raise InputError(f"lambda and clip_bound must be > 0, got {lam} and {clip_bound}")
         return SvmModel(
             dual_coefs=alpha,
             labels=labels,
             lam=lam,
-            box_c=1.0 / (2.0 * lam * len(alpha)),
-            clip_bound=float(data["clip_bound"]),
+            box_c=1.0 / (2.0 * lam * n),
+            clip_bound=clip_bound,
             converged=bool(data.get("converged", True)),
             kkt=float(data.get("kkt_residual", 0.0)),
             sweeps=0,
@@ -412,7 +359,7 @@ def model_from_json(data: dict) -> SvmModel:
             support=tuple(support),
             hkernel=hk,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"malformed model JSON: {exc}") from exc
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 from unittest import mock
 
@@ -50,6 +51,24 @@ class TestRates:
         main(["rates", "--config", str(cfg), "--out", str(out1)])
         main(["rates", "--config", str(cfg), "--out", str(out2), "--seed", "5"])
         assert out1.read_bytes() != out2.read_bytes()
+
+    def test_no_row_succeeding_exits_3(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(SMOKE_RATES | {"row_time_cap_s": 1e-6}))
+        out = tmp_path / "o.csv"
+        assert main(["rates", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "RowTimeout" in capsys.readouterr().err
+        row = dict(zip(*(line.split(",") for line in out.read_text().splitlines())))
+        assert row["oracle_violated"] == "nan"
+
+    def test_unwritable_out_exits_2_before_computing(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(SMOKE_RATES))
+        out = tmp_path / "missing" / "x.json"
+        with mock.patch("tsk.cli.run_rate_experiment") as run:
+            assert main(["rates", "--config", str(cfg), "--out", str(out)]) == 2
+        run.assert_not_called()
+        assert str(out) in capsys.readouterr().err
 
     def test_missing_config_names_path(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"
@@ -154,6 +173,28 @@ class TestTrainPredict:
         main(["predict", "--model", str(model_path), "--data", str(data), "--out", str(a)])
         main(["predict", "--model", str(model_path), "--data", str(data), "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_predict_rejects_corrupt_model(self, tmp_path, capsys):
+        data = tmp_path / "bags.json"
+        write_dataset(data)
+        model_path = tmp_path / "model.json"
+        main(["train", "--config", str(CONFIGS / "train_example.json"), "--data", str(data), "--out", str(model_path)])
+        model = json.loads(model_path.read_text())
+        model["dual_coefs"].append(0.5)
+        model_path.write_text(json.dumps(model))
+        code = main(["predict", "--model", str(model_path), "--data", str(data), "--out", str(tmp_path / "p.json")])
+        assert code == 2
+        assert "dual_coefs" in capsys.readouterr().err
+
+    def test_nan_sample_is_an_input_error(self, tmp_path, capsys):
+        data = tmp_path / "bags.json"
+        write_dataset(data)
+        bags = json.loads(data.read_text())
+        bags[0]["samples"][0][0] = math.nan
+        data.write_text(json.dumps(bags))
+        code = main(["train", "--config", str(CONFIGS / "train_example.json"), "--data", str(data), "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_missing_data_file(self, tmp_path, capsys):
         code = main(["train", "--config", str(CONFIGS / "train_example.json"), "--data", str(tmp_path / "no.json"), "--out", str(tmp_path / "m.json")])

@@ -161,6 +161,14 @@ class TestRateExperiment:
         assert math.isnan(rep.rows[0].emp_risk_01)
         assert len(rep.failures) == 1
 
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("injected")
+
+        monkeypatch.setattr("tsk.experiments.build_gram", broken)
+        with pytest.raises(TypeError, match="injected"):
+            run_rate_experiment(smoke_config(), threads=1)
+
     def test_config_json_roundtrip(self):
         raw = json.loads((CONFIGS / "rates_hard_margin.json").read_text())
         cfg = ExperimentConfig.from_json(raw)

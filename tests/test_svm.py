@@ -1,8 +1,11 @@
+import copy
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsk import (
     BaseKernel,
@@ -261,3 +264,54 @@ class TestDecisionAndPrediction:
         batch = decision_values(self.model, tests)
         for b, e in zip(batch, tests):
             assert b == pytest.approx(decision_value(self.model, e), rel=1e-12)
+
+
+def _valid_model_json():
+    base = BaseKernel("gaussian", 1.0, 2)
+    hk = HilbertKernel("gaussian", 1.0)
+    rng = np.random.default_rng(7)
+    embs = [embed(base, SampleSet(rng.normal(size=(3, 2)) + (2.0 if i % 2 == 0 else -2.0))) for i in range(4)]
+    labels = [1, -1, 1, -1]
+    model = train(build_gram(hk, embs), labels, 0.1, support=embs, hkernel=hk)
+    return model_to_json(model)
+
+
+VALID_MODEL = _valid_model_json()
+COUNTED = ("dual_coefs", "labels", "support")
+
+
+@st.composite
+def corrupted_models(draw):
+    """A copy of VALID_MODEL with one corruption model_from_json must reject."""
+    data = copy.deepcopy(VALID_MODEL)
+    n = len(data["dual_coefs"])
+    index = st.integers(0, n - 1)
+    kind = draw(st.sampled_from(["count", "empty", "coef", "label", "positive"]))
+    if kind == "count":
+        field = draw(st.sampled_from(COUNTED))
+        if draw(st.booleans()):
+            del data[field][draw(index)]
+        else:
+            data[field].append(data[field][draw(index)])
+    elif kind == "empty":
+        for field in COUNTED:
+            data[field] = []
+    elif kind == "coef":
+        data["dual_coefs"][draw(index)] = draw(st.floats(max_value=0.0, exclude_max=True) | st.just(math.nan) | st.just(math.inf))
+    elif kind == "label":
+        data["labels"][draw(index)] = draw((st.integers() | st.floats()).filter(lambda v: v not in (-1, 1)))
+    else:
+        data[draw(st.sampled_from(["lambda", "clip_bound"]))] = draw(st.floats(max_value=0.0) | st.just(math.nan))
+    return data
+
+
+class TestModelJsonValidation:
+    def test_valid_model_loads(self):
+        model = model_from_json(copy.deepcopy(VALID_MODEL))
+        assert len(model.support) == len(model.dual_coefs) == 4
+
+    @settings(max_examples=300, deadline=None)
+    @given(corrupted_models())
+    def test_every_corruption_is_an_input_error(self, data):
+        with pytest.raises(InputError):
+            model_from_json(data)
