@@ -149,9 +149,14 @@ def _cmd_noise_exponent(args) -> int:
         n_outer = int(cfg["n_outer"])
         n_inner = int(cfg["n_inner"])
         seed = int(cfg["seed"]) if args.seed is None else args.seed
+        floor = float(cfg.get("floor", 1e-12))
     except KeyError as exc:
         raise InputError(f"noise-exponent config missing field {exc}") from exc
-    fit = fit_geometric_noise(meta, q, t_grid, n_outer, n_inner, seed, floor=float(cfg.get("floor", 1e-12)))
+    except InputError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"noise-exponent config has a malformed field: {exc}") from exc
+    fit = fit_geometric_noise(meta, q, t_grid, n_outer, n_inner, seed, floor=floor)
     _write_json(args.out, fit.to_json())
     print(f"noise-exponent: alpha_hat={fit.alpha_hat:.4f} c_hat={fit.c_hat:.4f} valid={fit.valid}")
     return 0

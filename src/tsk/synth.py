@@ -250,7 +250,12 @@ def bags_to_json(bags, labels) -> str:
 
 
 def bags_from_json(text: str):
-    """Parse the dataset format; returns (list of SampleSet, labels array)."""
+    """Parse the dataset format; returns (list of SampleSet, labels array).
+
+    The dataset is validated here, once: every label is -1 or +1 (booleans
+    and other numbers are rejected, not rounded) and every bag is a nonempty
+    matrix of numbers with the same number d >= 1 of columns.
+    """
     try:
         records = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -260,8 +265,17 @@ def bags_from_json(text: str):
     bags, labels = [], []
     for i, rec in enumerate(records):
         try:
-            labels.append(int(rec["label"]))
-            bags.append(SampleSet(np.asarray(rec["samples"], dtype=np.float64)))
+            label = rec["label"]
+            points = np.asarray(rec["samples"])
+            if points.dtype.kind not in "iuf":
+                raise InputError(f"samples must be numbers, got {points.dtype}")
+            bags.append(SampleSet(points.astype(np.float64)))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bag {i} is malformed: {exc}") from exc
+        if isinstance(label, bool) or label not in (-1, 1):
+            raise InputError(f"bag {i} label must be -1 or +1, got {label!r}")
+        labels.append(int(label))
+    dims = sorted({bag.dim for bag in bags})
+    if len(dims) != 1 or dims[0] < 1:
+        raise InputError(f"every bag needs the same sample dimension >= 1, got {dims}")
     return bags, np.asarray(labels)

@@ -271,7 +271,7 @@ class NoiseIntegrals:
 
 def geometric_noise_integrals(
     meta: MetaDistribution,
-    t: float,
+    t,
     q: CovarianceOperator,
     n_outer: int,
     n_inner: int,
@@ -286,9 +286,19 @@ def geometric_noise_integrals(
     scale t. Outer draws x ~ P_X and the inner normal draws are functions of
     (seed, outer index) only, so a t-grid shares all randomness and the
     pointwise monotonicity in t is preserved exactly.
+
+    `t` is one positive float or a 1-D sequence of them. Each outer point
+    opens its inner stream and draws its normals once, and that one draw
+    serves every t, so the cost grows with n_outer * n_inner and not with
+    the grid length. A float returns one `NoiseIntegrals` (terms of shape
+    (n_outer,)); a sequence returns a list with one per t (terms of shape
+    (len(t), n_outer)). Every value equals that of a single-t call bit for
+    bit.
     """
-    if not (t > 0):
-        raise InputError(f"t must be > 0, got {t}")
+    scalar = np.ndim(t) == 0
+    ts = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    if ts.ndim != 1 or ts.shape[0] < 1 or not np.all(ts > 0):
+        raise InputError(f"t must be > 0 (a float or a nonempty 1-D grid), got {t}")
     if n_outer < 1 or n_inner < 1:
         raise InputError("n_outer and n_inner must be >= 1")
     if q.dim != meta.dim:
@@ -297,8 +307,9 @@ def geometric_noise_integrals(
     weights = np.abs(2.0 * eta_batch(meta, means) - 1.0)
     deltas = delta_batch(meta, means)
     sqrt_q = q.sqrt_matrix()
-    t1 = np.empty(n_outer)
-    t2 = np.empty(n_outer)
+    col = ts[:, None]
+    t1 = np.empty((ts.shape[0], n_outer))
+    t2 = np.empty((ts.shape[0], n_outer))
     for k in range(n_outer):
         gen = stream(seed, "noise-inner", k)
         z = normals(gen, (n_inner, meta.dim)) @ sqrt_q
@@ -306,17 +317,21 @@ def geometric_noise_integrals(
         diff = z - x
         sq = np.einsum("ij,ij->i", diff, diff)
         inside = sq <= deltas[k] ** 2
-        ball_mass = float(np.mean(np.exp(-sq / t) * inside))
-        t1[k] = (1.0 - 2.0 * ball_mass) * weights[k]
+        # row-wise means of C-contiguous (T, n_inner) blocks: each row sums
+        # exactly as np.mean over one t's n_inner values
+        ball_mass = np.mean(np.exp(-sq / col) * inside, axis=1)
+        t1[:, k] = (1.0 - 2.0 * ball_mass) * weights[k]
         shifted = z + x
         sq2 = np.einsum("ij,ij->i", shifted, shifted)
-        t2[k] = float(np.mean(np.exp(-sq2 / t))) * weights[k]
-    i1, i1_se = _mc_mean_se(t1)
-    i2, i2_se = _mc_mean_se(t2)
-    result = NoiseIntegrals(t=float(t), i1=i1, i1_se=i1_se, i2=i2, i2_se=i2_se)
+        t2[:, k] = np.mean(np.exp(-sq2 / col), axis=1) * weights[k]
+    results = [
+        NoiseIntegrals(float(tj), *_mc_mean_se(t1[j]), *_mc_mean_se(t2[j])) for j, tj in enumerate(ts)
+    ]
+    if scalar:
+        results, t1, t2 = results[0], t1[0], t2[0]
     if return_terms:
-        return result, t1, t2
-    return result
+        return results, t1, t2
+    return results
 
 
 @dataclass(frozen=True)
@@ -350,6 +365,18 @@ class NoiseExponentFit:
         return out
 
 
+def _check_fit_grid(t_grid, floor: float) -> np.ndarray:
+    """The t grid of a power-law fit: 1-D, at least 3 finite values > 0; floor finite and > 0."""
+    t = np.asarray(t_grid, dtype=np.float64)
+    if t.ndim != 1 or t.shape[0] < 3:
+        raise InputError(f"t grid needs at least 3 points, got {t.tolist()}")
+    if not np.all(np.isfinite(t) & (t > 0)):
+        raise InputError(f"t grid must be finite and positive, got {t.tolist()}")
+    if not (math.isfinite(floor) and floor > 0):
+        raise InputError(f"floor must be finite and > 0, got {floor}")
+    return t
+
+
 def fit_noise_exponent(t_grid, i_values, floor: float = 1e-12) -> NoiseExponentFit:
     """Least-squares power law I(t) <= C t^alpha on a finite grid.
 
@@ -357,14 +384,10 @@ def fit_noise_exponent(t_grid, i_values, floor: float = 1e-12) -> NoiseExponentF
     excluded; C is the smallest constant covering every positive grid value.
     Fits with alpha <= 0 are kept but marked invalid.
     """
-    t = np.asarray(t_grid, dtype=np.float64)
+    t = _check_fit_grid(t_grid, floor)
     i = np.asarray(i_values, dtype=np.float64)
-    if t.ndim != 1 or t.shape != i.shape or t.shape[0] < 3:
-        raise InputError("need matching t and I grids with at least 3 points")
-    if not np.all(t > 0):
-        raise InputError("t grid must be positive")
-    if not (floor > 0):
-        raise InputError("floor must be > 0")
+    if t.shape != i.shape:
+        raise InputError("t and I grids must have the same length")
     mask = i > floor
     if mask.sum() < 2:
         return NoiseExponentFit(
@@ -403,9 +426,11 @@ def fit_geometric_noise(
     """Estimate both integrals on the grid and fit their pointwise maximum.
 
     One (C, alpha) pair has to cover both localization integrals, so the fit
-    runs on max(I1, I2).
+    runs on max(I1, I2). The grid and floor are checked before any sampling,
+    and one `geometric_noise_integrals` call serves the whole grid.
     """
-    results = [geometric_noise_integrals(meta, t, q, n_outer, n_inner, seed) for t in t_grid]
+    t = _check_fit_grid(t_grid, floor)
+    results = geometric_noise_integrals(meta, t, q, n_outer, n_inner, seed)
     i1 = np.array([r.i1 for r in results])
     i2 = np.array([r.i2 for r in results])
     fit = fit_noise_exponent(t_grid, np.maximum(i1, i2), floor)

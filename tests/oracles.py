@@ -126,3 +126,29 @@ def loglog_lsq_slope(xs, ys):
     ly = np.log(np.asarray(ys, dtype=np.float64))
     dx = lx - lx.mean()
     return float(np.sum(dx * (ly - ly.mean())) / np.sum(dx * dx))
+
+
+def noise_terms_one_t(meta, t, q, n_outer, n_inner, seed):
+    """Per-outer-point terms (t1, t2) of the geometric-noise integrals at one t.
+
+    The one-t-at-a-time loop: it redraws the inner normals for every t, and
+    its arithmetic is what the library's shared-draw grid must reproduce
+    bit for bit.
+    """
+    from tsk.rng import normals, stream
+    from tsk.synth import delta_batch, eta_batch, sample_first_stage
+
+    means, _ = sample_first_stage(meta, n_outer, seed)
+    weights = np.abs(2.0 * eta_batch(meta, means) - 1.0)
+    deltas = delta_batch(meta, means)
+    sqrt_q = q.sqrt_matrix()
+    t1, t2 = np.empty(n_outer), np.empty(n_outer)
+    for k in range(n_outer):
+        z = normals(stream(seed, "noise-inner", k), (n_inner, meta.dim)) @ sqrt_q
+        diff = z - means[k]
+        sq = np.einsum("ij,ij->i", diff, diff)
+        inside = sq <= deltas[k] ** 2
+        t1[k] = (1.0 - 2.0 * float(np.mean(np.exp(-sq / t) * inside))) * weights[k]
+        shifted = z + means[k]
+        t2[k] = float(np.mean(np.exp(-np.einsum("ij,ij->i", shifted, shifted) / t))) * weights[k]
+    return t1, t2

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -11,6 +12,7 @@ from tsk.errors import NumericalConsistencyError
 from tsk.synth import MetaDistribution, bags_to_json, sample_first_stage, sample_second_stage
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+NOISE_FIT_SHA256 = "e7cda79f3b0c5542b601244564468f069f7c44758a46e8dc2a5f459d881cb9ba"
 
 SMOKE_RATES = {
     "meta": {"family": "hard_margin", "dim": 2, "c": 2.0, "s": 0.25, "sigma": 0.5, "p_plus": 0.5, "r": 1.0},
@@ -135,6 +137,42 @@ class TestNoiseExponent:
         assert len(fit["i1_values"]) == 4 and len(fit["i2_values"]) == 4
         assert "alpha_hat" in fit and "c_hat" in fit
 
+    def test_reference_config_bytes_pinned(self, tmp_path):
+        # sha256 of the fit written before the t grid shared its inner draws
+        cfg = json.loads((CONFIGS / "noise_exponent_r5.json").read_text())
+        cfg.update(n_outer=200, n_inner=400)
+        path = tmp_path / "ne.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "fit.json"
+        assert main(["noise-exponent", "--config", str(path), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == NOISE_FIT_SHA256
+
+    def _run_with(self, tmp_path, **fields):
+        cfg = json.loads((CONFIGS / "noise_exponent_r5.json").read_text())
+        cfg.update(n_outer=50, n_inner=50, **fields)
+        path = tmp_path / "ne.json"
+        path.write_text(json.dumps(cfg))
+        with mock.patch("tsk.whitenoise.geometric_noise_integrals") as integrals:
+            code = main(["noise-exponent", "--config", str(path), "--out", str(tmp_path / "fit.json")])
+        integrals.assert_not_called()
+        return code
+
+    def test_negative_t_exits_2_before_sampling(self, tmp_path):
+        assert self._run_with(tmp_path, t_grid=[2, 1, 0.5, -1]) == 2
+
+    def test_two_point_grid_exits_2_before_sampling(self, tmp_path):
+        assert self._run_with(tmp_path, t_grid=[2, 1]) == 2
+
+    def test_scalar_grid_exits_2(self, tmp_path):
+        assert self._run_with(tmp_path, t_grid=2.0) == 2
+
+    def test_non_numeric_grid_exits_2(self, tmp_path):
+        assert self._run_with(tmp_path, t_grid=["a", 1, 0.5]) == 2
+
+    def test_infinite_t_exits_2_before_sampling(self, tmp_path):
+        # json writes inf as the non-standard token Infinity, which json.loads reads back
+        assert self._run_with(tmp_path, t_grid=[2, math.inf, 0.5]) == 2
+
 
 class TestApproxError:
     def test_small_run(self, tmp_path):
@@ -195,6 +233,19 @@ class TestTrainPredict:
         code = main(["train", "--config", str(CONFIGS / "train_example.json"), "--data", str(data), "--out", str(tmp_path / "m.json")])
         assert code == 2
         assert "finite" in capsys.readouterr().err
+
+    def test_predict_rejects_labels_other_than_plus_minus_one(self, tmp_path, capsys):
+        data = tmp_path / "bags.json"
+        write_dataset(data)
+        model_path = tmp_path / "model.json"
+        main(["train", "--config", str(CONFIGS / "train_example.json"), "--data", str(data), "--out", str(model_path)])
+        bags = json.loads(data.read_text())
+        for bag, label in zip(bags, [3, -1, 1, 0]):
+            bag["label"] = label
+        data.write_text(json.dumps(bags))
+        code = main(["predict", "--model", str(model_path), "--data", str(data), "--out", str(tmp_path / "p.json")])
+        assert code == 2
+        assert "label" in capsys.readouterr().err
 
     def test_missing_data_file(self, tmp_path, capsys):
         code = main(["train", "--config", str(CONFIGS / "train_example.json"), "--data", str(tmp_path / "no.json"), "--out", str(tmp_path / "m.json")])

@@ -1,7 +1,11 @@
+import copy
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsk import (
     MetaDistribution,
@@ -182,3 +186,61 @@ class TestValidationAndIo:
             bags_from_json("{not json")
         with pytest.raises(InputError):
             bags_from_json('[{"samples": [[0, 0]]}]')
+
+
+def _valid_dataset():
+    means = [np.array([2.0, 0.0]), np.array([-2.0, 0.0]), np.array([2.0, 0.5])]
+    bags = [sample_second_stage((m, 0.5), 3, 40 + i) for i, m in enumerate(means)]
+    return json.loads(bags_to_json(bags, [1, -1, 1]))
+
+
+VALID_DATASET = _valid_dataset()
+NOT_A_LABEL = (st.integers() | st.floats() | st.booleans() | st.text() | st.none() | st.lists(st.integers(), max_size=2)).filter(
+    lambda v: isinstance(v, bool) or v not in (-1, 1)
+)
+NOT_A_NUMBER = st.text() | st.none() | st.lists(st.floats(), max_size=2) | st.just({"x": 1.0})
+
+
+@st.composite
+def corrupted_datasets(draw):
+    """A copy of VALID_DATASET with one label or shape corruption bags_from_json must reject."""
+    data = copy.deepcopy(VALID_DATASET)
+    rec = data[draw(st.integers(0, len(data) - 1))]
+    kind = draw(st.sampled_from(["label", "missing", "record", "rank", "empty", "ragged", "dim", "entry"]))
+    if kind == "label":
+        rec["label"] = draw(NOT_A_LABEL)
+    elif kind == "missing":
+        del rec[draw(st.sampled_from(["label", "samples"]))]
+    elif kind == "record":
+        data[data.index(rec)] = draw(st.integers() | st.text() | st.lists(st.integers(), max_size=2))
+    elif kind == "rank":
+        rec["samples"] = draw(st.sampled_from([rec["samples"][0], [rec["samples"]], rec["samples"][0][0]]))
+    elif kind == "empty":
+        rec["samples"] = draw(st.sampled_from([[], [[]], [[] for _ in rec["samples"]]]))
+    elif kind == "ragged":
+        row = rec["samples"][draw(st.integers(0, len(rec["samples"]) - 1))]
+        row.pop() if draw(st.booleans()) else row.append(0.0)
+    elif kind == "dim":
+        for row in rec["samples"]:
+            row.pop()
+    else:
+        rec["samples"][draw(st.integers(0, len(rec["samples"]) - 1))][0] = draw(NOT_A_NUMBER)
+    return json.dumps(data)
+
+
+class TestDatasetJsonValidation:
+    def test_valid_dataset_loads(self):
+        bags, labels = bags_from_json(json.dumps(VALID_DATASET))
+        assert labels.tolist() == [1, -1, 1] and all(b.points.shape == (3, 2) for b in bags)
+
+    def test_integral_float_labels_load(self):
+        data = copy.deepcopy(VALID_DATASET)
+        for rec, label in zip(data, [1.0, -1.0, 1]):
+            rec["label"] = label
+        assert bags_from_json(json.dumps(data))[1].tolist() == [1, -1, 1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(corrupted_datasets())
+    def test_every_corruption_is_an_input_error(self, text):
+        with pytest.raises(InputError):
+            bags_from_json(text)

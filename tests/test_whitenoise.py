@@ -19,7 +19,7 @@ from tsk.errors import InputError
 from tsk.rng import normals, stream
 from tsk.whitenoise import canonical_surjection_eval, fit_geometric_noise, random_covariance
 
-from oracles import gaussian_weight_integral, i2_inner_closed_form, loglog_lsq_slope
+from oracles import gaussian_weight_integral, i2_inner_closed_form, loglog_lsq_slope, noise_terms_one_t
 
 Q_DIAG = CovarianceOperator(np.array([1.0, 0.5]), np.eye(2))
 HM5 = MetaDistribution("hard_margin", 5, 2.0, 0.25, 0.0, 0.5, margin=1.0)
@@ -210,6 +210,45 @@ class TestGeometricNoise:
             geometric_noise_integrals(HM5, 0.0, Q5, 10, 10, 1)
         with pytest.raises(InputError):
             geometric_noise_integrals(HM5, 1.0, Q_DIAG, 10, 10, 1)
+
+    def test_grid_call_equals_single_t_calls(self):
+        grid = (2.0, 1.0, 1.0, 0.25)  # a repeated t must give repeated rows
+        rs, t1, t2 = geometric_noise_integrals(HM5, grid, Q5, 60, 300, 17, return_terms=True)
+        assert len(rs) == len(grid) and t1.shape == t2.shape == (len(grid), 60)
+        for j, t in enumerate(grid):
+            r, s1, s2 = geometric_noise_integrals(HM5, t, Q5, 60, 300, 17, return_terms=True)
+            assert (rs[j].t, rs[j].i1, rs[j].i1_se, rs[j].i2, rs[j].i2_se) == (r.t, r.i1, r.i1_se, r.i2, r.i2_se)
+            assert np.all(t1[j] == s1) and np.all(t2[j] == s2)
+            ref1, ref2 = noise_terms_one_t(HM5, t, Q5, 60, 300, 17)
+            assert np.all(s1 == ref1) and np.all(s2 == ref2)
+
+    def test_grid_validation(self):
+        for bad in ([], [1.0, -0.5], [[1.0, 0.5]], [1.0, math.nan]):
+            with pytest.raises(InputError):
+                geometric_noise_integrals(HM5, bad, Q5, 10, 10, 1)
+
+    def test_fit_opens_one_inner_stream_per_outer_point(self):
+        from tsk import whitenoise
+
+        opened = []
+
+        def counting_stream(seed, *path):
+            opened.append(path)
+            return stream(seed, *path)
+
+        with mock.patch.object(whitenoise, "stream", counting_stream):
+            fit_geometric_noise(HM5, Q5, [2.0, 1.0, 0.5, 0.25], 40, 50, 13)
+        assert sum(path[0] == "noise-inner" for path in opened) == 40
+
+    @pytest.mark.parametrize(
+        "grid, floor",
+        [([2.0, 1.0, 0.5, -1.0], 1e-12), ([2.0, 1.0], 1e-12), ([2.0, math.inf, 0.5], 1e-12), ([2.0, 1.0, 0.5], math.inf)],
+    )
+    def test_fit_rejects_grid_before_sampling(self, grid, floor):
+        with mock.patch("tsk.whitenoise.geometric_noise_integrals") as integrals:
+            with pytest.raises(InputError):
+                fit_geometric_noise(HM5, Q5, grid, 40, 50, 13, floor=floor)
+        integrals.assert_not_called()
 
 
 class TestNoiseExponentFit:
