@@ -2,7 +2,11 @@
 
 Times the two hot inner loops -- weighted pairwise kernel sums (embedding
 inner products) and dual coordinate-ascent sweeps -- on sizes representative
-of the coverage tests and the approximation-error trainings.
+of the coverage tests and the approximation-error trainings. One row times
+the path `kme` takes for a row of an empirical Gram: a 50-point bag against
+60 stacked 50-point bags, once as 60 `pair_sum` calls (compiled in the
+cython column) and once as the single numpy `pair_sums` call `kme` makes,
+which is the same code in both columns.
 
 Usage: python benchmarks/bench_backends.py [--quick]
 """
@@ -32,6 +36,14 @@ def bench_pair_sum(backend, sizes, rng):
         wx, wy = np.full(m, 1.0 / m), np.full(n, 1.0 / n)
         dt = timeit(lambda: _backend.pair_sum(x, wx, y, wy, 0, 1.0))
         rows.append((f"pair_sum {m}x{n} d={d}", dt, m * n / dt / 1e6))
+    m, bags = 50, 60
+    x, y = rng.normal(size=(m, 2)), rng.normal(size=(m * bags, 2))
+    w = np.full(m * bags, 1.0 / m)
+    offsets = np.arange(0, m * (bags + 1), m)
+    dt = timeit(lambda: [_backend.pair_sum(x, w[:m], y[a:b], w[a:b], 0, 1.0) for a, b in zip(offsets, offsets[1:])])
+    rows.append((f"pair_sum {m}x{m} x{bags}", dt, m * m * bags / dt / 1e6))
+    dt = timeit(lambda: _backend.pair_sums(x, w[:m], y, w, offsets, 0, 1.0))
+    rows.append((f"pair_sums {m} vs {bags}x{m}", dt, m * m * bags / dt / 1e6))
     return rows
 
 

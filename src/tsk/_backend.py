@@ -1,13 +1,17 @@
-"""Backend selection for the two hot inner loops.
+"""Backend selection for the two hot inner loops, and the blocked pair sums.
 
-`tsk._ckern` (Cython) is used when it compiled at install time; otherwise a
-numpy implementation with identical semantics takes over. Set
-``TSK_BACKEND=python`` to force the fallback (used by the parity tests and
-the backend benchmark).
+`tsk._ckern` (Cython) serves `pair_sum` and `cd_sweep` when it compiled at
+install time; otherwise a numpy implementation with identical semantics
+takes over. Set ``TSK_BACKEND=python`` to force the fallback (used by the
+parity tests and the backend benchmark).
 
-Within either backend the pair sum is independent of memory blocking: rows
-are always reduced over a fixed 65536-wide logical column-chunk grid and the
-per-row results are combined in a single fixed-length reduction.
+`pair_sums` is numpy only and is the one pair-sum path of `kme`: one kernel
+pass of a left expansion against the stacked points of many right
+expansions. Each right point's kernel row is reduced over the left atoms in
+a fixed order, then the per-point values are summed per right expansion, so
+every value depends only on its two expansions, not on the other
+expansions in the batch or on the memory blocking. The numpy `pair_sum` is
+its one-segment call.
 """
 
 from __future__ import annotations
@@ -31,47 +35,68 @@ def active_backend() -> str:
     return "python"
 
 
-_COL_CHUNK = 65536
-_BLOCK_BUDGET = 2**22  # floats per distance block in the numpy path
+_BLOCK_BUDGET = 2**16  # floats per kernel block in pair_sums
 
 
-def _dist_block(X: np.ndarray, Y: np.ndarray, family: int) -> np.ndarray:
+def _dist_block(Y: np.ndarray, X: np.ndarray, family: int, out: np.ndarray) -> np.ndarray:
+    """Squared euclidean (family 0) or cityblock (family 1) distances, written into out."""
     if X.shape[1] <= 64:
-        metric = "sqeuclidean" if family == 0 else "cityblock"
-        return cdist(X, Y, metric)
+        return cdist(Y, X, "sqeuclidean" if family == 0 else "cityblock", out=out)
     # wide rows: broadcast + pairwise summation over the axis
-    diff = X[:, None, :] - Y[None, :, :]
+    diff = Y[:, None, :] - X[None, :, :]
     if family == 0:
-        return np.sum(diff * diff, axis=2)
-    return np.sum(np.abs(diff), axis=2)
+        np.square(diff, out=diff)
+    else:
+        np.abs(diff, out=diff)
+    return np.sum(diff, axis=2, out=out)
 
 
-def _pair_sum_numpy(X, wx, Y, wy, family, width, row_block=None):
-    m, n = X.shape[0], Y.shape[0]
-    if row_block is None:
-        row_block = max(1, _BLOCK_BUDGET // max(n, 1))
-    scale = width * width if family == 0 else width
-    rowsums = np.zeros(m)
-    for r0 in range(0, m, row_block):
-        r1 = min(r0 + row_block, m)
-        for c0 in range(0, n, _COL_CHUNK):
-            c1 = min(c0 + _COL_CHUNK, n)
-            block = np.exp(-_dist_block(X[r0:r1], Y[c0:c1], family) / scale)
-            # per-row dots: the reduction tree never depends on row_block
-            for i in range(r1 - r0):
-                rowsums[r0 + i] += np.dot(block[i], wy[c0:c1])
-    return float(wx @ rowsums)
+def pair_sums(X, wx, Y, wy, offsets, family: int, width: float, row_block=None) -> np.ndarray:
+    """sum_ij wx_i wy_j k(x_i, y_j) of the left expansion (X, wx) against each
+    right expansion Y[offsets[s]:offsets[s + 1]], for family 0 = gaussian,
+    1 = laplacian; offsets run from 0 to len(Y) and every segment is nonempty.
 
-
-def pair_sum(X, wx, Y, wy, family: int, width: float, row_block=None) -> float:
-    """sum_ij wx_i wy_j k(x_i, y_j) for family 0 = gaussian, 1 = laplacian."""
+    One kernel pass: the (right points x left atoms) block is built
+    `row_block` whole right points at a time, each right point's row is
+    weighted by wx and summed in a fixed order, and the per-point values
+    times wy are summed per segment. A value therefore depends only on
+    (X, wx) and its own segment, never on the other segments, their order,
+    `row_block` or the block budget.
+    """
     X = np.ascontiguousarray(X, dtype=np.float64)
     Y = np.ascontiguousarray(Y, dtype=np.float64)
     wx = np.ascontiguousarray(wx, dtype=np.float64)
     wy = np.ascontiguousarray(wy, dtype=np.float64)
+    offsets = np.asarray(offsets, dtype=np.intp)
+    m, n = X.shape[0], Y.shape[0]
+    if m < 1 or offsets[0] != 0 or offsets[-1] != n or np.any(np.diff(offsets) < 1):
+        raise ValueError("pair_sums needs a nonempty left expansion and nonempty segments covering Y")
+    if row_block is None:
+        row_block = max(1, _BLOCK_BUDGET // (m * (X.shape[1] if X.shape[1] > 64 else 1)))
+    row_block = min(row_block, n)
+    scale = -(width * width if family == 0 else width)
+    buf = np.empty(row_block * m)
+    v = np.empty(n)
+    for r0 in range(0, n, row_block):
+        r1 = min(r0 + row_block, n)
+        block = _dist_block(Y[r0:r1], X, family, buf[: (r1 - r0) * m].reshape(r1 - r0, m))
+        np.divide(block, scale, out=block)
+        np.exp(block, out=block)
+        block *= wx
+        np.sum(block, axis=1, out=v[r0:r1])
+    v *= wy
+    return np.add.reduceat(v, offsets[:-1])
+
+
+def pair_sum(X, wx, Y, wy, family: int, width: float, row_block=None) -> float:
+    """sum_ij wx_i wy_j k(x_i, y_j) for family 0 = gaussian, 1 = laplacian."""
     if active_backend() == "cython":
+        X = np.ascontiguousarray(X, dtype=np.float64)
+        Y = np.ascontiguousarray(Y, dtype=np.float64)
+        wx = np.ascontiguousarray(wx, dtype=np.float64)
+        wy = np.ascontiguousarray(wy, dtype=np.float64)
         return _ckern.pair_sum(X, wx, Y, wy, family, width)
-    return _pair_sum_numpy(X, wx, Y, wy, family, width, row_block=row_block)
+    return float(pair_sums(X, wx, Y, wy, [0, len(Y)], family, width, row_block=row_block)[0])
 
 
 def _cd_sweep_numpy(K, y, alpha, f, box_c, diag_floor):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .base_kernels import BaseKernel
 from .bounds import approx_error_summary
-from .errors import InputError, NumericalConsistencyError
+from .errors import InputError, NumericalConsistencyError, config_int, config_ints
 from .experiments import ExperimentConfig, rate_report_csv, run_kme_coverage, run_rate_experiment
 from .hilbert_kernel import HilbertKernel
 from .kme import SampleSet
@@ -86,7 +86,7 @@ def _cmd_rates(args) -> int:
 
 def _cmd_kme_coverage(args) -> int:
     params = _load_json(args.config)
-    seed = args.seed if args.seed is not None else int(params.get("seed", 0))
+    seed = args.seed if args.seed is not None else params.get("seed", 0)
     report = run_kme_coverage(params, seed)
     _write_json(args.out, report)
     worst = max((r["violation_rate"] - r["delta"] for r in report["results"]), default=0.0)
@@ -146,9 +146,9 @@ def _cmd_noise_exponent(args) -> int:
         meta = MetaDistribution.from_config(cfg["meta"])
         q = CovarianceOperator.from_config(cfg["covariance"])
         t_grid = [float(t) for t in cfg["t_grid"]]
-        n_outer = int(cfg["n_outer"])
-        n_inner = int(cfg["n_inner"])
-        seed = int(cfg["seed"]) if args.seed is None else args.seed
+        n_outer = config_int(cfg["n_outer"], "n_outer")
+        n_inner = config_int(cfg["n_inner"], "n_inner")
+        seed = config_int(cfg["seed"] if args.seed is None else args.seed, "seed", minimum=0)
         floor = float(cfg.get("floor", 1e-12))
     except KeyError as exc:
         raise InputError(f"noise-exponent config missing field {exc}") from exc
@@ -168,9 +168,10 @@ def _cmd_approx_error(args) -> int:
         meta = MetaDistribution.from_config(cfg["meta"])
         hk = HilbertKernel.from_config(cfg["hilbert_kernel"])
         lam_grid = [float(l) for l in cfg["lambda_grid"]]
-        big_n = int(cfg["big_n"])
+        big_n = config_int(cfg["big_n"], "big_n")
         embedding = cfg.get("embedding", "exact")
-        seeds = [int(s) for s in cfg.get("seeds", [cfg.get("seed", 0)])]
+        seeds = config_ints(cfg.get("seeds", [cfg.get("seed", 0)]), "seeds", minimum=0)
+        test_n = None if cfg.get("test_n") is None else config_int(cfg["test_n"], "test_n")
     except KeyError as exc:
         raise InputError(f"approx-error config missing field {exc}") from exc
     base = BaseKernel.from_config(cfg["base_kernel"]) if "base_kernel" in cfg else None
@@ -183,7 +184,7 @@ def _cmd_approx_error(args) -> int:
         seeds,
         base_kernel=base,
         input_space=cfg.get("input_space", "kme"),
-        test_n=cfg.get("test_n"),
+        test_n=test_n,
     )
     _write_json(args.out, summary)
     print(f"approx-error: wrote {args.out} (ahat {summary['ahat_mean']})")
@@ -209,7 +210,7 @@ def _cmd_train(args) -> int:
         labels,
         lam,
         tol=float(cfg.get("tol", 1e-8)),
-        max_sweeps=int(cfg.get("max_sweeps", 10_000)),
+        max_sweeps=config_int(cfg.get("max_sweeps", 10_000), "max_sweeps"),
         support=embs,
         hkernel=hk,
     )

@@ -1,8 +1,10 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the integer check for config fields.
 
 CLI exit-code mapping: InputError (and subclasses) -> 2,
 NumericalConsistencyError -> 3.
 """
+
+import numbers
 
 
 class InputError(ValueError):
@@ -19,3 +21,24 @@ class NumericalConsistencyError(RuntimeError):
     Distinguishes genuine corruption (e.g. a Gram matrix far from PSD) from
     ordinary floating-point noise, which is clamped silently.
     """
+
+
+def config_int(value, field: str, minimum: int | None = None) -> int:
+    """A size or seed read from a config: an int or an integral float, at least `minimum`.
+
+    Booleans, fractional or non-finite floats, strings, null and containers
+    raise InputError rather than being truncated or failing later.
+    """
+    integral = isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise InputError(f"{field} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise InputError(f"{field} must be >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def config_ints(values, field: str, minimum: int | None = None) -> tuple:
+    """A JSON list of sizes or seeds, each checked by `config_int`."""
+    if not isinstance(values, (list, tuple)):
+        raise InputError(f"{field} must be a list of integers, got {values!r}")
+    return tuple(config_int(v, field, minimum) for v in values)

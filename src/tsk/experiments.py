@@ -19,9 +19,9 @@ import numpy as np
 
 from .base_kernels import BaseKernel, sup_norm
 from .bounds import OracleTerms, Schedule, make_schedule, oracle_rhs
-from .errors import InputError, NumericalConsistencyError
+from .errors import InputError, NumericalConsistencyError, config_int, config_ints
 from .hilbert_kernel import HilbertKernel, lipschitz_modulus
-from .kme import SampleSet, concentration_bound, embed, exact_gaussian_embedding, rkhs_distance
+from .kme import SampleSet, _clamp_sq, concentration_bound, cross_inner, embed, exact_gaussian_embedding, squared_norms
 from .rng import normals, stream, subseed
 from .svm import SvmModel, build_gram, decision_values, train
 from .synth import MetaDistribution, bayes_risk, sample_first_stage, sample_second_stage
@@ -117,6 +117,7 @@ class ExperimentConfig:
     def from_json(cls, cfg: dict) -> "ExperimentConfig":
         try:
             sched = cfg["schedule"]
+            test_embedding = cfg.get("test_embedding", "exact")
             return cls(
                 meta=MetaDistribution.from_config(cfg["meta"]),
                 base_kernel=BaseKernel.from_config(cfg["base_kernel"]),
@@ -125,16 +126,16 @@ class ExperimentConfig:
                 alpha=float(sched["alpha"]),
                 beta=float(sched["beta"]) if "beta" in sched else None,
                 mu=float(sched["mu"]) if "mu" in sched else None,
-                n_grid=tuple(int(n) for n in cfg["n_grid"]),
-                replicates=int(cfg["replicates"]),
-                test_bags=int(cfg["test_bags"]),
-                test_embedding=cfg.get("test_embedding", "exact"),
+                n_grid=config_ints(cfg["n_grid"], "n_grid"),
+                replicates=config_int(cfg["replicates"], "replicates"),
+                test_bags=config_int(cfg["test_bags"], "test_bags"),
+                test_embedding=test_embedding if test_embedding == "exact" else config_int(test_embedding, "test_embedding"),
                 train_embedding=cfg.get("train_embedding", "empirical"),
-                seed=int(cfg["seed"]),
+                seed=config_int(cfg["seed"], "seed", minimum=0),
                 universal_c=float(cfg.get("universal_c", 100.0)),
                 tau=float(cfg.get("tau", 1.0)),
                 approx_error_model=dict(cfg.get("approx_error", {"model": "zero"})),
-                bayes_mc=int(cfg.get("bayes_mc", 100_000)),
+                bayes_mc=config_int(cfg.get("bayes_mc", 100_000), "bayes_mc"),
                 row_time_cap_s=float(cfg.get("row_time_cap_s", 300.0)),
             )
         except KeyError as exc:
@@ -415,6 +416,18 @@ def rate_report_csv(report: RateReport, timing: bool = False) -> str:
     return buf.getvalue()
 
 
+def _coverage_distances(kernel: BaseKernel, mean, sigma: float, m: int, trials: int, seed: int) -> np.ndarray:
+    """RKHS distance between each trial's empirical embedding of m draws and
+    the exact embedding, from one `squared_norms` and one `cross_inner` call."""
+    exact = exact_gaussian_embedding(kernel, mean, sigma)
+    emps = [
+        embed(kernel, SampleSet(mean + sigma * normals(stream(seed, "coverage", m, r), (m, kernel.dim))))
+        for r in range(trials)
+    ]
+    norms = squared_norms(emps + [exact])
+    return np.sqrt(_clamp_sq(norms[:-1] + norms[-1] - 2.0 * cross_inner(emps, [exact])[:, 0]))
+
+
 def run_kme_coverage(params: dict, seed: int) -> dict:
     """Empirical violation rates of the embedding concentration bound.
 
@@ -426,22 +439,15 @@ def run_kme_coverage(params: dict, seed: int) -> dict:
         kernel = BaseKernel.from_config(params["base_kernel"])
         sigma = float(params["sigma"])
         mean = np.asarray(params.get("mean", [0.0] * kernel.dim), dtype=np.float64)
-        bag_sizes = [int(m) for m in params["bag_sizes"]]
+        bag_sizes = config_ints(params["bag_sizes"], "bag_sizes", minimum=1)
         deltas = [float(d) for d in params["deltas"]]
-        trials = int(params["trials"])
+        trials = config_int(params["trials"], "trials", minimum=1)
     except KeyError as exc:
         raise InputError(f"coverage config missing field {exc}") from exc
-    if trials < 1:
-        raise InputError("trials must be >= 1")
-    exact = exact_gaussian_embedding(kernel, mean, sigma)
+    seed = config_int(seed, "seed", minimum=0)
     results = []
     for m in bag_sizes:
-        dists = np.empty(trials)
-        for r in range(trials):
-            gen = stream(seed, "coverage", m, r)
-            pts = mean + sigma * normals(gen, (m, kernel.dim))
-            emp = embed(kernel, SampleSet(pts))
-            dists[r] = rkhs_distance(emp, exact)
+        dists = _coverage_distances(kernel, mean, sigma, m, trials, seed)
         for delta in deltas:
             bound = concentration_bound(m, delta, sup_norm(kernel))
             rate = float(np.mean(dists > bound))

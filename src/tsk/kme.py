@@ -72,9 +72,9 @@ class EmpiricalEmbedding:
     def __post_init__(self):
         pts = np.ascontiguousarray(self.points, dtype=np.float64)
         w = np.ascontiguousarray(self.weights, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != self.kernel.dim or not np.all(np.isfinite(pts)):
+        if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] != self.kernel.dim or not np.all(np.isfinite(pts)):
             raise InputError(
-                f"embedding points must be finite and (m, {self.kernel.dim}), got shape {pts.shape}"
+                f"embedding points must be finite and (m, {self.kernel.dim}) with m >= 1, got shape {pts.shape}"
             )
         if w.shape != (pts.shape[0],) or not np.all(np.isfinite(w)):
             raise InputError("weights must be finite and match the number of points")
@@ -154,8 +154,15 @@ def _split(embs):
     return x, np.array([embs[i].mean for i in x]), np.array([embs[i].spread for i in x]), e
 
 
-def _pair_sum(k: BaseKernel, e1: EmpiricalEmbedding, e2: EmpiricalEmbedding) -> float:
-    return _backend.pair_sum(e1.points, e1.weights, e2.points, e2.weights, FAMILY_CODES[k.family], k.width)
+def _stacked(embs, idx):
+    """Stacked points and weights of the empirical embeddings embs[idx], with segment offsets."""
+    offsets = np.concatenate(([0], np.cumsum([len(embs[i].weights) for i in idx])))
+    points = np.concatenate([embs[i].points for i in idx])
+    return points, np.concatenate([embs[i].weights for i in idx]), offsets
+
+
+def _pair_sums(k: BaseKernel, e: EmpiricalEmbedding, points, weights, offsets) -> np.ndarray:
+    return _backend.pair_sums(e.points, e.weights, points, weights, offsets, FAMILY_CODES[k.family], k.width)
 
 
 def _atoms_inner(k: BaseKernel, means, spreads, e: EmpiricalEmbedding) -> np.ndarray:
@@ -167,9 +174,12 @@ def cross_inner(a, b) -> np.ndarray:
     """Matrix of <a_i, b_j> between two sequences of embeddings with one base kernel.
 
     The single place where the formula depends on the embedding kind: the
-    closed form for exact x exact, one `_backend.pair_sum` per entry for
-    empirical x empirical, and the sigma' = 0 closed form per expansion atom
-    for mixed pairs. When b is a, only the upper triangle is computed and
+    closed form for exact x exact, the sigma' = 0 closed form per expansion
+    atom for mixed pairs, and for empirical x empirical one blocked kernel
+    pass (`_backend.pair_sums`) per empirical a_i against the stacked points
+    of all empirical b_j. Every entry depends only on its two embeddings, so
+    it equals `cross_inner([a_i], [b_j])` bit for bit whatever else is in
+    the batch. When b is a, row i covers only the columns j >= i and is
     mirrored, so the matrix is exactly symmetric and its diagonal equals
     `squared_norms(a)` bit for bit.
     """
@@ -185,19 +195,25 @@ def cross_inner(a, b) -> np.ndarray:
     if xa:
         for j in eb:
             out[xa, j] = _atoms_inner(k, ma, sa, b[j])
-    for i in ea:
-        if same:
+    if eb:
+        points, weights, offsets = _stacked(b, eb)
+    for r, i in enumerate(ea):
+        if same:  # row i covers the columns j >= i and is mirrored
             out[i, xa] = out[xa, i]
-        elif xb:
+            lo = offsets[r]
+            out[i, eb[r:]] = out[eb[r:], i] = _pair_sums(k, a[i], points[lo:], weights[lo:], offsets[r:] - lo)
+            continue
+        if xb:
             out[i, xb] = _atoms_inner(k, mb, sb, a[i])
-        for j in eb:
-            out[i, j] = out[j, i] if same and j < i else _pair_sum(k, a[i], b[j])
+        if eb:
+            out[i, eb] = _pair_sums(k, a[i], points, weights, offsets)
     return out
 
 
 def squared_norms(embs) -> np.ndarray:
     """||e||^2 for each embedding, computed once each: the closed form at zero
-    mean distance for exact embeddings, one pair sum for empirical ones."""
+    mean distance for exact embeddings, a one-segment `_backend.pair_sums`
+    for empirical ones."""
     embs = list(embs)
     k = _common_kernel(embs)
     out = np.empty(len(embs))
@@ -205,7 +221,7 @@ def squared_norms(embs) -> np.ndarray:
     if x:
         out[x] = _closed_form(k, 0.0, spreads**2, spreads**2)
     for i in e:
-        out[i] = _pair_sum(k, embs[i], embs[i])
+        out[i] = _pair_sums(k, embs[i], embs[i].points, embs[i].weights, [0, len(embs[i].weights)])[0]
     return out
 
 

@@ -152,3 +152,20 @@ def noise_terms_one_t(meta, t, q, n_outer, n_inner, seed):
         shifted = z + means[k]
         t2[k] = float(np.mean(np.exp(-np.einsum("ij,ij->i", shifted, shifted) / t))) * weights[k]
     return t1, t2
+
+
+def coverage_distances_one_by_one(kernel, mean, sigma, m, trials, seed):
+    """rkhs_distance(empirical, exact) for each coverage trial, one trial at a time.
+
+    The per-trial loop the batched coverage campaign must reproduce bit for
+    bit: the same bag streams, one `rkhs_distance` call per bag.
+    """
+    from tsk import SampleSet, embed, exact_gaussian_embedding, rkhs_distance
+    from tsk.rng import normals, stream
+
+    exact = exact_gaussian_embedding(kernel, mean, sigma)
+    out = np.empty(trials)
+    for r in range(trials):
+        pts = mean + sigma * normals(stream(seed, "coverage", m, r), (m, kernel.dim))
+        out[r] = rkhs_distance(embed(kernel, SampleSet(pts)), exact)
+    return out

@@ -78,6 +78,35 @@ class TestRates:
         assert str(missing) in capsys.readouterr().err
 
 
+NON_INTEGER_SIZES = [
+    ("rates", SMOKE_RATES, {"n_grid": [8.7, 16]}),
+    ("rates", SMOKE_RATES, {"replicates": 1.5}),
+    ("rates", SMOKE_RATES, {"test_bags": True}),
+    ("rates", SMOKE_RATES, {"n_grid": ["a", 16]}),
+    ("rates", SMOKE_RATES, {"replicates": None}),
+    ("kme-coverage", json.loads((CONFIGS / "kme_coverage.json").read_text()), {"trials": 20.9}),
+    ("noise-exponent", json.loads((CONFIGS / "noise_exponent_r5.json").read_text()), {"n_outer": 20.7, "n_inner": 50}),
+    ("approx-error", json.loads((CONFIGS / "approx_error_hard_margin.json").read_text()), {"big_n": 10.5}),
+    ("approx-error", json.loads((CONFIGS / "approx_error_hard_margin.json").read_text()), {"test_n": "80"}),
+]
+
+
+@pytest.mark.parametrize("cmd, base, fields", NON_INTEGER_SIZES)
+def test_non_integer_size_exits_2(tmp_path, capsys, cmd, base, fields):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(base | fields))
+    assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "must be an integer" in capsys.readouterr().err
+
+
+def test_train_non_integer_max_sweeps_exits_2(tmp_path, capsys):
+    data, cfg = tmp_path / "bags.json", tmp_path / "cfg.json"
+    write_dataset(data)
+    cfg.write_text(json.dumps(json.loads((CONFIGS / "train_example.json").read_text()) | {"max_sweeps": 100.5}))
+    assert main(["train", "--config", str(cfg), "--data", str(data), "--out", str(tmp_path / "m.json")]) == 2
+    assert "must be an integer" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
 

@@ -1,9 +1,12 @@
+import copy
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsk import (
     BaseKernel,
@@ -15,9 +18,11 @@ from tsk import (
     run_rate_experiment,
 )
 from tsk.errors import InputError
-from tsk.experiments import CSV_COLUMNS, rate_report_csv
+from tsk.experiments import CSV_COLUMNS, _coverage_distances, rate_report_csv
 from tsk.kme import exact_gaussian_embedding
 from tsk.svm import SvmModel, build_gram, decision_values, train
+
+from oracles import coverage_distances_one_by_one
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -215,3 +220,56 @@ class TestKmeCoverage:
     def test_validation(self):
         with pytest.raises(InputError):
             run_kme_coverage({"sigma": 0.5}, 1)
+
+    def test_distances_equal_per_trial_loop(self):
+        for m in (1, 25):
+            got = _coverage_distances(BASE, np.array([0.2, -0.1]), 0.5, m, 40, 5)
+            assert np.array_equal(got, coverage_distances_one_by_one(BASE, np.array([0.2, -0.1]), 0.5, m, 40, 5))
+
+
+VALID_RATES = json.loads((CONFIGS / "rates_smoke_empirical.json").read_text())
+VALID_COVERAGE = {"base_kernel": BASE.to_config(), "sigma": 0.5, "bag_sizes": [2, 3], "deltas": [0.1], "trials": 3}
+NOT_AN_INTEGER = (
+    st.floats().filter(lambda v: not v.is_integer())
+    | st.booleans()
+    | st.text()
+    | st.none()
+    | st.lists(st.integers(), max_size=2)
+    | st.just({"n": 1})
+)
+# size and seed fields of each config; the list-valued ones take a corrupt entry or a non-list
+RATES_FIELDS = ("n_grid", "replicates", "test_bags", "seed", "bayes_mc", "test_embedding")
+COVERAGE_FIELDS = ("bag_sizes", "trials", "seed")
+LIST_FIELDS = ("n_grid", "bag_sizes")
+
+
+@st.composite
+def corrupted_field(draw, valid, fields):
+    """A copy of valid with one size or seed field replaced by a value that is not an integer."""
+    cfg = copy.deepcopy(valid)
+    name = draw(st.sampled_from(fields))
+    bad = draw(NOT_AN_INTEGER.filter(lambda v: v != "exact") | (st.integers(max_value=-1) if name == "seed" else st.nothing()))
+    if name in LIST_FIELDS and (isinstance(bad, list) or draw(st.booleans())):
+        cfg[name][draw(st.integers(0, len(cfg[name]) - 1))] = bad
+    else:
+        cfg[name] = bad
+    return cfg
+
+
+class TestConfigIntegers:
+    def test_integral_floats_load_as_ints(self):
+        cfg = ExperimentConfig.from_json(VALID_RATES | {"n_grid": [8.0, 16], "replicates": 2.0, "seed": 11.0})
+        assert cfg.n_grid == (8, 16) and cfg.replicates == 2 and cfg.seed == 11
+        assert all(type(v) is int for v in (*cfg.n_grid, cfg.replicates, cfg.seed))
+
+    @settings(max_examples=300, deadline=None)
+    @given(corrupted_field(VALID_RATES, RATES_FIELDS))
+    def test_every_rates_corruption_is_an_input_error(self, cfg):
+        with pytest.raises(InputError):
+            ExperimentConfig.from_json(cfg)
+
+    @settings(max_examples=200, deadline=None)
+    @given(corrupted_field(VALID_COVERAGE | {"seed": 7}, COVERAGE_FIELDS))
+    def test_every_coverage_corruption_is_an_input_error(self, cfg):
+        with pytest.raises(InputError):
+            run_kme_coverage(cfg, cfg.pop("seed"))

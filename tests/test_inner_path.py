@@ -12,7 +12,7 @@ import pytest
 
 from tsk import BaseKernel, HilbertKernel, SampleSet, embed, exact_gaussian_embedding, rkhs_distance
 from tsk import _backend
-from tsk.kme import EmpiricalEmbedding, squared_norms
+from tsk.kme import EmpiricalEmbedding, cross_inner, squared_norms
 from tsk.svm import SvmModel, build_gram, decision_value, decision_values, train
 
 from oracles import brute_pair_sum
@@ -104,19 +104,50 @@ class TestSinglePath:
 
 @pytest.mark.parametrize("hk", HKERNELS, ids=lambda hk: hk.family)
 def test_pair_sums_per_decision_batch(monkeypatch, hk):
-    # k support norms, t target norms and k * t cross terms, each computed once
+    # kernel evaluations of k support norms, t target norms and k * t cross terms, each computed once
     support, labels = make_embeddings("empirical", 7, seed=5)
     targets, _ = make_embeddings("empirical", 5, seed=6)
     alpha = np.array([0.3, 0.0, 0.2, 0.0, 0.0, 0.1, 0.4])
     model = SvmModel(alpha, labels, 0.1, 1.0, 1.0, True, 0.0, 0, 0.0, 0.0, support=tuple(support), hkernel=hk)
-    calls = []
-    real = _backend.pair_sum
+    evals = []
+    real = _backend.pair_sums
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(X, wx, Y, *args, **kwargs):
+        evals.append(len(X) * len(Y))
+        return real(X, wx, Y, *args, **kwargs)
 
-    monkeypatch.setattr(_backend, "pair_sum", counting)
+    monkeypatch.setattr(_backend, "pair_sums", counting)
     decision_values(model, targets)
-    k, t = 4, len(targets)
-    assert len(calls) == k + t + k * t
+    ms = [len(support[i].weights) for i in np.flatnonzero(alpha)]
+    mt = [len(e.weights) for e in targets]
+    assert sum(evals) == sum(m * m for m in ms) + sum(m * m for m in mt) + sum(ms) * sum(mt)
+
+
+SIZES = (1, 2, 3, 7, 13, 31, 60, 50, 1, 44)
+
+
+def weighted_bags(sizes, seed):
+    """Empirical embeddings of the given sizes with positive, unequal weights."""
+    rng = np.random.default_rng(seed)
+    return [EmpiricalEmbedding(BASE, rng.normal(size=(m, 2)), rng.uniform(0.1, 1.0, size=m)) for m in sizes]
+
+
+def test_gram_entries_equal_single_pair_calls():
+    embs = weighted_bags(SIZES, seed=11)
+    gram = cross_inner(embs, embs)
+    for i in range(len(embs)):
+        for j in range(i, len(embs)):
+            assert gram[i, j] == gram[j, i] == cross_inner([embs[i]], [embs[j]])[0, 0]
+    assert np.array_equal(np.diag(gram), squared_norms(embs))
+    assert np.all(np.diag(build_gram(HilbertKernel("gaussian", 1.0), embs).entries) == 1.0)
+    assert all(rkhs_distance(e, e) == 0.0 for e in embs)
+
+
+def test_cross_entries_independent_of_the_batch():
+    a, b = weighted_bags(SIZES[:4], seed=12), weighted_bags(SIZES, seed=13)
+    full = cross_inner(a, b)
+    for i in range(len(a)):
+        for j in range(len(b)):
+            assert full[i, j] == cross_inner([a[i]], [b[j]])[0, 0]
+    assert np.array_equal(cross_inner(a, b[::-1]), full[:, ::-1])
+    assert np.array_equal(cross_inner(a, b[1::3]), full[:, 1::3])

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from tsk import (
     inner,
     rkhs_distance,
 )
-from tsk._backend import pair_sum
+from tsk._backend import pair_sum, pair_sums
 from tsk.errors import InputError, NumericalConsistencyError, UnsupportedError
 from tsk.kme import _clamp_sq, gaussian_kme_inner_matrix
 
@@ -50,6 +51,10 @@ class TestEmbed:
             SampleSet(np.empty((0, 2)))
         with pytest.raises(InputError):
             embed(K2, SampleSet(np.zeros((3, 5))))
+
+    def test_zero_point_expansion_rejected(self):
+        with pytest.raises(InputError):
+            EmpiricalEmbedding(K2, np.empty((0, 2)), np.empty(0))
 
 
 class TestInner:
@@ -212,3 +217,46 @@ class TestMixedAndProperties:
         finally:
             os.environ.pop("TSK_BACKEND")
         assert len(vals) == 1
+
+
+class TestPairSums:
+    """One left expansion against right expansions stacked at offsets."""
+
+    SEGMENTS = (1, 2, 7, 60, 1, 33)
+
+    def stacked(self, rng, m, d):
+        # points scaled so squared distances stay O(1) in any dimension
+        x = rng.normal(size=(m, d)) / math.sqrt(d)
+        y = rng.normal(size=(sum(self.SEGMENTS), d)) / math.sqrt(d)
+        wx, wy = rng.uniform(0.1, 1.0, size=m), rng.uniform(0.1, 1.0, size=len(y))
+        return x, wx, y, wy, np.concatenate(([0], np.cumsum(self.SEGMENTS)))
+
+    @pytest.mark.parametrize("d", [2, 70])  # 70 > 64 takes the broadcast distance branch
+    @pytest.mark.parametrize("family", ["gaussian", "laplacian"])
+    @pytest.mark.parametrize("m", [1, 60])
+    def test_matches_brute_force(self, family, d, m):
+        x, wx, y, wy, offs = self.stacked(np.random.default_rng(41), m, d)
+        got = pair_sums(x, wx, y, wy, offs, 0 if family == "gaussian" else 1, 0.9)
+        want = [brute_pair_sum(x, wx, y[a:b], wy[a:b], family, 0.9) for a, b in zip(offs, offs[1:])]
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 70])
+    def test_independent_of_row_block_and_of_other_segments(self, d):
+        x, wx, y, wy, offs = self.stacked(np.random.default_rng(43), 17, d)
+        runs = [pair_sums(x, wx, y, wy, offs, 0, 1.1, row_block=rb) for rb in (1, 5, 17, None)]
+        assert all(np.array_equal(r, runs[0]) for r in runs)
+        for s, (a, b) in enumerate(zip(offs, offs[1:])):
+            assert pair_sums(x, wx, y[a:b], wy[a:b], [0, b - a], 0, 1.1)[0] == runs[0][s]
+
+    def test_pair_sum_is_the_one_segment_call(self):
+        x, wx, y, wy, _ = self.stacked(np.random.default_rng(47), 9, 2)
+        os.environ["TSK_BACKEND"] = "python"
+        try:
+            assert pair_sum(x, wx, y, wy, 1, 0.7) == pair_sums(x, wx, y, wy, [0, len(y)], 1, 0.7)[0]
+        finally:
+            os.environ.pop("TSK_BACKEND")
+
+    def test_empty_segment_rejected(self):
+        x, wx, y, wy, _ = self.stacked(np.random.default_rng(53), 3, 2)
+        with pytest.raises(ValueError):
+            pair_sums(x, wx, y, wy, [0, 5, 5, len(y)], 0, 1.0)
