@@ -1,37 +1,25 @@
-"""Backend selection for the two hot inner loops, and the blocked pair sums.
+"""The two numpy inner loops: blocked pair sums and the dual coordinate pass.
 
-`tsk._ckern` (Cython) serves `pair_sum` and `cd_sweep` when it compiled at
-install time; otherwise a numpy implementation with identical semantics
-takes over. Set ``TSK_BACKEND=python`` to force the fallback (used by the
-parity tests and the backend benchmark).
+`pair_sums` is the one pair-sum path of `kme`: one kernel pass of a left
+expansion against the stacked points of many right expansions. Each right
+point's kernel row is reduced over the left atoms in a fixed order, then the
+per-point values are summed per right expansion, so every value depends only
+on its two expansions, not on the other expansions in the batch or on the
+memory blocking. `pair_sum` is its one-segment call.
 
-`pair_sums` is numpy only and is the one pair-sum path of `kme`: one kernel
-pass of a left expansion against the stacked points of many right
-expansions. Each right point's kernel row is reduced over the left atoms in
-a fixed order, then the per-point values are summed per right expansion, so
-every value depends only on its two expansions, not on the other
-expansions in the batch or on the memory blocking. The numpy `pair_sum` is
-its one-segment call.
+`cd_sweep` is the coordinate pass of `svm.train`.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 from scipy.spatial.distance import cdist
 
-try:
-    from . import _ckern
-except ImportError:  # extension not built
-    _ckern = None
-
-HAVE_EXT = _ckern is not None
+HAVE_EXT = False  # no compiled extension; kept for the benchmark's record stamp
 
 
 def active_backend() -> str:
-    if HAVE_EXT and os.environ.get("TSK_BACKEND", "") != "python":
-        return "cython"
+    """The name of the implementation in use: always "python" (numpy)."""
     return "python"
 
 
@@ -90,34 +78,20 @@ def pair_sums(X, wx, Y, wy, offsets, family: int, width: float, row_block=None) 
 
 def pair_sum(X, wx, Y, wy, family: int, width: float, row_block=None) -> float:
     """sum_ij wx_i wy_j k(x_i, y_j) for family 0 = gaussian, 1 = laplacian."""
-    if active_backend() == "cython":
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        Y = np.ascontiguousarray(Y, dtype=np.float64)
-        wx = np.ascontiguousarray(wx, dtype=np.float64)
-        wy = np.ascontiguousarray(wy, dtype=np.float64)
-        return _ckern.pair_sum(X, wx, Y, wy, family, width)
     return float(pair_sums(X, wx, Y, wy, [0, len(Y)], family, width, row_block=row_block)[0])
 
 
-def _cd_sweep_numpy(K, y, alpha, f, box_c, diag_floor):
-    biggest = 0.0
-    for i in range(K.shape[0]):
-        kii = K[i, i]
-        if kii <= diag_floor:
-            continue
-        g = 1.0 - y[i] * f[i]
-        anew = min(max(alpha[i] + g / kii, 0.0), box_c)
-        delta = anew - alpha[i]
-        if delta != 0.0:
+def cd_sweep(K, y, alpha, f, box_c: float, coords) -> None:
+    """One dual coordinate pass over `coords`, in the given order.
+
+    Each alpha_i moves to the maximiser of the dual along coordinate i,
+    clipped to [0, box_c], and f = K (alpha * y) follows it. Mutates alpha and
+    f. Every coordinate in `coords` needs K_ii > 0.
+    """
+    y_list, diag = y.tolist(), K.diagonal().tolist()
+    for i in coords:
+        yi, ai = y_list[i], alpha.item(i)
+        anew = min(max(ai + (1.0 - yi * f.item(i)) / diag[i], 0.0), box_c)
+        if anew != ai:
             alpha[i] = anew
-            f += (delta * y[i]) * K[i]
-        if abs(delta) > biggest:
-            biggest = abs(delta)
-    return biggest
-
-
-def cd_sweep(K, y, alpha, f, box_c: float, diag_floor: float) -> float:
-    """One cyclic dual coordinate pass; mutates alpha and f, returns max |change|."""
-    if active_backend() == "cython":
-        return _ckern.cd_sweep(K, y, alpha, f, box_c, diag_floor)
-    return _cd_sweep_numpy(K, y, alpha, f, box_c, diag_floor)
+            f += ((anew - ai) * yi) * K[i]

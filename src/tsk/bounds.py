@@ -141,6 +141,8 @@ class ApproxErrorEstimate:
     reg_values: tuple  # test risk + lam * ||f||^2
     norm_sqs: tuple
     ahat: tuple  # clamped-at-0 estimates of A(lambda)
+    converged: tuple = ()  # whether each dual solve reached its KKT tolerance
+    kkt: tuple = ()  # KKT residual of each solve
 
     def to_json(self) -> dict:
         return {
@@ -149,6 +151,8 @@ class ApproxErrorEstimate:
             "reg_values": list(self.reg_values),
             "norm_sqs": list(self.norm_sqs),
             "ahat": list(self.ahat),
+            "converged": list(self.converged),
+            "kkt": list(self.kkt),
         }
 
 
@@ -170,7 +174,8 @@ def approx_error_estimate(
     Ahat(lambda) = [test hinge risk + lambda ||f||^2] - min_grid test hinge risk,
     clamped at 0. The min over the grid stands in for the infimum over the
     RKHS, which biases Ahat upward -- the conservative direction for every
-    check that consumes it.
+    check that consumes it. Each solve's `converged` flag and KKT residual
+    are reported next to the estimates.
 
     input_space "kme" embeds the inputs through the base kernel; "mean" uses
     the raw mean vectors as Hilbert-space points (identity embedding), which
@@ -213,11 +218,13 @@ def approx_error_estimate(
     else:
         raise InputError(f"unknown input_space {input_space!r}")
 
-    test_risks, norm_sqs = [], []
+    test_risks, norm_sqs, converged, kkt = [], [], [], []
     for lam in lam_grid:
         model = train(gram, train_labels, lam, support=support, hkernel=hkernel)
         test_risks.append(eval_risk(model))
         norm_sqs.append(model.norm_sq)
+        converged.append(model.converged)
+        kkt.append(model.kkt)
     best = min(test_risks)
     reg_values = [r + lam * ns for r, lam, ns in zip(test_risks, lam_grid, norm_sqs)]
     ahat = [max(v - best, 0.0) for v in reg_values]
@@ -227,6 +234,8 @@ def approx_error_estimate(
         reg_values=tuple(reg_values),
         norm_sqs=tuple(norm_sqs),
         ahat=tuple(ahat),
+        converged=tuple(converged),
+        kkt=tuple(kkt),
     )
 
 

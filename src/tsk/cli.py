@@ -19,7 +19,7 @@ import numpy as np
 
 from .base_kernels import BaseKernel
 from .bounds import approx_error_summary
-from .errors import InputError, NumericalConsistencyError, config_int, config_ints
+from .errors import InputError, NumericalConsistencyError, config_float, config_floats, config_int, config_ints
 from .experiments import ExperimentConfig, rate_report_csv, run_kme_coverage, run_rate_experiment
 from .hilbert_kernel import HilbertKernel
 from .kme import SampleSet
@@ -167,9 +167,10 @@ def _cmd_approx_error(args) -> int:
     try:
         meta = MetaDistribution.from_config(cfg["meta"])
         hk = HilbertKernel.from_config(cfg["hilbert_kernel"])
-        lam_grid = [float(l) for l in cfg["lambda_grid"]]
+        lam_grid = config_floats(cfg["lambda_grid"], "lambda_grid", above=0.0)
         big_n = config_int(cfg["big_n"], "big_n")
         embedding = cfg.get("embedding", "exact")
+        embedding = embedding if embedding == "exact" else config_int(embedding, "embedding", minimum=1)
         seeds = config_ints(cfg.get("seeds", [cfg.get("seed", 0)]), "seeds", minimum=0)
         test_n = None if cfg.get("test_n") is None else config_int(cfg["test_n"], "test_n")
     except KeyError as exc:
@@ -196,7 +197,9 @@ def _cmd_train(args) -> int:
     try:
         base = BaseKernel.from_config(cfg["base_kernel"])
         hk = HilbertKernel.from_config(cfg["hilbert_kernel"])
-        lam = float(cfg["lambda"])
+        lam = config_float(cfg["lambda"], "lambda", above=0.0)
+        tol = config_float(cfg.get("tol", 1e-8), "tol", above=0.0)
+        max_sweeps = config_int(cfg.get("max_sweeps", 10_000), "max_sweeps", minimum=1)
     except KeyError as exc:
         raise InputError(f"train config missing field {exc}") from exc
     data_path = Path(args.data)
@@ -209,8 +212,8 @@ def _cmd_train(args) -> int:
         gram,
         labels,
         lam,
-        tol=float(cfg.get("tol", 1e-8)),
-        max_sweeps=config_int(cfg.get("max_sweeps", 10_000), "max_sweeps"),
+        tol=tol,
+        max_sweeps=max_sweeps,
         support=embs,
         hkernel=hk,
     )

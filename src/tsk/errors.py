@@ -1,9 +1,10 @@
-"""Exception hierarchy shared across the package, and the integer check for config fields.
+"""Exception hierarchy shared across the package, and the number checks for config fields.
 
 CLI exit-code mapping: InputError (and subclasses) -> 2,
 NumericalConsistencyError -> 3.
 """
 
+import math
 import numbers
 
 
@@ -42,3 +43,23 @@ def config_ints(values, field: str, minimum: int | None = None) -> tuple:
     if not isinstance(values, (list, tuple)):
         raise InputError(f"{field} must be a list of integers, got {values!r}")
     return tuple(config_int(v, field, minimum) for v in values)
+
+
+def config_float(value, field: str, above: float | None = None) -> float:
+    """A real number read from a config: an int or a finite float, greater than `above`.
+
+    Booleans, NaN, infinities, strings, null and containers raise InputError
+    rather than failing later with a traceback.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise InputError(f"{field} must be a finite number, got {value!r}")
+    if above is not None and not value > above:
+        raise InputError(f"{field} must be > {above}, got {value!r}")
+    return float(value)
+
+
+def config_floats(values, field: str, above: float | None = None) -> tuple:
+    """A JSON list of real numbers, each checked by `config_float`."""
+    if not isinstance(values, (list, tuple)):
+        raise InputError(f"{field} must be a list of numbers, got {values!r}")
+    return tuple(config_float(v, field, above) for v in values)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .base_kernels import BaseKernel, sup_norm
 from .bounds import OracleTerms, Schedule, make_schedule, oracle_rhs
-from .errors import InputError, NumericalConsistencyError, config_int, config_ints
+from .errors import InputError, NumericalConsistencyError, config_float, config_floats, config_int, config_ints
 from .hilbert_kernel import HilbertKernel, lipschitz_modulus
 from .kme import SampleSet, _clamp_sq, concentration_bound, cross_inner, embed, exact_gaussian_embedding, squared_norms
 from .rng import normals, stream, subseed
@@ -123,20 +123,20 @@ class ExperimentConfig:
                 base_kernel=BaseKernel.from_config(cfg["base_kernel"]),
                 hkernel=HilbertKernel.from_config(cfg["hilbert_kernel"]),
                 schedule_kind=sched["kind"],
-                alpha=float(sched["alpha"]),
-                beta=float(sched["beta"]) if "beta" in sched else None,
-                mu=float(sched["mu"]) if "mu" in sched else None,
+                alpha=config_float(sched["alpha"], "schedule alpha"),
+                beta=config_float(sched["beta"], "schedule beta") if "beta" in sched else None,
+                mu=config_float(sched["mu"], "schedule mu") if "mu" in sched else None,
                 n_grid=config_ints(cfg["n_grid"], "n_grid"),
                 replicates=config_int(cfg["replicates"], "replicates"),
                 test_bags=config_int(cfg["test_bags"], "test_bags"),
                 test_embedding=test_embedding if test_embedding == "exact" else config_int(test_embedding, "test_embedding"),
                 train_embedding=cfg.get("train_embedding", "empirical"),
                 seed=config_int(cfg["seed"], "seed", minimum=0),
-                universal_c=float(cfg.get("universal_c", 100.0)),
-                tau=float(cfg.get("tau", 1.0)),
+                universal_c=config_float(cfg.get("universal_c", 100.0), "universal_c", above=0.0),
+                tau=config_float(cfg.get("tau", 1.0), "tau", above=0.0),
                 approx_error_model=dict(cfg.get("approx_error", {"model": "zero"})),
                 bayes_mc=config_int(cfg.get("bayes_mc", 100_000), "bayes_mc"),
-                row_time_cap_s=float(cfg.get("row_time_cap_s", 300.0)),
+                row_time_cap_s=config_float(cfg.get("row_time_cap_s", 300.0), "row_time_cap_s", above=0.0),
             )
         except KeyError as exc:
             raise InputError(f"experiment config missing field {exc}") from exc
@@ -249,6 +249,10 @@ class _RowTimeout(Exception):
     pass
 
 
+class _Unconverged(Exception):
+    pass
+
+
 def _compute_row(cfg: ExperimentConfig, n: int, m_n: int, lam_n: float, gamma_n: float, rep: int, bayes01: float) -> RateRow:
     seed_r = cfg.seed + 10**6 * rep
     start = time.perf_counter()
@@ -273,8 +277,10 @@ def _compute_row(cfg: ExperimentConfig, n: int, m_n: int, lam_n: float, gamma_n:
         checkpoint()
         hk = cfg.hkernel if gamma_n is None else cfg.hkernel.with_width(gamma_n)
         gram = build_gram(hk, embs)
-        model = train(gram, labels, lam_n, support=embs, hkernel=hk)
+        model = train(gram, labels, lam_n, support=embs, hkernel=hk, deadline=start + cfg.row_time_cap_s)
         checkpoint()
+        if not model.converged:
+            raise _Unconverged(f"dual solve stopped after {model.sweeps} iterations with KKT residual {model.kkt:.3e}")
         test_means, test_labels = sample_first_stage(cfg.meta, cfg.test_bags, subseed(seed_r, "test", n))
         test_embs = _test_embeddings(cfg, test_means, seed_r, n)
         vals = decision_values(model, test_embs)
@@ -310,7 +316,7 @@ def _compute_row(cfg: ExperimentConfig, n: int, m_n: int, lam_n: float, gamma_n:
             se_hinge=se_hinge,
         )
     # failed rows are recorded, the sweep continues; anything else is a bug
-    except (_RowTimeout, NumericalConsistencyError, InputError) as exc:
+    except (_RowTimeout, _Unconverged, NumericalConsistencyError, InputError) as exc:
         wall = time.perf_counter() - start
         return RateRow(**base, wall_seconds=wall, error=f"{type(exc).__name__}: {exc}")
 
@@ -437,10 +443,10 @@ def run_kme_coverage(params: dict, seed: int) -> dict:
     """
     try:
         kernel = BaseKernel.from_config(params["base_kernel"])
-        sigma = float(params["sigma"])
+        sigma = config_float(params["sigma"], "sigma")
         mean = np.asarray(params.get("mean", [0.0] * kernel.dim), dtype=np.float64)
         bag_sizes = config_ints(params["bag_sizes"], "bag_sizes", minimum=1)
-        deltas = [float(d) for d in params["deltas"]]
+        deltas = config_floats(params["deltas"], "deltas")
         trials = config_int(params["trials"], "trials", minimum=1)
     except KeyError as exc:
         raise InputError(f"coverage config missing field {exc}") from exc

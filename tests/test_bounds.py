@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from tsk import (
 )
 from tsk.bounds import ApproxErrorEstimate, OracleTerms, approx_error_summary
 from tsk.errors import InputError
+from tsk.svm import train
 from tsk.hilbert_kernel import HolderModulus
 
 MOD = HolderModulus(math.sqrt(2.0), 1.0)
@@ -184,6 +187,20 @@ class TestApproxErrorEstimate:
         a = approx_error_estimate(HM, HK, [0.01, 0.1], 100, "exact", 9, base_kernel=BASE)
         b = approx_error_estimate(HM, HK, [0.01, 0.1], 100, "exact", 9, base_kernel=BASE)
         assert a.ahat == b.ahat and a.test_risks == b.test_risks
+
+    def test_reports_convergence_per_lambda(self):
+        est = approx_error_estimate(HM, HK, [0.001, 0.1], 200, "exact", 4, base_kernel=BASE)
+        out = est.to_json()
+        assert out["converged"] == [True, True]
+        assert len(out["kkt"]) == 2 and all(0.0 <= r <= 1e-8 for r in out["kkt"])
+        assert json.dumps(out) == json.dumps(approx_error_estimate(HM, HK, [0.001, 0.1], 200, "exact", 4, base_kernel=BASE).to_json())
+
+    def test_reports_an_unconverged_solve(self, monkeypatch):
+        from tsk import bounds
+
+        monkeypatch.setattr(bounds, "train", lambda *args, **kwargs: replace(train(*args, **kwargs), converged=False, kkt=0.25))
+        est = approx_error_estimate(HM, HK, [0.01], 50, "exact", 4, base_kernel=BASE)
+        assert est.converged == (False,) and est.kkt == (0.25,)
 
     def test_empirical_bags_path(self):
         est = approx_error_estimate(HM, HK, [0.1], 60, 30, 3, base_kernel=BASE)

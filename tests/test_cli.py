@@ -88,6 +88,8 @@ NON_INTEGER_SIZES = [
     ("noise-exponent", json.loads((CONFIGS / "noise_exponent_r5.json").read_text()), {"n_outer": 20.7, "n_inner": 50}),
     ("approx-error", json.loads((CONFIGS / "approx_error_hard_margin.json").read_text()), {"big_n": 10.5}),
     ("approx-error", json.loads((CONFIGS / "approx_error_hard_margin.json").read_text()), {"test_n": "80"}),
+    ("approx-error", json.loads((CONFIGS / "approx_error_hard_margin.json").read_text()), {"embedding": 2.5}),
+    ("approx-error", json.loads((CONFIGS / "approx_error_hard_margin.json").read_text()), {"embedding": "x"}),
 ]
 
 
@@ -105,6 +107,32 @@ def test_train_non_integer_max_sweeps_exits_2(tmp_path, capsys):
     cfg.write_text(json.dumps(json.loads((CONFIGS / "train_example.json").read_text()) | {"max_sweeps": 100.5}))
     assert main(["train", "--config", str(cfg), "--data", str(data), "--out", str(tmp_path / "m.json")]) == 2
     assert "must be an integer" in capsys.readouterr().err
+
+
+NOT_FINITE_NUMBERS = [
+    ("rates", SMOKE_RATES, {"schedule": {"kind": "thm55", "alpha": "x", "mu": 0.25}}, "must be a finite number"),
+    ("rates", SMOKE_RATES, {"row_time_cap_s": 0}, "must be > 0"),
+    ("kme-coverage", json.loads((CONFIGS / "kme_coverage.json").read_text()), {"sigma": "wide"}, "must be a finite number"),
+    ("approx-error", json.loads((CONFIGS / "approx_error_hard_margin.json").read_text()), {"lambda_grid": ["a", 0.1]}, "must be a finite number"),
+    ("approx-error", json.loads((CONFIGS / "approx_error_hard_margin.json").read_text()), {"lambda_grid": [0.0, 0.1]}, "must be > 0"),
+]
+
+
+@pytest.mark.parametrize("cmd, base, fields, message", NOT_FINITE_NUMBERS)
+def test_bad_real_field_exits_2(tmp_path, capsys, cmd, base, fields, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(base | fields))
+    assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fields", [{"lambda": "x"}, {"lambda": -0.1}, {"tol": None}, {"tol": 0.0}])
+def test_train_bad_lambda_or_tol_exits_2(tmp_path, capsys, fields):
+    data, cfg = tmp_path / "bags.json", tmp_path / "cfg.json"
+    write_dataset(data)
+    cfg.write_text(json.dumps(json.loads((CONFIGS / "train_example.json").read_text()) | fields))
+    assert main(["train", "--config", str(cfg), "--data", str(data), "--out", str(tmp_path / "m.json")]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -1,6 +1,8 @@
 import copy
 import json
 import math
+import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -166,6 +168,28 @@ class TestRateExperiment:
         assert math.isnan(rep.rows[0].emp_risk_01)
         assert len(rep.failures) == 1
 
+    def test_unconverged_solve_is_a_failed_row(self, monkeypatch):
+        def unconverged(*args, **kwargs):
+            return replace(train(*args, **kwargs), converged=False, kkt=0.25)
+
+        monkeypatch.setattr("tsk.experiments.train", unconverged)
+        rep = run_rate_experiment(smoke_config())
+        row = rep.rows[0]
+        assert "_Unconverged" in row.error and "KKT residual 2.500e-01" in row.error
+        assert math.isnan(row.emp_risk_01) and math.isnan(row.oracle_violated)
+        assert len(rep.failures) == 1
+
+    def test_solve_gets_the_row_deadline(self, monkeypatch):
+        seen = []
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs["deadline"] - time.perf_counter())
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr("tsk.experiments.train", recording)
+        rep = run_rate_experiment(smoke_config(row_time_cap_s=50.0))
+        assert not rep.failures and len(seen) == 1 and 0.0 < seen[0] <= 50.0
+
     def test_programming_error_propagates(self, monkeypatch):
         def broken(*args, **kwargs):
             raise TypeError("injected")
@@ -273,3 +297,52 @@ class TestConfigIntegers:
     def test_every_coverage_corruption_is_an_input_error(self, cfg):
         with pytest.raises(InputError):
             run_kme_coverage(cfg, cfg.pop("seed"))
+
+
+NOT_A_FINITE_NUMBER = (
+    st.booleans()
+    | st.text()
+    | st.none()
+    | st.lists(st.floats(0.1, 0.9), max_size=2)
+    | st.just({"x": 0.5})
+    | st.sampled_from([math.nan, math.inf, -math.inf])
+)
+NOT_POSITIVE = st.floats(max_value=0.0, allow_nan=False) | st.integers(max_value=0)
+# real-valued fields of each config, as (key path, whether the value must be > 0)
+RATES_FLOATS = ((("schedule", "alpha"), False), (("schedule", "mu"), False), (("universal_c",), True), (("tau",), True), (("row_time_cap_s",), True))
+COVERAGE_FLOATS = ((("sigma",), False), (("deltas",), False))
+
+
+@st.composite
+def corrupted_real(draw, valid, fields):
+    """A copy of valid with one real-valued field replaced by a value that is
+    not a finite number, or not > 0 where the field must be positive."""
+    cfg = copy.deepcopy(valid)
+    (*outer, name), positive = draw(st.sampled_from(fields))
+    bad = draw(NOT_A_FINITE_NUMBER | (NOT_POSITIVE if positive else st.nothing()))
+    target = cfg
+    for key in outer:
+        target = target[key]
+    if isinstance(target.get(name), list) and (isinstance(bad, list) or draw(st.booleans())):
+        target[name][draw(st.integers(0, len(target[name]) - 1))] = bad
+    else:
+        target[name] = bad
+    return cfg
+
+
+class TestConfigReals:
+    def test_integers_load_as_floats(self):
+        cfg = ExperimentConfig.from_json(VALID_RATES | {"tau": 2, "row_time_cap_s": 60})
+        assert type(cfg.tau) is float and type(cfg.row_time_cap_s) is float
+
+    @settings(max_examples=300, deadline=None)
+    @given(corrupted_real(VALID_RATES, RATES_FLOATS))
+    def test_every_rates_corruption_is_an_input_error(self, cfg):
+        with pytest.raises(InputError):
+            ExperimentConfig.from_json(cfg)
+
+    @settings(max_examples=200, deadline=None)
+    @given(corrupted_real(VALID_COVERAGE, COVERAGE_FLOATS))
+    def test_every_coverage_corruption_is_an_input_error(self, cfg):
+        with pytest.raises(InputError):
+            run_kme_coverage(cfg, 7)

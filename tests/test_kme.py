@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -209,13 +208,7 @@ class TestMixedAndProperties:
         rng = np.random.default_rng(31)
         x, y = rng.normal(size=(37, 2)), rng.normal(size=(53, 2))
         wx, wy = rng.normal(size=37), rng.normal(size=53)
-        import os
-
-        os.environ["TSK_BACKEND"] = "python"
-        try:
-            vals = {pair_sum(x, wx, y, wy, 0, 1.0, row_block=rb) for rb in (1, 5, 17, None)}
-        finally:
-            os.environ.pop("TSK_BACKEND")
+        vals = {pair_sum(x, wx, y, wy, 0, 1.0, row_block=rb) for rb in (1, 5, 17, None)}
         assert len(vals) == 1
 
 
@@ -250,11 +243,7 @@ class TestPairSums:
 
     def test_pair_sum_is_the_one_segment_call(self):
         x, wx, y, wy, _ = self.stacked(np.random.default_rng(47), 9, 2)
-        os.environ["TSK_BACKEND"] = "python"
-        try:
-            assert pair_sum(x, wx, y, wy, 1, 0.7) == pair_sums(x, wx, y, wy, [0, len(y)], 1, 0.7)[0]
-        finally:
-            os.environ.pop("TSK_BACKEND")
+        assert pair_sum(x, wx, y, wy, 1, 0.7) == pair_sums(x, wx, y, wy, [0, len(y)], 1, 0.7)[0]
 
     def test_empty_segment_rejected(self):
         x, wx, y, wy, _ = self.stacked(np.random.default_rng(53), 3, 2)

@@ -1,11 +1,13 @@
 import copy
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from tsk import (
     BaseKernel,
@@ -24,7 +26,9 @@ from tsk import (
     zero_one,
 )
 from tsk.errors import InputError, NumericalConsistencyError
-from tsk.svm import SvmModel, decision_values, model_from_json, model_to_json, sgn
+from tsk.kme import exact_gaussian_embedding
+import tsk.svm as svm_module
+from tsk.svm import SvmModel, _box_path_max, _newton_step, decision_values, model_from_json, model_to_json, sgn
 
 from oracles import pgd_dual_objectives, primal_grid_min, rand_psd
 
@@ -169,11 +173,103 @@ class TestSolverProperties:
             train(GramMatrix(k), [1, -1], 0.1)
 
     def test_nonconvergence_flagged_not_raised(self):
-        rng = np.random.default_rng(14)
-        gram = GramMatrix(rand_psd(rng, 6))
-        model = train(gram, rng.choice([-1.0, 1.0], size=6), 0.001, tol=1e-14, max_sweeps=2)
+        # one coordinate pass and Newton step cannot find this active set
+        gram, y = noisy_points_gram(np.random.default_rng(14), 200)
+        model = train(gram, y, 0.001, tol=1e-14, max_sweeps=1)
         assert not model.converged
         assert model.kkt > 1e-14
+
+
+def noisy_points_gram(rng, n, ridge=0.0):
+    """Gaussian Gram of n points in R^3 whose labels follow the first axis with noise."""
+    x = rng.normal(size=(n, 3))
+    y = np.where(x[:, 0] + 0.5 * rng.normal(size=n) > 0, 1.0, -1.0)
+    k = np.exp(-cdist(x, x, "sqeuclidean") / 2.0) + ridge * np.eye(n)
+    return GramMatrix(np.tril(k) + np.tril(k, -1).T), y
+
+
+class TestNewtonSolver:
+    def test_rank_deficient_gram_of_duplicate_bags_converges(self):
+        # 12 distinct exact embeddings, each three times: Q_FF is singular
+        rng = np.random.default_rng(21)
+        base = BaseKernel("gaussian", 1.0, 2)
+        means = rng.normal(size=(12, 2)) + np.where(np.arange(12) % 2 == 0, 1.0, -1.0)[:, None]
+        embs = [exact_gaussian_embedding(base, m, 0.3) for m in means for _ in range(3)]
+        y = np.repeat(np.where(np.arange(12) % 2 == 0, 1.0, -1.0), 3)
+        gram = build_gram(HilbertKernel("gaussian", 1.0), embs)
+        assert np.linalg.matrix_rank(gram.entries) <= 12
+        lams = (0.001, 0.01, 0.1)
+        oracle = pgd_dual_objectives([(gram.entries, y, lam) for lam in lams], iters=200_000)
+        for lam, target in zip(lams, oracle):
+            model = train(gram, y, lam)
+            assert model.converged
+            assert kkt_residual(model, gram, y) <= 1e-8
+            assert np.all(np.diff(model.objective_path) >= -1e-12)
+            assert model.objective == pytest.approx(target, rel=1e-6)
+
+    def test_newton_step_that_lowers_the_objective_is_rejected(self, monkeypatch):
+        # a path search that walks against the Newton direction lowers the
+        # dual; the recomputed gain must refuse the step
+        k = rand_psd(np.random.default_rng(22), 5)
+        y = np.array([1.0, -1.0, 1.0, -1.0, 1.0])
+        alpha = np.full(5, 0.5)
+        f = k @ (alpha * y)
+
+        def backwards(q, g, a, d, box_c):
+            return a - d, True
+
+        monkeypatch.setattr(svm_module, "_box_path_max", backwards)
+        before = (alpha.copy(), f.copy())
+        assert not _newton_step(k, y, alpha, f, 1e6, np.ones(5, dtype=bool))
+        assert np.array_equal(alpha, before[0]) and np.array_equal(f, before[1])
+        # the coordinate passes alone still reach the optimum, monotonically
+        model = train(GramMatrix(k), y, 0.01)
+        assert model.converged
+        assert np.all(np.diff(model.objective_path) >= -1e-12)
+
+    def test_path_search_stops_at_the_maximum_along_the_path(self):
+        # a direction 10x too long is cut back to the Newton point
+        k = rand_psd(np.random.default_rng(25), 5)
+        y = np.array([1.0, -1.0, 1.0, -1.0, 1.0])
+        q = k * np.outer(y, y)
+        a, g = np.full(5, 0.5), np.ones(5) - q @ np.full(5, 0.5)
+        newton = np.linalg.solve(q, g)
+        x, whole = _box_path_max(q, g, a, 10.0 * newton, 1e6)
+        assert not whole
+        np.testing.assert_allclose(x, a + newton, rtol=1e-10)
+
+    def test_sweep_cap_reported_not_raised(self):
+        gram, y = noisy_points_gram(np.random.default_rng(23), 120)
+        for cap in (1, 2, 3):
+            model = train(gram, y, 0.001, max_sweeps=cap)
+            assert not model.converged
+            assert model.sweeps == cap == len(model.objective_path)
+            assert model.kkt > 1e-8
+            assert model.kkt == pytest.approx(kkt_residual(model, gram, y), rel=1e-9)
+        assert train(gram, y, 0.001).converged
+
+    def test_deadline_stops_between_iterations(self):
+        gram, y = noisy_points_gram(np.random.default_rng(24), 120)
+        model = train(gram, y, 0.001, deadline=time.perf_counter())
+        assert not model.converged and model.sweeps == 1
+        assert train(gram, y, 0.001, deadline=time.perf_counter() + 60.0).converged
+
+    def test_against_pgd_on_larger_instances(self):
+        rng = np.random.default_rng(2024)
+        instances = []
+        for n in (20, 40, 60):
+            for lam in (0.003, 0.01, 0.03):
+                gram, y = noisy_points_gram(rng, n, ridge=0.05)
+                instances.append((gram.entries, y, lam))
+        oracle = pgd_dual_objectives(instances, iters=100_000)
+        seen = np.zeros(3, dtype=bool)  # some coefficient at 0, at C, strictly between
+        for (k, y, lam), target in zip(instances, oracle):
+            model = train(GramMatrix(k), y, lam, tol=1e-10)
+            assert model.converged
+            assert model.objective == pytest.approx(target, rel=1e-6)
+            a, c = model.dual_coefs, model.box_c
+            seen |= [(a == 0.0).any(), (a == c).any(), ((a > 0.0) & (a < c)).any()]
+        assert seen.all()
 
 
 class TestDualPrimalAgainstOracles:
