@@ -12,11 +12,12 @@ from .base_kernels import BaseKernel, base_eval, sup_norm
 from .errors import InputError, NumericalConsistencyError, UnsupportedError
 from .hilbert_kernel import HilbertKernel, HolderModulus, feature_distance, hk_eval, lipschitz_modulus
 from .kme import (
-    EmpiricalEmbedding,
-    GaussianKmeEmbedding,
+    EmpiricalBatch,
+    ExactBatch,
     SampleSet,
     concentration_bound,
     embed,
+    embed_bags,
     exact_gaussian_embedding,
     gaussian_family_kme_inner,
     inner,

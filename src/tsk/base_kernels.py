@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, config_float, config_int
 
 __all__ = ["BaseKernel", "base_eval", "sup_norm", "GAUSSIAN", "LAPLACIAN"]
 
@@ -44,7 +44,8 @@ class BaseKernel:
     @classmethod
     def from_config(cls, cfg: dict) -> "BaseKernel":
         try:
-            return cls(family=cfg["family"], width=float(cfg["width"]), dim=int(cfg["dim"]))
+            width, dim = config_float(cfg["width"], "base kernel width"), config_int(cfg["dim"], "base kernel dim", minimum=1)
+            return cls(family=cfg["family"], width=width, dim=dim)
         except KeyError as exc:
             raise InputError(f"base kernel config missing field {exc}") from exc
 

@@ -10,22 +10,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .base_kernels import BaseKernel
 from .errors import InputError
 from .hilbert_kernel import HilbertKernel, HolderModulus
-from .kme import concentration_bound, embed, exact_gaussian_embedding
-from .svm import (
-    GramMatrix,
-    build_gram,
-    decision_values,
-    decision_values_points,
-    gram_from_points,
-    train,
-)
-from .synth import MetaDistribution, sample_first_stage, sample_second_stage
+from .kme import ExactBatch, PointBatch, concentration_bound
+from .svm import build_gram, decision_values, train
+from .synth import MetaDistribution, embed_inputs, sample_first_stage
 from .rng import subseed as _subseed
 
 __all__ = [
@@ -192,36 +186,22 @@ def approx_error_estimate(
     test_means, test_labels = sample_first_stage(meta, test_n, _subseed(seed, "approx-test"))
 
     if input_space == "mean":
-        gram = gram_from_points(hkernel, train_means)
-        eval_risk = _point_risk_evaluator(hkernel, train_means, test_means, test_labels)
-        support = train_means
+        support, targets = PointBatch(train_means), PointBatch(test_means)
     elif input_space == "kme":
         if base_kernel is None:
             raise InputError("input_space='kme' requires a base kernel")
-        if big_m_or_exact == "exact":
-            embs = [
-                exact_gaussian_embedding(base_kernel, m, meta.bag_spread) for m in train_means
-            ]
-        else:
-            m_per_bag = int(big_m_or_exact)
-            embs = [
-                embed(
-                    base_kernel,
-                    sample_second_stage((mean, meta.bag_spread), m_per_bag, _subseed(seed, "approx-bag", i)),
-                )
-                for i, mean in enumerate(train_means)
-            ]
-        gram = build_gram(hkernel, embs)
-        test_embs = [exact_gaussian_embedding(base_kernel, m, meta.bag_spread) for m in test_means]
-        eval_risk = _embedding_risk_evaluator(test_embs, test_labels)
-        support = tuple(embs)
+        bag_seed = partial(_subseed, seed, "approx-bag")
+        support = embed_inputs(base_kernel, train_means, meta.bag_spread, big_m_or_exact, bag_seed)
+        targets = ExactBatch(base_kernel, test_means, np.full(test_n, meta.bag_spread))
     else:
         raise InputError(f"unknown input_space {input_space!r}")
+    gram = build_gram(hkernel, support)
 
     test_risks, norm_sqs, converged, kkt = [], [], [], []
     for lam in lam_grid:
         model = train(gram, train_labels, lam, support=support, hkernel=hkernel)
-        test_risks.append(eval_risk(model))
+        vals = decision_values(model, targets)
+        test_risks.append(float(np.mean(np.maximum(0.0, 1.0 - test_labels * vals))))
         norm_sqs.append(model.norm_sq)
         converged.append(model.converged)
         kkt.append(model.kkt)
@@ -237,22 +217,6 @@ def approx_error_estimate(
         converged=tuple(converged),
         kkt=tuple(kkt),
     )
-
-
-def _point_risk_evaluator(hkernel, train_means, test_means, test_labels):
-    def eval_risk(model):
-        vals = decision_values_points(model, test_means)
-        return float(np.mean(np.maximum(0.0, 1.0 - test_labels * vals)))
-
-    return eval_risk
-
-
-def _embedding_risk_evaluator(test_embs, test_labels):
-    def eval_risk(model):
-        vals = decision_values(model, test_embs)
-        return float(np.mean(np.maximum(0.0, 1.0 - test_labels * vals)))
-
-    return eval_risk
 
 
 def approx_error_summary(

@@ -22,7 +22,7 @@ from .bounds import approx_error_summary
 from .errors import InputError, NumericalConsistencyError, config_float, config_floats, config_int, config_ints
 from .experiments import ExperimentConfig, rate_report_csv, run_kme_coverage, run_rate_experiment
 from .hilbert_kernel import HilbertKernel
-from .kme import SampleSet
+from .kme import embed_bags
 from .rng import normals, stream
 from .svm import build_gram, clip, decision_values, model_from_json, model_to_json, sgn, train
 from .synth import MetaDistribution, bags_from_json
@@ -35,7 +35,6 @@ from .whitenoise import (
     random_covariance,
     white_noise_isometry_check,
 )
-from .kme import embed
 
 
 def _load_json(path: str) -> dict:
@@ -206,7 +205,7 @@ def _cmd_train(args) -> int:
     if not data_path.exists():
         raise InputError(f"dataset file not found: {args.data}")
     bags, labels = bags_from_json(data_path.read_text())
-    embs = [embed(base, b) for b in bags]
+    embs = embed_bags(base, bags)
     gram = build_gram(hk, embs)
     model = train(
         gram,
@@ -231,8 +230,7 @@ def _cmd_predict(args) -> int:
     if not data_path.exists():
         raise InputError(f"dataset file not found: {args.data}")
     bags, labels = bags_from_json(data_path.read_text())
-    base = model.support[0].kernel
-    vals = decision_values(model, [embed(base, bag) for bag in bags])
+    vals = decision_values(model, embed_bags(model.support.kernel, bags))
     preds = [int(sgn(clip(val, model.clip_bound))) for val in vals]
     records = [{"decision": float(val), "label": pred} for val, pred in zip(vals, preds)]
     correct = sum(pred == label for pred, label in zip(preds, labels))

@@ -13,7 +13,8 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -21,10 +22,10 @@ from .base_kernels import BaseKernel, sup_norm
 from .bounds import OracleTerms, Schedule, make_schedule, oracle_rhs
 from .errors import InputError, NumericalConsistencyError, config_float, config_floats, config_int, config_ints
 from .hilbert_kernel import HilbertKernel, lipschitz_modulus
-from .kme import SampleSet, _clamp_sq, concentration_bound, cross_inner, embed, exact_gaussian_embedding, squared_norms
+from .kme import SampleSet, _clamp_sq, concentration_bound, cross_inner, embed_bags, exact_gaussian_embedding, squared_norms
 from .rng import normals, stream, subseed
 from .svm import SvmModel, build_gram, decision_values, train
-from .synth import MetaDistribution, bayes_risk, sample_first_stage, sample_second_stage
+from .synth import MetaDistribution, bayes_risk, embed_inputs, sample_first_stage
 
 __all__ = [
     "ExperimentConfig",
@@ -147,36 +148,18 @@ def _eval_approx_model(model: dict, lam: float) -> float:
     if kind == "zero":
         return 0.0
     if kind == "constant":
-        return float(model["value"])
+        return config_float(model["value"], "approx_error value")
     if kind == "power":
-        return float(model["c"]) * lam ** float(model["beta"])
+        return config_float(model["c"], "approx_error c") * lam ** config_float(model["beta"], "approx_error beta")
     raise InputError(f"unknown approx-error model {kind!r}")
-
-
-def _test_embeddings(cfg: ExperimentConfig, means, seed_r: int, n: int):
-    if cfg.test_embedding == "exact":
-        return [exact_gaussian_embedding(cfg.base_kernel, m, cfg.meta.bag_spread) for m in means]
-    m_test = int(cfg.test_embedding)
-    return [
-        embed(cfg.base_kernel, sample_second_stage((mean, cfg.meta.bag_spread), m_test, subseed(seed_r, "test-bag", n, i)))
-        for i, mean in enumerate(means)
-    ]
 
 
 def estimate_risks(model: SvmModel, meta: MetaDistribution, t: int, test_m_or_exact, seed: int, bayes_mc: int = 100_000):
     """(0-1 risk, clipped hinge risk, 0-1 Bayes risk) on t fresh meta draws."""
     if t < 1:
         raise InputError("number of test draws must be >= 1")
-    base = model.support[0].kernel
     means, labels = sample_first_stage(meta, t, subseed(seed, "risk-test"))
-    if test_m_or_exact == "exact":
-        embs = [exact_gaussian_embedding(base, m, meta.bag_spread) for m in means]
-    else:
-        m_test = int(test_m_or_exact)
-        embs = [
-            embed(base, sample_second_stage((mean, meta.bag_spread), m_test, subseed(seed, "risk-bag", i)))
-            for i, mean in enumerate(means)
-        ]
+    embs = embed_inputs(model.support.kernel, means, meta.bag_spread, test_m_or_exact, partial(subseed, seed, "risk-bag"))
     vals = decision_values(model, embs)
     risk01, hinge_clipped, _, _ = _risks_from_decisions(vals, labels, model.clip_bound)
     bayes01, _ = bayes_risk(meta, bayes_mc, subseed(seed, "risk-bayes"))
@@ -264,16 +247,8 @@ def _compute_row(cfg: ExperimentConfig, n: int, m_n: int, lam_n: float, gamma_n:
     base = dict(n=n, m_n=m_n, lambda_n=lam_n, gamma_n=gamma_n, replicate=rep, seed=seed_r)
     try:
         means, labels = sample_first_stage(cfg.meta, n, subseed(seed_r, "first", n))
-        if cfg.train_embedding == "exact" or cfg.meta.bag_spread == 0.0:
-            embs = [exact_gaussian_embedding(cfg.base_kernel, m, cfg.meta.bag_spread) for m in means]
-        else:
-            embs = [
-                embed(
-                    cfg.base_kernel,
-                    sample_second_stage((mean, cfg.meta.bag_spread), m_n, subseed(seed_r, "bag", n, i)),
-                )
-                for i, mean in enumerate(means)
-            ]
+        exact = cfg.train_embedding == "exact" or cfg.meta.bag_spread == 0.0
+        embs = embed_inputs(cfg.base_kernel, means, cfg.meta.bag_spread, "exact" if exact else m_n, partial(subseed, seed_r, "bag", n))
         checkpoint()
         hk = cfg.hkernel if gamma_n is None else cfg.hkernel.with_width(gamma_n)
         gram = build_gram(hk, embs)
@@ -282,7 +257,8 @@ def _compute_row(cfg: ExperimentConfig, n: int, m_n: int, lam_n: float, gamma_n:
         if not model.converged:
             raise _Unconverged(f"dual solve stopped after {model.sweeps} iterations with KKT residual {model.kkt:.3e}")
         test_means, test_labels = sample_first_stage(cfg.meta, cfg.test_bags, subseed(seed_r, "test", n))
-        test_embs = _test_embeddings(cfg, test_means, seed_r, n)
+        test_bag_seed = partial(subseed, seed_r, "test-bag", n)
+        test_embs = embed_inputs(cfg.base_kernel, test_means, cfg.meta.bag_spread, cfg.test_embedding, test_bag_seed)
         vals = decision_values(model, test_embs)
         risk01, hinge_clipped, se01, se_hinge = _risks_from_decisions(vals, test_labels, model.clip_bound)
         checkpoint()
@@ -325,11 +301,17 @@ def _worker_count(threads: int | None) -> int:
     if threads is not None:
         return max(1, int(threads))
     env = os.environ.get("TSK_THREADS")
-    return max(1, int(env)) if env else 1
+    if not env:
+        return 1
+    try:
+        return max(1, int(env))
+    except ValueError:
+        raise InputError(f"TSK_THREADS must be an integer, got {env!r}") from None
 
 
 def run_rate_experiment(cfg: ExperimentConfig, threads: int | None = None) -> RateReport:
     """Full two-stage sweep over (N, replicate) cells of the schedule."""
+    workers = _worker_count(threads)
     sched = cfg.schedule()
     gammas = sched.gamma if sched.gamma is not None else tuple([cfg.hkernel.width] * len(sched.n_grid))
     bayes01, _ = bayes_risk(cfg.meta, cfg.bayes_mc, subseed(cfg.seed, "bayes"))
@@ -338,7 +320,6 @@ def run_rate_experiment(cfg: ExperimentConfig, threads: int | None = None) -> Ra
         for n, m, lam, gam in zip(sched.n_grid, sched.bag_sizes, sched.lam, gammas)
         for rep in range(cfg.replicates)
     ]
-    workers = _worker_count(threads)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_compute_row, cfg, *cell, bayes01) for cell in cells]
@@ -424,14 +405,12 @@ def rate_report_csv(report: RateReport, timing: bool = False) -> str:
 
 def _coverage_distances(kernel: BaseKernel, mean, sigma: float, m: int, trials: int, seed: int) -> np.ndarray:
     """RKHS distance between each trial's empirical embedding of m draws and
-    the exact embedding, from one `squared_norms` and one `cross_inner` call."""
+    the exact embedding, from one batch of the trials' embeddings."""
     exact = exact_gaussian_embedding(kernel, mean, sigma)
-    emps = [
-        embed(kernel, SampleSet(mean + sigma * normals(stream(seed, "coverage", m, r), (m, kernel.dim))))
-        for r in range(trials)
-    ]
-    norms = squared_norms(emps + [exact])
-    return np.sqrt(_clamp_sq(norms[:-1] + norms[-1] - 2.0 * cross_inner(emps, [exact])[:, 0]))
+    emps = embed_bags(
+        kernel, [SampleSet(mean + sigma * normals(stream(seed, "coverage", m, r), (m, kernel.dim))) for r in range(trials)]
+    )
+    return np.sqrt(_clamp_sq(squared_norms(emps) + squared_norms(exact)[0] - 2.0 * cross_inner(emps, exact)[:, 0]))
 
 
 def run_kme_coverage(params: dict, seed: int) -> dict:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, UnsupportedError
-from .kme import Embedding, _clamp_sq, cross_inner, squared_norms
+from .errors import InputError, UnsupportedError, config_float
+from .kme import _clamp_sq, cross_inner, squared_norms
 
 __all__ = ["HilbertKernel", "HolderModulus", "hk_from_inner", "hk_eval", "feature_distance", "lipschitz_modulus"]
 
@@ -48,7 +48,7 @@ class HilbertKernel:
         except KeyError as exc:
             raise InputError(f"second-level kernel config missing field {exc}") from exc
         width = cfg.get("width")
-        return cls(family=fam, width=None if width is None else float(width))
+        return cls(family=fam, width=None if width is None else config_float(width, "second-level kernel width"))
 
     def with_width(self, width: float) -> "HilbertKernel":
         return HilbertKernel(self.family, width)
@@ -82,15 +82,15 @@ def hk_from_inner(hk: HilbertKernel, inners: np.ndarray, norms_a: np.ndarray, no
     if hk.family == H_LINEAR:
         return inners
     d2 = _clamp_sq(norms_a[:, None] + norms_b[None, :] - 2.0 * inners)
-    return np.exp(-d2 / (hk.width**2))
+    return np.exp(np.divide(d2, -(hk.width**2), out=d2), out=d2)
 
 
-def hk_eval(hk: HilbertKernel, e1: Embedding, e2: Embedding) -> float:
-    """k(e1, e2): exp(-||e1-e2||^2 / width^2) for gaussian, <e1, e2> for linear."""
-    return float(hk_from_inner(hk, cross_inner([e1], [e2]), squared_norms([e1]), squared_norms([e2]))[0, 0])
+def hk_eval(hk: HilbertKernel, e1, e2) -> float:
+    """k(e1, e2) for batches of one: exp(-||e1-e2||^2 / width^2) for gaussian, <e1, e2> for linear."""
+    return float(hk_from_inner(hk, cross_inner(e1, e2), squared_norms(e1), squared_norms(e2))[0, 0])
 
 
-def feature_distance(hk: HilbertKernel, e1: Embedding, e2: Embedding) -> float:
+def feature_distance(hk: HilbertKernel, e1, e2) -> float:
     """||phi(e1) - phi(e2)|| in the second-level RKHS; gaussian only, <= sqrt(2)."""
     if hk.family != H_GAUSSIAN:
         raise UnsupportedError("feature distance is defined for the gaussian family only")

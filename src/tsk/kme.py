@@ -1,16 +1,22 @@
 """Kernel mean embeddings and their RKHS algebra.
 
-Elements of the base RKHS are carried in two forms: finite weighted point
-expansions (empirical embeddings of bags) and closed-form embeddings of
-isotropic Gaussian inputs. Everything downstream consumes only
-`cross_inner` and `squared_norms`, the one place that picks a formula by
-embedding kind, so the two forms mix freely.
+Embeddings travel in batches, one array-backed class per geometry:
+`ExactBatch` holds the closed-form embeddings of isotropic Gaussian inputs,
+`EmpiricalBatch` the weighted point expansions of sample bags, stacked at
+segment offsets, and `PointBatch` raw Hilbert-space points under the
+identity embedding. Each batch validates its arrays once, in its
+constructor, and computes its squared norms at most once. Its arrays are
+shared, not copied, so callers treat them as read-only. Everything
+downstream consumes only `cross_inner` and `squared_norms`, which pick one
+formula per pair of batches, so exact and empirical batches mix freely as
+pairs. A single embedding is a batch of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -21,9 +27,11 @@ from .errors import InputError, NumericalConsistencyError, UnsupportedError
 
 __all__ = [
     "SampleSet",
-    "EmpiricalEmbedding",
-    "GaussianKmeEmbedding",
+    "ExactBatch",
+    "EmpiricalBatch",
+    "PointBatch",
     "embed",
+    "embed_bags",
     "exact_gaussian_embedding",
     "inner",
     "cross_inner",
@@ -61,173 +69,216 @@ class SampleSet:
         return self.points.shape[1]
 
 
-@dataclass(frozen=True)
-class EmpiricalEmbedding:
-    """Weighted expansion sum_m w_m k(., s_m) in the base RKHS."""
+@dataclass(frozen=True, eq=False)
+class ExactBatch:
+    """Exact KMEs of N(means[i], spreads[i]^2 I) under a gaussian base kernel."""
 
     kernel: BaseKernel
-    points: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        pts = np.ascontiguousarray(self.points, dtype=np.float64)
-        w = np.ascontiguousarray(self.weights, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] != self.kernel.dim or not np.all(np.isfinite(pts)):
-            raise InputError(
-                f"embedding points must be finite and (m, {self.kernel.dim}) with m >= 1, got shape {pts.shape}"
-            )
-        if w.shape != (pts.shape[0],) or not np.all(np.isfinite(w)):
-            raise InputError("weights must be finite and match the number of points")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", w)
-
-
-@dataclass(frozen=True)
-class GaussianKmeEmbedding:
-    """Exact KME of N(mean, spread^2 I) under a gaussian base kernel."""
-
-    kernel: BaseKernel
-    mean: np.ndarray
-    spread: float
+    means: np.ndarray
+    spreads: np.ndarray
 
     def __post_init__(self):
         if self.kernel.family != GAUSSIAN:
             raise UnsupportedError("exact KMEs are available only for the gaussian base kernel")
-        m = np.ascontiguousarray(self.mean, dtype=np.float64)
-        if m.shape != (self.kernel.dim,):
-            raise InputError(f"mean must have shape ({self.kernel.dim},), got {m.shape}")
-        if self.spread < 0:
-            raise InputError(f"spread must be >= 0, got {self.spread}")
-        object.__setattr__(self, "mean", m)
+        means = np.ascontiguousarray(self.means, dtype=np.float64)
+        spreads = np.ascontiguousarray(self.spreads, dtype=np.float64)
+        if means.ndim != 2 or means.shape[1] != self.kernel.dim or not np.all(np.isfinite(means)):
+            raise InputError(f"means must be finite and of shape (n, {self.kernel.dim}), got shape {means.shape}")
+        if spreads.shape != (means.shape[0],) or not np.all(np.isfinite(spreads) & (spreads >= 0.0)):
+            raise InputError(f"spreads must be finite, >= 0 and one per mean, got {spreads}")
+        object.__setattr__(self, "means", means)
+        object.__setattr__(self, "spreads", spreads)
+
+    def __len__(self) -> int:
+        return self.means.shape[0]
+
+    def take(self, idx) -> ExactBatch:
+        return ExactBatch(self.kernel, self.means[idx], self.spreads[idx])
+
+    @cached_property
+    def _norms(self) -> np.ndarray:
+        return _variance_terms(self.kernel, self.spreads**2, self.spreads**2)[1]
 
 
-Embedding = EmpiricalEmbedding | GaussianKmeEmbedding
+@dataclass(frozen=True, eq=False)
+class EmpiricalBatch:
+    """Weighted expansions sum_m w_m k(., s_m), expansion i on the rows
+    offsets[i]:offsets[i + 1] of points and weights."""
+
+    kernel: BaseKernel
+    points: np.ndarray
+    weights: np.ndarray
+    offsets: np.ndarray
+
+    def __post_init__(self):
+        pts = np.ascontiguousarray(self.points, dtype=np.float64)
+        w = np.ascontiguousarray(self.weights, dtype=np.float64)
+        off = np.asarray(self.offsets)
+        if pts.ndim != 2 or pts.shape[1] != self.kernel.dim or not np.all(np.isfinite(pts)):
+            raise InputError(f"embedding points must be finite and of shape (m, {self.kernel.dim}), got shape {pts.shape}")
+        if w.shape != (pts.shape[0],) or not np.all(np.isfinite(w)):
+            raise InputError("weights must be finite and match the number of points")
+        if off.ndim != 1 or off.size < 1 or off.dtype.kind not in "iu" or off[0] != 0 or off[-1] != len(pts) or np.any(np.diff(off) < 1):
+            raise InputError("offsets must be integers running from 0 to the number of points, every expansion nonempty")
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "offsets", off.astype(np.intp, copy=False))
+
+    def __len__(self) -> int:
+        return self.offsets.shape[0] - 1
+
+    def take(self, idx) -> EmpiricalBatch:
+        idx = np.asarray(idx, dtype=np.intp)
+        sizes = np.diff(self.offsets)[idx]
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        rows = np.repeat(self.offsets[idx] - offsets[:-1], sizes) + np.arange(offsets[-1])
+        return EmpiricalBatch(self.kernel, self.points[rows], self.weights[rows], offsets)
+
+    def expansion(self, i: int):
+        """Points and weights of expansion i."""
+        lo, hi = self.offsets[i], self.offsets[i + 1]
+        return self.points[lo:hi], self.weights[lo:hi]
+
+    @cached_property
+    def _norms(self) -> np.ndarray:
+        code = FAMILY_CODES[self.kernel.family]
+        out = np.empty(len(self))
+        for i in range(len(self)):
+            x, w = self.expansion(i)
+            out[i] = _backend.pair_sums(x, w, x, w, [0, len(w)], code, self.kernel.width)[0]
+        return out
 
 
-def embed(k: BaseKernel, s: SampleSet) -> EmpiricalEmbedding:
-    """Uniform-weight empirical embedding of a bag."""
-    if s.dim != k.dim:
-        raise InputError(f"bag dimension {s.dim} does not match kernel dimension {k.dim}")
-    m = s.size
-    return EmpiricalEmbedding(k, s.points, np.full(m, 1.0 / m))
+@dataclass(frozen=True, eq=False)
+class PointBatch:
+    """Points of R^d embedded by the identity: the inner product is the dot product."""
+
+    points: np.ndarray
+    kernel = None  # no base kernel: the points already live in the Hilbert space
+
+    def __post_init__(self):
+        pts = np.ascontiguousarray(self.points, dtype=np.float64)
+        if pts.ndim != 2 or not np.all(np.isfinite(pts)):
+            raise InputError(f"points must be a finite (n, d) matrix, got shape {pts.shape}")
+        object.__setattr__(self, "points", pts)
+
+    def __len__(self) -> int:
+        return self.points.shape[0]
+
+    def take(self, idx) -> PointBatch:
+        return PointBatch(self.points[idx])
+
+    @cached_property
+    def _norms(self) -> np.ndarray:
+        return _dot(self.points, self.points)
 
 
-def exact_gaussian_embedding(k: BaseKernel, mean, spread: float) -> GaussianKmeEmbedding:
-    return GaussianKmeEmbedding(k, np.asarray(mean, dtype=np.float64), float(spread))
+def embed_bags(k: BaseKernel, bags) -> EmpiricalBatch:
+    """Uniform-weight empirical embeddings of a sequence of bags."""
+    if any(s.dim != k.dim for s in bags):
+        raise InputError(f"bag dimensions {sorted({s.dim for s in bags})} do not match kernel dimension {k.dim}")
+    sizes = [s.size for s in bags]
+    points = np.concatenate([np.empty((0, k.dim))] + [s.points for s in bags])
+    weights = np.concatenate([np.empty(0)] + [np.full(m, 1.0 / m) for m in sizes])
+    return EmpiricalBatch(k, points, weights, np.cumsum([0] + sizes))
 
 
-def gaussian_family_kme_inner(m, sigma: float, mp, sigma_p: float, k: BaseKernel) -> float:
-    """<mu_Q, mu_Q'> for Q = N(m, sigma^2 I), Q' = N(m', sigma_p^2 I).
-
-    Closed form (g = width^2, v = g + 2 sigma^2 + 2 sigma_p^2):
-    (g / v)^(d/2) * exp(-||m - m'||^2 / v). Reduces to the base kernel at
-    sigma = sigma_p = 0.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    mp = np.asarray(mp, dtype=np.float64)
-    if m.shape != (k.dim,) or mp.shape != (k.dim,):
-        raise InputError(f"means must have shape ({k.dim},)")
-    if sigma < 0 or sigma_p < 0:
-        raise InputError("spreads must be >= 0")
-    return float(gaussian_kme_cross_inner(k, m[None, :], [sigma], mp[None, :], [sigma_p])[0, 0])
+def embed(k: BaseKernel, s: SampleSet) -> EmpiricalBatch:
+    """Uniform-weight empirical embedding of one bag, a batch of one."""
+    return embed_bags(k, [s])
 
 
-def _closed_form(k: BaseKernel, d2, s2a, s2b):
-    # symmetric grouping keeps the swap (m, s) <-> (m', s') bit-exact
+def exact_gaussian_embedding(k: BaseKernel, mean, spread: float) -> ExactBatch:
+    """Exact KME of N(mean, spread^2 I), a batch of one."""
+    return ExactBatch(k, np.asarray(mean, dtype=np.float64)[None], [spread])
+
+
+def _variance_terms(k: BaseKernel, s2a, s2b):
+    """v = g + 2 (s2a + s2b) and (g / v)^(d/2) of the closed form, g = width^2;
+    the symmetric grouping keeps the swap (m, s) <-> (m', s') bit-exact."""
     g = k.width * k.width
     v = g + 2.0 * (s2a + s2b)
-    return (g / v) ** (k.dim / 2.0) * np.exp(-d2 / v)
+    return v, (g / v) ** (k.dim / 2.0)
 
 
-def _common_kernel(embs) -> BaseKernel | None:
-    k = embs[0].kernel if embs else None
-    for e in embs:
-        if e.kernel != k:
-            raise InputError(f"embeddings use different base kernels: {k} vs {e.kernel}")
-    return k
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis, accumulated coordinate by coordinate: each value depends
+    only on its own two points, so _dot(p, p) is the diagonal of _dot(p[:, None], p[None])."""
+    out = np.zeros(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]))
+    for c in range(x.shape[-1]):
+        out += x[..., c] * y[..., c]
+    return out
 
 
-def _split(embs):
-    """Indices, means and spreads of the exact embeddings; indices of the empirical ones."""
-    x = [i for i, e in enumerate(embs) if isinstance(e, GaussianKmeEmbedding)]
-    e = [i for i, emb in enumerate(embs) if isinstance(emb, EmpiricalEmbedding)]
-    return x, np.array([embs[i].mean for i in x]), np.array([embs[i].spread for i in x]), e
+def _atoms_inner(k: BaseKernel, x: ExactBatch, e: EmpiricalBatch) -> np.ndarray:
+    """<x_i, e_j>: each atom of e_j is the sigma' = 0 case of the closed form, and
+    x_i's row of atom values is weighted and summed on its own, in a fixed order."""
+    out = np.empty((len(x), len(e)))
+    for j in range(len(e)):
+        pts, w = e.expansion(j)
+        block = gaussian_kme_cross_inner(k, x.means, x.spreads, pts, np.zeros(len(pts)))
+        block *= w
+        np.sum(block, axis=1, out=out[:, j])
+    return out
 
 
-def _stacked(embs, idx):
-    """Stacked points and weights of the empirical embeddings embs[idx], with segment offsets."""
-    offsets = np.concatenate(([0], np.cumsum([len(embs[i].weights) for i in idx])))
-    points = np.concatenate([embs[i].points for i in idx])
-    return points, np.concatenate([embs[i].weights for i in idx]), offsets
-
-
-def _pair_sums(k: BaseKernel, e: EmpiricalEmbedding, points, weights, offsets) -> np.ndarray:
-    return _backend.pair_sums(e.points, e.weights, points, weights, offsets, FAMILY_CODES[k.family], k.width)
-
-
-def _atoms_inner(k: BaseKernel, means, spreads, e: EmpiricalEmbedding) -> np.ndarray:
-    # each expansion atom of e is the sigma' = 0 case of the closed form
-    return gaussian_kme_cross_inner(k, means, spreads, e.points, np.zeros(len(e.points))) @ e.weights
+def _expansions_inner(k: BaseKernel, a: EmpiricalBatch, b: EmpiricalBatch, same: bool) -> np.ndarray:
+    """<a_i, b_j> from one `_backend.pair_sums` pass per expansion of a against
+    the stacked points of b; when b is a, row i covers only the columns j >= i
+    and is mirrored."""
+    code = FAMILY_CODES[k.family]
+    out = np.empty((len(a), len(b)))
+    for i in range(len(a)):
+        x, w = a.expansion(i)
+        if same:
+            lo = b.offsets[i]
+            out[i, i:] = out[i:, i] = _backend.pair_sums(
+                x, w, b.points[lo:], b.weights[lo:], b.offsets[i:] - lo, code, k.width
+            )
+        else:
+            out[i] = _backend.pair_sums(x, w, b.points, b.weights, b.offsets, code, k.width)
+    return out
 
 
 def cross_inner(a, b) -> np.ndarray:
-    """Matrix of <a_i, b_j> between two sequences of embeddings with one base kernel.
+    """Matrix of <a_i, b_j> between two batches with one base kernel.
 
-    The single place where the formula depends on the embedding kind: the
-    closed form for exact x exact, the sigma' = 0 closed form per expansion
-    atom for mixed pairs, and for empirical x empirical one blocked kernel
-    pass (`_backend.pair_sums`) per empirical a_i against the stacked points
-    of all empirical b_j. Every entry depends only on its two embeddings, so
-    it equals `cross_inner([a_i], [b_j])` bit for bit whatever else is in
-    the batch. When b is a, row i covers only the columns j >= i and is
-    mirrored, so the matrix is exactly symmetric and its diagonal equals
-    `squared_norms(a)` bit for bit.
+    The single place where the formula depends on the geometry: the dot
+    product for points, the closed form for exact x exact, the sigma' = 0
+    closed form per expansion atom for exact x empirical (either order),
+    and for empirical x empirical one blocked kernel pass per expansion of
+    a. Every entry depends only on its two embeddings, so it equals
+    `cross_inner(a.take([i]), b.take([j]))` bit for bit whatever else is in
+    the batches. When b is a, the matrix is exactly symmetric and its
+    diagonal equals `squared_norms(a)` bit for bit.
     """
-    same = b is a
-    a = list(a)
-    b = a if same else list(b)
-    k = _common_kernel(a if same else a + b)
-    out = np.empty((len(a), len(b)))
-    xa, ma, sa, ea = _split(a)
-    xb, mb, sb, eb = (xa, ma, sa, ea) if same else _split(b)
-    if xa and xb:
-        out[np.ix_(xa, xb)] = gaussian_kme_cross_inner(k, ma, sa, mb, sb)
-    if xa:
-        for j in eb:
-            out[xa, j] = _atoms_inner(k, ma, sa, b[j])
-    if eb:
-        points, weights, offsets = _stacked(b, eb)
-    for r, i in enumerate(ea):
-        if same:  # row i covers the columns j >= i and is mirrored
-            out[i, xa] = out[xa, i]
-            lo = offsets[r]
-            out[i, eb[r:]] = out[eb[r:], i] = _pair_sums(k, a[i], points[lo:], weights[lo:], offsets[r:] - lo)
-            continue
-        if xb:
-            out[i, xb] = _atoms_inner(k, mb, sb, a[i])
-        if eb:
-            out[i, eb] = _pair_sums(k, a[i], points, weights, offsets)
-    return out
+    if a.kernel != b.kernel:
+        raise InputError(f"embeddings use different base kernels: {a.kernel} vs {b.kernel}")
+    k, kinds = a.kernel, (type(a), type(b))
+    if kinds == (PointBatch, PointBatch):
+        return _dot(a.points[:, None], b.points[None])
+    if kinds == (ExactBatch, ExactBatch):
+        return gaussian_kme_cross_inner(k, a.means, a.spreads, b.means, b.spreads)
+    if kinds == (ExactBatch, EmpiricalBatch):
+        return _atoms_inner(k, a, b)
+    if kinds == (EmpiricalBatch, ExactBatch):
+        return np.ascontiguousarray(_atoms_inner(k, b, a).T)
+    if kinds == (EmpiricalBatch, EmpiricalBatch):
+        return _expansions_inner(k, a, b, b is a)
 
 
-def squared_norms(embs) -> np.ndarray:
-    """||e||^2 for each embedding, computed once each: the closed form at zero
-    mean distance for exact embeddings, a one-segment `_backend.pair_sums`
-    for empirical ones."""
-    embs = list(embs)
-    k = _common_kernel(embs)
-    out = np.empty(len(embs))
-    x, _, spreads, e = _split(embs)
-    if x:
-        out[x] = _closed_form(k, 0.0, spreads**2, spreads**2)
-    for i in e:
-        out[i] = _pair_sums(k, embs[i], embs[i].points, embs[i].weights, [0, len(embs[i].weights)])[0]
-    return out
+def squared_norms(batch) -> np.ndarray:
+    """||e||^2 for each embedding of the batch, computed at most once per batch:
+    the dot product for points, the closed form at zero mean distance for
+    exact embeddings, a one-segment `_backend.pair_sums` for empirical ones.
+    The cached array is shared, so it is read-only."""
+    batch._norms.flags.writeable = False
+    return batch._norms
 
 
-def inner(e1: Embedding, e2: Embedding) -> float:
-    """RKHS inner product via the reproducing property; symmetric in arguments."""
-    return float(cross_inner([e1], [e2])[0, 0])
+def inner(e1, e2) -> float:
+    """RKHS inner product of two embeddings (batches of one); symmetric in its arguments."""
+    return float(cross_inner(e1, e2)[0, 0])
 
 
 def _clamp_sq(sq):
@@ -240,13 +291,12 @@ def _clamp_sq(sq):
     return np.maximum(sq, 0.0)
 
 
-def squared_distance(e1: Embedding, e2: Embedding) -> float:
-    """||e1 - e2||^2 with tiny negative values clamped to 0."""
-    n1, n2 = squared_norms([e1, e2])
-    return float(_clamp_sq(n1 + n2 - 2.0 * inner(e1, e2)))
+def squared_distance(e1, e2) -> float:
+    """||e1 - e2||^2 of two embeddings (batches of one), tiny negative values clamped to 0."""
+    return float(_clamp_sq(squared_norms(e1)[0] + squared_norms(e2)[0] - 2.0 * inner(e1, e2)))
 
 
-def rkhs_distance(e1: Embedding, e2: Embedding) -> float:
+def rkhs_distance(e1, e2) -> float:
     return math.sqrt(squared_distance(e1, e2))
 
 
@@ -267,9 +317,19 @@ def concentration_bound(m: int, delta: float, kernel_sup: float) -> float:
     )
 
 
+def gaussian_family_kme_inner(m, sigma: float, mp, sigma_p: float, k: BaseKernel) -> float:
+    """<mu_Q, mu_Q'> for Q = N(m, sigma^2 I), Q' = N(m', sigma_p^2 I).
+
+    Closed form (g = width^2, v = g + 2 sigma^2 + 2 sigma_p^2):
+    (g / v)^(d/2) * exp(-||m - m'||^2 / v). Reduces to the base kernel at
+    sigma = sigma_p = 0.
+    """
+    return inner(exact_gaussian_embedding(k, m, sigma), exact_gaussian_embedding(k, mp, sigma_p))
+
+
 def gaussian_kme_inner_matrix(k: BaseKernel, means: np.ndarray, spreads: np.ndarray) -> np.ndarray:
     """All pairwise exact-KME inner products for isotropic Gaussian inputs."""
-    return gaussian_kme_cross_inner(k, means, spreads, means, spreads)
+    return cross_inner(batch := ExactBatch(k, means, spreads), batch)
 
 
 def gaussian_kme_cross_inner(
@@ -278,11 +338,19 @@ def gaussian_kme_cross_inner(
     """Cross inner-product matrix between two families of exact Gaussian KMEs.
 
     Mean distances come from cdist, so a pair with equal means and spreads
-    gets exactly the squared norm of `squared_norms`.
+    gets exactly the squared norm of `squared_norms`. The closed form is
+    (g / v)^(d/2) exp(-d2 / v), and v and (g / v)^(d/2) depend only on the
+    two spreads, so they are computed once per distinct pair of spreads
+    (once per block when every spread is the same).
     """
     if k.family != GAUSSIAN:
         raise UnsupportedError("closed-form KME inner products require the gaussian base kernel")
     d2 = cdist(np.asarray(means_a, dtype=np.float64), np.asarray(means_b, dtype=np.float64), "sqeuclidean")
-    sa2 = np.asarray(spreads_a, dtype=np.float64) ** 2
-    sb2 = np.asarray(spreads_b, dtype=np.float64) ** 2
-    return _closed_form(k, d2, sa2[:, None], sb2[None, :])
+    sa2, ia = np.unique(np.asarray(spreads_a, dtype=np.float64) ** 2, return_inverse=True)
+    sb2, ib = np.unique(np.asarray(spreads_b, dtype=np.float64) ** 2, return_inverse=True)
+    v, scale = _variance_terms(k, sa2[:, None], sb2[None, :])
+    if v.shape != (1, 1):
+        v, scale = v[np.ix_(ia, ib)], scale[np.ix_(ia, ib)]
+    out = np.exp(np.divide(d2, -v, out=d2), out=d2)
+    out *= scale
+    return out

@@ -10,7 +10,8 @@ violate the KKT conditions with an exact Newton step on the free set
 rescaled to primal units (2 lambda * dual), which at the optimum equals the
 minimal regularized empirical risk.
 
-Grams and decision values over embeddings come only from `kme.cross_inner`,
+Grams and decision values over batches of embeddings (`kme.ExactBatch`,
+`kme.EmpiricalBatch`, `kme.PointBatch`) come only from `kme.cross_inner`,
 `kme.squared_norms` and `hilbert_kernel.hk_from_inner`.
 """
 
@@ -21,12 +22,12 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from . import _backend
+from .base_kernels import BaseKernel
 from .errors import InputError, NumericalConsistencyError, UnsupportedError
-from .hilbert_kernel import H_GAUSSIAN, HilbertKernel, hk_from_inner
-from .kme import Embedding, EmpiricalEmbedding, GaussianKmeEmbedding, SampleSet, cross_inner, embed, squared_norms
+from .hilbert_kernel import HilbertKernel, hk_from_inner
+from .kme import EmpiricalBatch, ExactBatch, SampleSet, cross_inner, embed, squared_norms
 
 __all__ = [
     "GramMatrix",
@@ -42,7 +43,6 @@ __all__ = [
     "regularized_empirical_risk",
     "kkt_residual",
     "build_gram",
-    "gram_from_points",
     "model_to_json",
     "model_from_json",
 ]
@@ -112,7 +112,7 @@ class SvmModel:
     objective: float  # 2 lambda * dual value == optimal regularized risk at convergence
     norm_sq: float  # ||f||_k^2 at the returned coefficients
     objective_path: tuple = field(repr=False, default=())
-    support: object = None  # tuple of embeddings, or (N, d) point array
+    support: object = None  # batch of the N training embeddings
     hkernel: HilbertKernel | None = None
 
 
@@ -260,6 +260,8 @@ def train(
     """
     n = gram.size
     y = _as_labels(labels, n)
+    if support is not None and len(support) != n:
+        raise InputError(f"support holds {len(support)} embeddings for {n} training labels")
     if not (lam > 0):
         raise InputError(f"lambda must be > 0, got {lam}")
     k = gram.entries
@@ -307,7 +309,7 @@ def train(
         objective=objective_path[-1] if objective_path else 0.0,
         norm_sq=norm_sq,
         objective_path=tuple(objective_path),
-        support=tuple(support) if isinstance(support, (list, tuple)) else support,
+        support=support,
         hkernel=hkernel,
     )
 
@@ -317,27 +319,26 @@ def _require_support(model: SvmModel):
         raise InputError("model carries no support embeddings; prediction is unavailable")
 
 
-def decision_values(model: SvmModel, embeddings) -> np.ndarray:
-    """f(e) = sum_i alpha_i y_i k(support_i, e) for each embedding, summed over
-    the support entries with nonzero coefficients only."""
+def decision_values(model: SvmModel, targets) -> np.ndarray:
+    """f(e) = sum_i alpha_i y_i k(support_i, e) for each embedding of the target
+    batch, summed over the support entries with nonzero coefficients only."""
     _require_support(model)
     coef = model.dual_coefs * model.labels
     nonzero = np.flatnonzero(coef)
-    support, targets = [model.support[i] for i in nonzero], list(embeddings)
+    support = model.support.take(nonzero)
     inners = cross_inner(support, targets)
     return coef[nonzero] @ hk_from_inner(model.hkernel, inners, squared_norms(support), squared_norms(targets))
 
 
-def decision_value(model: SvmModel, e: Embedding) -> float:
-    """f(e) for one embedding."""
-    return float(decision_values(model, [e])[0])
+def decision_value(model: SvmModel, e) -> float:
+    """f(e) for one embedding (a batch of one)."""
+    return float(decision_values(model, e)[0])
 
 
 def predict(model: SvmModel, s: SampleSet) -> int:
     """sgn(clip(f(embed(s)))) with sgn(0) = +1; clipping never flips the sign."""
     _require_support(model)
-    base = model.support[0].kernel
-    val = decision_value(model, embed(base, s))
+    val = decision_value(model, embed(model.support.kernel, s))
     return int(sgn(clip(val, model.clip_bound)))
 
 
@@ -359,31 +360,18 @@ def regularized_empirical_risk(
     return emp + lam * norm_sq
 
 
-def build_gram(hk: HilbertKernel, embeddings) -> GramMatrix:
-    """Second-level Gram over a list of embeddings.
+def build_gram(hk: HilbertKernel, batch) -> GramMatrix:
+    """Second-level Gram over a batch of embeddings.
 
-    The inner products come from one `kme.cross_inner` pass over the upper
-    triangle, whose diagonal holds the squared norms, so the matrix is exactly
-    symmetric and a gaussian Gram has an exact unit diagonal.
+    The inner products come from one `kme.cross_inner(batch, batch)` call,
+    exactly symmetric with the squared norms on its diagonal, so a gaussian
+    Gram has an exact unit diagonal.
     """
-    embs = list(embeddings)
-    if not embs:
+    if len(batch) == 0:
         raise InputError("cannot build a Gram matrix from zero embeddings")
-    inners = cross_inner(embs, embs)
+    inners = cross_inner(batch, batch)
     norms = np.diag(inners)
     return GramMatrix(hk_from_inner(hk, inners, norms, norms))
-
-
-def gram_from_points(hk: HilbertKernel, x: np.ndarray) -> GramMatrix:
-    """Gram over raw Hilbert-space points (identity embedding geometry)."""
-    x = np.asarray(x, dtype=np.float64)
-    if hk.family == H_GAUSSIAN:
-        d2 = cdist(x, x, "sqeuclidean")
-        entries = np.exp(-d2 / (hk.width**2))
-    else:
-        entries = x @ x.T
-    entries = np.tril(entries) + np.tril(entries, -1).T
-    return GramMatrix(entries)
 
 
 def model_to_json(model: SvmModel) -> dict:
@@ -394,21 +382,19 @@ def model_to_json(model: SvmModel) -> dict:
     (mean, spread) parameters.
     """
     _require_support(model)
-    support = []
-    if isinstance(model.support, np.ndarray):
+    sup = model.support
+    if isinstance(sup, EmpiricalBatch):
+        support = [{"samples": p.tolist(), "weights": w.tolist()} for p, w in map(sup.expansion, range(len(sup)))]
+    elif isinstance(sup, ExactBatch):
+        support = [{"mean": m.tolist(), "spread": float(s)} for m, s in zip(sup.means, sup.spreads)]
+    else:
         raise UnsupportedError("point-geometry models have no bag representation to persist")
-    for e in model.support:
-        if isinstance(e, EmpiricalEmbedding):
-            support.append({"samples": e.points.tolist(), "weights": e.weights.tolist()})
-        else:
-            support.append({"mean": e.mean.tolist(), "spread": e.spread})
-    base = model.support[0].kernel
     return {
         "lambda": model.lam,
         "clip_bound": model.clip_bound,
         "dual_coefs": model.dual_coefs.tolist(),
         "labels": model.labels.astype(int).tolist(),
-        "base_kernel": base.to_config(),
+        "base_kernel": sup.kernel.to_config(),
         "hilbert_kernel": model.hkernel.to_config(),
         "converged": model.converged,
         "kkt_residual": model.kkt,
@@ -416,25 +402,31 @@ def model_to_json(model: SvmModel) -> dict:
     } | {"support": support}
 
 
+def _support_from_json(base: BaseKernel, records):
+    """One batch from the support records: all sample bags (with optional
+    weights, uniform by default) or all (mean, spread) pairs."""
+    kinds = {"samples" in rec for rec in records}
+    if len(kinds) != 1:
+        raise InputError("support must be a nonempty list of records that are all bags or all (mean, spread) pairs")
+    if kinds == {False}:
+        return ExactBatch(base, [rec["mean"] for rec in records], [rec["spread"] for rec in records])
+    bags = [np.asarray(rec["samples"], dtype=np.float64) for rec in records]
+    weights = [rec.get("weights", np.full(len(b), 1.0 / len(b))) for rec, b in zip(records, bags)]
+    return EmpiricalBatch(base, np.concatenate(bags), np.concatenate(weights), np.cumsum([0] + [len(b) for b in bags]))
+
+
 def model_from_json(data: dict) -> SvmModel:
     """Rebuild a model written by `model_to_json`, validating it once here.
 
     Coefficient, label and support counts must agree and be nonzero,
-    coefficients finite and >= 0, labels +-1, lambda and clip_bound > 0.
+    coefficients finite and >= 0, labels +-1, lambda and clip_bound > 0, and
+    the support batch valid (finite means of the kernel's dimension, finite
+    spreads >= 0, or finite nonempty bags).
     """
-    from .base_kernels import BaseKernel
-
     try:
         base = BaseKernel.from_config(data["base_kernel"])
         hk = HilbertKernel.from_config(data["hilbert_kernel"])
-        support = []
-        for rec in data["support"]:
-            if "samples" in rec:
-                pts = np.asarray(rec["samples"], dtype=np.float64)
-                w = np.asarray(rec.get("weights", np.full(len(pts), 1.0 / len(pts))), dtype=np.float64)
-                support.append(EmpiricalEmbedding(base, pts, w))
-            else:
-                support.append(GaussianKmeEmbedding(base, np.asarray(rec["mean"]), float(rec["spread"])))
+        support = _support_from_json(base, data["support"])
         alpha = np.asarray(data["dual_coefs"], dtype=np.float64)
         n = len(support)
         labels = _as_labels(data["labels"], n)
@@ -454,23 +446,8 @@ def model_from_json(data: dict) -> SvmModel:
             sweeps=0,
             objective=0.0,
             norm_sq=float(data.get("norm_sq", 0.0)),
-            support=tuple(support),
+            support=support,
             hkernel=hk,
         )
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"malformed model JSON: {exc}") from exc
-
-
-def decision_values_points(model: SvmModel, x: np.ndarray) -> np.ndarray:
-    """f over raw points for models trained on point Grams."""
-    _require_support(model)
-    sup = model.support
-    if not isinstance(sup, np.ndarray):
-        raise UnsupportedError("model was not trained on raw points")
-    x = np.asarray(x, dtype=np.float64)
-    coef = model.dual_coefs * model.labels
-    if model.hkernel.family == H_GAUSSIAN:
-        km = np.exp(-cdist(sup, x, "sqeuclidean") / (model.hkernel.width**2))
-    else:
-        km = sup @ x.T
-    return coef @ km

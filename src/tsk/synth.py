@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, UnsupportedError
-from .kme import SampleSet
+from .errors import InputError, UnsupportedError, config_float, config_int
+from .kme import ExactBatch, SampleSet, embed_bags
 from .rng import normals, stream
 
 __all__ = [
@@ -28,6 +28,7 @@ __all__ = [
     "Bag",
     "sample_first_stage",
     "sample_second_stage",
+    "embed_inputs",
     "eta",
     "bayes_risk",
     "delta_to_boundary",
@@ -90,12 +91,12 @@ class MetaDistribution:
         try:
             return cls(
                 family=cfg["family"],
-                dim=int(cfg["dim"]),
-                center_offset=float(cfg["c"]),
-                center_spread=float(cfg["s"]),
-                bag_spread=float(cfg["sigma"]),
-                p_plus=float(cfg["p_plus"]),
-                margin=float(cfg.get("r", 0.0)),
+                dim=config_int(cfg["dim"], "meta dim", minimum=1),
+                center_offset=config_float(cfg["c"], "meta c"),
+                center_spread=config_float(cfg["s"], "meta s"),
+                bag_spread=config_float(cfg["sigma"], "meta sigma"),
+                p_plus=config_float(cfg["p_plus"], "meta p_plus"),
+                margin=config_float(cfg.get("r", 0.0), "meta r"),
             )
         except KeyError as exc:
             raise InputError(f"meta-distribution config missing field {exc}") from exc
@@ -150,6 +151,15 @@ def sample_second_stage(q_params, m: int, seed: int) -> SampleSet:
         return SampleSet(np.tile(mean, (m, 1)))
     gen = stream(seed, "second-stage")
     return SampleSet(mean + spread * normals(gen, (m, mean.shape[0])))
+
+
+def embed_inputs(kernel, means, spread: float, size, bag_seed):
+    """Embeddings of the inputs N(means[i], spread^2 I) as one batch: exact
+    when size is "exact", else empirical embeddings of bags of `size` draws,
+    bag i drawn from seed bag_seed(i)."""
+    if size == "exact":
+        return ExactBatch(kernel, means, np.full(len(means), spread))
+    return embed_bags(kernel, [sample_second_stage((m, spread), int(size), bag_seed(i)) for i, m in enumerate(means)])
 
 
 def _in_plus_support(meta: MetaDistribution, m: np.ndarray) -> bool:

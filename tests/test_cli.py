@@ -7,8 +7,11 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from tsk import BaseKernel, HilbertKernel
 from tsk.cli import main
 from tsk.errors import NumericalConsistencyError
+from tsk.kme import ExactBatch
+from tsk.svm import build_gram, model_to_json, train
 from tsk.synth import MetaDistribution, bags_to_json, sample_first_stage, sample_second_stage
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -126,6 +129,36 @@ def test_bad_real_field_exits_2(tmp_path, capsys, cmd, base, fields, message):
     assert message in capsys.readouterr().err
 
 
+SMOKE_EMPIRICAL = json.loads((CONFIGS / "rates_smoke_empirical.json").read_text())
+NESTED_FIELDS = [
+    ("base_kernel", "width", "wide", "must be a finite number"),
+    ("hilbert_kernel", "width", "w", "must be a finite number"),
+    ("meta", "sigma", "x", "must be a finite number"),
+    ("meta", "sigma", math.nan, "must be a finite number"),
+    (None, "approx_error", {"model": "constant", "value": "x"}, "must be a finite number"),
+    ("base_kernel", "dim", 2.7, "must be an integer"),
+    ("meta", "dim", 2.7, "must be an integer"),
+]
+
+
+@pytest.mark.parametrize("section, name, value, message", NESTED_FIELDS)
+def test_bad_nested_config_field_exits_2(tmp_path, capsys, section, name, value, message):
+    cfg = json.loads(json.dumps(SMOKE_EMPIRICAL))
+    (cfg[section] if section else cfg)[name] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["rates", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_non_integer_tsk_threads_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("TSK_THREADS", "abc")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(SMOKE_EMPIRICAL))
+    assert main(["rates", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+    assert "TSK_THREADS" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("fields", [{"lambda": "x"}, {"lambda": -0.1}, {"tol": None}, {"tol": 0.0}])
 def test_train_bad_lambda_or_tol_exits_2(tmp_path, capsys, fields):
     data, cfg = tmp_path / "bags.json", tmp_path / "cfg.json"
@@ -231,6 +264,34 @@ class TestNoiseExponent:
         assert self._run_with(tmp_path, t_grid=[2, math.inf, 0.5]) == 2
 
 
+# sha256 of the outputs on a small exact-embedding config, recorded before
+# embeddings were carried as batches
+RATES_EXACT_SHA256 = {
+    "csv": "a958edd8c9fa1f770e8fb65a90ea7a3f2ee3120eefec7bc04796a91a4f64298d",
+    "summary": "1047ef40508432f413846fa4cf71020b9e8b0442b7fd9b8ce7ef2e4c6504c64b",
+}
+APPROX_ERROR_EXACT_SHA256 = "5fafc4afbcb529abecde6d7d9ff09b3d9d3e4dcb179964617184bd3f9fb9980d"
+
+
+class TestExactOutputsPinned:
+    def test_rates(self, tmp_path):
+        cfg = json.loads((CONFIGS / "rates_hard_margin.json").read_text())
+        cfg.update(n_grid=[32, 64], replicates=2, test_bags=200, bayes_mc=10000)
+        path, out, summary = tmp_path / "r.json", tmp_path / "r.csv", tmp_path / "r.summary.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["rates", "--config", str(path), "--out", str(out), "--summary", str(summary)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == RATES_EXACT_SHA256["csv"]
+        assert hashlib.sha256(summary.read_bytes()).hexdigest() == RATES_EXACT_SHA256["summary"]
+
+    def test_approx_error(self, tmp_path):
+        cfg = json.loads((CONFIGS / "approx_error_hard_margin.json").read_text())
+        cfg.update(big_n=100, test_n=200, seeds=[1, 2])
+        path, out = tmp_path / "a.json", tmp_path / "a.out.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["approx-error", "--config", str(path), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == APPROX_ERROR_EXACT_SHA256
+
+
 class TestApproxError:
     def test_small_run(self, tmp_path):
         cfg = json.loads((CONFIGS / "approx_error_hard_margin.json").read_text())
@@ -303,6 +364,43 @@ class TestTrainPredict:
         code = main(["predict", "--model", str(model_path), "--data", str(data), "--out", str(tmp_path / "p.json")])
         assert code == 2
         assert "label" in capsys.readouterr().err
+
+    def _exact_model(self, tmp_path):
+        """A model JSON trained on exact Gaussian embeddings, and a dataset to predict."""
+        means, labels = sample_first_stage(MetaDistribution("hard_margin", 2, 2.0, 0.25, 0.5, 0.5, margin=1.0), 6, 3)
+        support = ExactBatch(BaseKernel("gaussian", 1.0, 2), means, np.full(6, 0.5))
+        hk = HilbertKernel("gaussian", 1.0)
+        model = model_to_json(train(build_gram(hk, support), labels, 0.1, support=support, hkernel=hk))
+        data = tmp_path / "bags.json"
+        write_dataset(data)
+        return model, data
+
+    def _predict_exit(self, tmp_path, model, data):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        return main(["predict", "--model", str(path), "--data", str(data), "--out", str(tmp_path / "p.json")])
+
+    def test_exact_support_predicts(self, tmp_path):
+        model, data = self._exact_model(tmp_path)
+        assert self._predict_exit(tmp_path, model, data) == 0
+
+    def test_nan_spread_in_support_exits_2(self, tmp_path, capsys):
+        model, data = self._exact_model(tmp_path)
+        model["support"][2]["spread"] = math.nan
+        assert self._predict_exit(tmp_path, model, data) == 2
+        assert "spreads must be finite" in capsys.readouterr().err
+
+    def test_nan_mean_in_support_exits_2(self, tmp_path, capsys):
+        model, data = self._exact_model(tmp_path)
+        model["support"][0]["mean"][1] = math.nan
+        assert self._predict_exit(tmp_path, model, data) == 2
+        assert "means must be finite" in capsys.readouterr().err
+
+    def test_support_mixing_means_and_bags_exits_2(self, tmp_path, capsys):
+        model, data = self._exact_model(tmp_path)
+        model["support"][1] = {"samples": [[0.0, 0.0], [1.0, 1.0]]}
+        assert self._predict_exit(tmp_path, model, data) == 2
+        assert "all bags or all (mean, spread) pairs" in capsys.readouterr().err
 
     def test_missing_data_file(self, tmp_path, capsys):
         code = main(["train", "--config", str(CONFIGS / "train_example.json"), "--data", str(tmp_path / "no.json"), "--out", str(tmp_path / "m.json")])

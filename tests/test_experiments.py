@@ -21,7 +21,7 @@ from tsk import (
 )
 from tsk.errors import InputError
 from tsk.experiments import CSV_COLUMNS, _coverage_distances, rate_report_csv
-from tsk.kme import exact_gaussian_embedding
+from tsk.kme import ExactBatch
 from tsk.svm import SvmModel, build_gram, decision_values, train
 
 from oracles import coverage_distances_one_by_one
@@ -60,7 +60,7 @@ def trained_separating_model(n=32, seed=3):
     from tsk.synth import sample_first_stage
 
     means, labels = sample_first_stage(HM, n, subseed(seed, "fit"))
-    embs = [exact_gaussian_embedding(BASE, m, HM.bag_spread) for m in means]
+    embs = ExactBatch(BASE, means, np.full(n, HM.bag_spread))
     gram = build_gram(HK, embs)
     return train(gram, labels, 0.1, support=embs, hkernel=HK)
 
@@ -97,7 +97,7 @@ class TestEstimateRisks:
 
         model = trained_separating_model()
         means, labels = sample_first_stage(HM, 400, subseed(1, "t"))
-        embs = [exact_gaussian_embedding(BASE, m, HM.bag_spread) for m in means]
+        embs = ExactBatch(BASE, means, np.full(400, HM.bag_spread))
         vals = decision_values(model, embs)
         raw = np.maximum(0.0, 1.0 - labels * vals).mean()
         clipped = np.maximum(0.0, 1.0 - labels * np.clip(vals, -1, 1)).mean()
@@ -346,3 +346,55 @@ class TestConfigReals:
     def test_every_coverage_corruption_is_an_input_error(self, cfg):
         with pytest.raises(InputError):
             run_kme_coverage(cfg, 7)
+
+
+# real-valued fields of the kernel, meta-distribution and approx-error sections
+# of a rates config, as (key path, whether the value must be > 0)
+NESTED_FLOATS = (
+    (("base_kernel", "width"), True),
+    (("hilbert_kernel", "width"), True),
+    (("meta", "c"), True),
+    (("meta", "s"), False),
+    (("meta", "sigma"), False),
+    (("meta", "p_plus"), False),
+    (("meta", "r"), True),
+    (("approx_error", "c"), False),
+    (("approx_error", "beta"), False),
+)
+VALID_POWER_RATES = VALID_RATES | {"approx_error": {"model": "power", "c": 0.1, "beta": 0.5}}
+VALID_CONSTANT_RATES = VALID_RATES | {"approx_error": {"model": "constant", "value": 0.01}}
+
+
+@st.composite
+def corrupted_dim(draw):
+    """A copy of VALID_RATES whose base-kernel or meta dim is not an integer >= 1."""
+    cfg = copy.deepcopy(VALID_RATES)
+    bad = draw(NOT_AN_INTEGER | st.integers(max_value=0))
+    cfg[draw(st.sampled_from(["base_kernel", "meta"]))]["dim"] = bad
+    return cfg
+
+
+class TestNestedConfigFields:
+    def test_integral_values_load(self):
+        cfg = ExperimentConfig.from_json(
+            VALID_POWER_RATES | {"base_kernel": {"family": "gaussian", "width": 1, "dim": 2.0}}
+        )
+        assert type(cfg.base_kernel.width) is float and type(cfg.base_kernel.dim) is int
+
+    @settings(max_examples=300, deadline=None)
+    @given(corrupted_real(VALID_POWER_RATES, NESTED_FLOATS))
+    def test_every_real_corruption_is_an_input_error(self, cfg):
+        with pytest.raises(InputError):
+            ExperimentConfig.from_json(cfg)
+
+    @settings(max_examples=50, deadline=None)
+    @given(corrupted_real(VALID_CONSTANT_RATES, ((("approx_error", "value"), False),)))
+    def test_every_constant_approx_error_corruption_is_an_input_error(self, cfg):
+        with pytest.raises(InputError):
+            ExperimentConfig.from_json(cfg)
+
+    @settings(max_examples=200, deadline=None)
+    @given(corrupted_dim())
+    def test_every_dim_corruption_is_an_input_error(self, cfg):
+        with pytest.raises(InputError):
+            ExperimentConfig.from_json(cfg)

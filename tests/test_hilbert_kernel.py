@@ -5,7 +5,7 @@ import pytest
 
 from tsk import (
     BaseKernel,
-    EmpiricalEmbedding,
+    EmpiricalBatch,
     HilbertKernel,
     SampleSet,
     embed,
@@ -22,7 +22,7 @@ BASE = BaseKernel("gaussian", 1.0, 2)
 
 
 def atom(p):
-    return EmpiricalEmbedding(BASE, np.array([p]), np.array([1.0]))
+    return EmpiricalBatch(BASE, np.array([p]), np.array([1.0]), [0, 1])
 
 
 def random_embeddings(rng, n):

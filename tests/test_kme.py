@@ -5,8 +5,7 @@ import pytest
 
 from tsk import (
     BaseKernel,
-    EmpiricalEmbedding,
-    GaussianKmeEmbedding,
+    EmpiricalBatch,
     SampleSet,
     concentration_bound,
     embed,
@@ -25,7 +24,7 @@ K2 = BaseKernel("gaussian", 1.0, 2)
 
 
 def atoms(*points):
-    return [EmpiricalEmbedding(K2, np.array([p]), np.array([1.0])) for p in points]
+    return [EmpiricalBatch(K2, np.array([p]), np.array([1.0]), [0, 1]) for p in points]
 
 
 class TestEmbed:
@@ -53,7 +52,7 @@ class TestEmbed:
 
     def test_zero_point_expansion_rejected(self):
         with pytest.raises(InputError):
-            EmpiricalEmbedding(K2, np.empty((0, 2)), np.empty(0))
+            EmpiricalBatch(K2, np.empty((0, 2)), np.empty(0), [0, 0])
 
 
 class TestInner:
@@ -64,7 +63,7 @@ class TestInner:
 
     def test_signed_weights_difference_norm(self):
         # weights (1, -1) against itself is ||phi(a) - phi(b)||^2 = 2 - 2 e^-1
-        e = EmpiricalEmbedding(K2, np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([1.0, -1.0]))
+        e = EmpiricalBatch(K2, np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([1.0, -1.0]), [0, 2])
         assert inner(e, e) == pytest.approx(2.0 - 2.0 * math.exp(-1.0), abs=1e-12)
 
     def test_symmetry(self):
@@ -86,7 +85,7 @@ class TestInner:
             k = BaseKernel(fam, 0.8, 3)
             p1, p2 = rng.normal(size=(4, 3)), rng.normal(size=(6, 3))
             w1, w2 = rng.normal(size=4), rng.normal(size=6)
-            got = inner(EmpiricalEmbedding(k, p1, w1), EmpiricalEmbedding(k, p2, w2))
+            got = inner(EmpiricalBatch(k, p1, w1, [0, 4]), EmpiricalBatch(k, p2, w2, [0, 6]))
             assert got == pytest.approx(brute_pair_sum(p1, w1, p2, w2, fam, 0.8), rel=1e-12)
 
 

@@ -26,7 +26,7 @@ from tsk import (
     zero_one,
 )
 from tsk.errors import InputError, NumericalConsistencyError
-from tsk.kme import exact_gaussian_embedding
+from tsk.kme import ExactBatch, embed_bags
 import tsk.svm as svm_module
 from tsk.svm import SvmModel, _box_path_max, _newton_step, decision_values, model_from_json, model_to_json, sgn
 
@@ -152,7 +152,7 @@ class TestSolverProperties:
         base = BaseKernel("gaussian", 1.0, 2)
         hk = HilbertKernel("gaussian", 1.0)
         bag = SampleSet(np.array([[0.0, 0.0], [0.3, 0.1]]))
-        embs = [embed(base, bag), embed(base, bag), embed(base, SampleSet(np.array([[2.0, 2.0]])))]
+        embs = embed_bags(base, [bag, bag, SampleSet(np.array([[2.0, 2.0]]))])
         gram = build_gram(hk, embs)
         model = train(gram, [1, 1, -1], 0.1)
         assert model.converged
@@ -194,7 +194,7 @@ class TestNewtonSolver:
         rng = np.random.default_rng(21)
         base = BaseKernel("gaussian", 1.0, 2)
         means = rng.normal(size=(12, 2)) + np.where(np.arange(12) % 2 == 0, 1.0, -1.0)[:, None]
-        embs = [exact_gaussian_embedding(base, m, 0.3) for m in means for _ in range(3)]
+        embs = ExactBatch(base, np.repeat(means, 3, axis=0), np.full(36, 0.3))
         y = np.repeat(np.where(np.arange(12) % 2 == 0, 1.0, -1.0), 3)
         gram = build_gram(HilbertKernel("gaussian", 1.0), embs)
         assert np.linalg.matrix_rank(gram.entries) <= 12
@@ -296,10 +296,9 @@ class TestDecisionAndPrediction:
         self.base = BaseKernel("gaussian", 1.0, 2)
         self.hk = HilbertKernel("gaussian", 1.0)
         rng = np.random.default_rng(5)
-        self.embs = [
-            embed(self.base, SampleSet(rng.normal(size=(3, 2)) + (2.0 if i % 2 == 0 else -2.0)))
-            for i in range(6)
-        ]
+        self.embs = embed_bags(
+            self.base, [SampleSet(rng.normal(size=(3, 2)) + (2.0 if i % 2 == 0 else -2.0)) for i in range(6)]
+        )
         self.labels = np.array([1.0, -1.0] * 3)
         self.gram = build_gram(self.hk, self.embs)
         self.model = train(self.gram, self.labels, 0.1, support=self.embs, hkernel=self.hk)
@@ -307,20 +306,20 @@ class TestDecisionAndPrediction:
     def test_zero_coefficients_give_zero(self):
         m0 = SvmModel(
             np.zeros(6), self.labels, 0.1, 1.0, 1.0, True, 0.0, 0, 0.0, 0.0,
-            support=tuple(self.embs), hkernel=self.hk,
+            support=self.embs, hkernel=self.hk,
         )
-        assert decision_value(m0, self.embs[0]) == 0.0
+        assert decision_value(m0, self.embs.take([0])) == 0.0
 
     def test_single_point_model_at_support(self):
         gram = GramMatrix(np.array([[1.0]]))
         e = embed(self.base, SampleSet(np.array([[0.0, 0.0]])))
-        model = train(gram, [1], 1.0, support=[e], hkernel=self.hk)
+        model = train(gram, [1], 1.0, support=e, hkernel=self.hk)
         assert decision_value(model, e) == pytest.approx(0.5, abs=1e-10)
 
     def test_linear_in_coefficients(self):
         doubled = SvmModel(
             2.0 * self.model.dual_coefs, self.labels, 0.1, 1.0, 1.0, True, 0.0, 0, 0.0, 0.0,
-            support=tuple(self.embs), hkernel=self.hk,
+            support=self.embs, hkernel=self.hk,
         )
         e = embed(self.base, SampleSet(np.array([[0.5, 0.5]])))
         assert decision_value(doubled, e) == pytest.approx(2.0 * decision_value(self.model, e), rel=1e-12)
@@ -356,17 +355,17 @@ class TestDecisionAndPrediction:
 
     def test_decision_values_batch_matches_scalar(self):
         rng = np.random.default_rng(15)
-        tests = [embed(self.base, SampleSet(rng.normal(size=(2, 2)))) for _ in range(5)]
+        tests = embed_bags(self.base, [SampleSet(rng.normal(size=(2, 2))) for _ in range(5)])
         batch = decision_values(self.model, tests)
-        for b, e in zip(batch, tests):
-            assert b == pytest.approx(decision_value(self.model, e), rel=1e-12)
+        for i, b in enumerate(batch):
+            assert b == pytest.approx(decision_value(self.model, tests.take([i])), rel=1e-12)
 
 
 def _valid_model_json():
     base = BaseKernel("gaussian", 1.0, 2)
     hk = HilbertKernel("gaussian", 1.0)
     rng = np.random.default_rng(7)
-    embs = [embed(base, SampleSet(rng.normal(size=(3, 2)) + (2.0 if i % 2 == 0 else -2.0))) for i in range(4)]
+    embs = embed_bags(base, [SampleSet(rng.normal(size=(3, 2)) + (2.0 if i % 2 == 0 else -2.0)) for i in range(4)])
     labels = [1, -1, 1, -1]
     model = train(build_gram(hk, embs), labels, 0.1, support=embs, hkernel=hk)
     return model_to_json(model)
