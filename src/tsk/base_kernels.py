@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _backend
 from .errors import InputError, config_float, config_int
 
 __all__ = ["BaseKernel", "base_eval", "sup_norm", "GAUSSIAN", "LAPLACIAN"]
@@ -18,7 +19,7 @@ GAUSSIAN = "gaussian"
 LAPLACIAN = "laplacian"
 _FAMILIES = (GAUSSIAN, LAPLACIAN)
 
-# family codes shared with the compiled backend
+# family codes of `_backend.pair_sums`
 FAMILY_CODES = {GAUSSIAN: 0, LAPLACIAN: 1}
 
 
@@ -50,23 +51,13 @@ class BaseKernel:
             raise InputError(f"base kernel config missing field {exc}") from exc
 
 
-def _sqdist(x: np.ndarray, xp: np.ndarray) -> float:
-    diff = x - xp
-    if diff.shape[0] <= 64:
-        return float(np.dot(diff, diff))
-    # pairwise summation keeps long sums reproducible to full precision
-    return float(np.sum(diff * diff))
-
-
 def base_eval(k: BaseKernel, x, xp) -> float:
-    """k(x, x'); symmetric bit-exactly since the distance computation is."""
+    """k(x, x'): the one-point `_backend.pair_sum`, symmetric bit-exactly since its distances are."""
     x = np.asarray(x, dtype=np.float64)
     xp = np.asarray(xp, dtype=np.float64)
     if x.shape != (k.dim,) or xp.shape != (k.dim,):
         raise InputError(f"points must have shape ({k.dim},), got {x.shape} and {xp.shape}")
-    if k.family == GAUSSIAN:
-        return float(np.exp(-_sqdist(x, xp) / (k.width * k.width)))
-    return float(np.exp(-np.sum(np.abs(x - xp)) / k.width))
+    return _backend.pair_sum(x[None, :], [1.0], xp[None, :], [1.0], FAMILY_CODES[k.family], k.width)
 
 
 def sup_norm(k: BaseKernel) -> float:

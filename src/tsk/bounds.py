@@ -18,7 +18,7 @@ from .base_kernels import BaseKernel
 from .errors import InputError
 from .hilbert_kernel import HilbertKernel, HolderModulus
 from .kme import ExactBatch, PointBatch, concentration_bound
-from .svm import build_gram, decision_values, train
+from .svm import build_gram, decision_values, hinge, train
 from .synth import MetaDistribution, embed_inputs, sample_first_stage
 from .rng import subseed as _subseed
 
@@ -115,9 +115,9 @@ def oracle_rhs(terms: OracleTerms) -> OracleRhs:
     sqrt_a_lam = math.sqrt(a / lam)
     delta_n = math.exp(-tau) / n
     alpha_lam_coef = llip * sqrt_a_lam + llip * math.sqrt(b / lam)
-    embedding = float(
-        3.0 / n * sum(alpha_lam_coef * terms.modulus(concentration_bound(m, delta_n, ksup)) for m in terms.bag_sizes)
-    )
+    # one addend per distinct bag size, summed over the bags in their order
+    addend = {m: alpha_lam_coef * terms.modulus(concentration_bound(m, delta_n, ksup)) for m in set(terms.bag_sizes)}
+    embedding = float(3.0 / n * sum(addend[m] for m in terms.bag_sizes))
     return OracleRhs(
         approx=9.0 * a,
         gap=9.0 * terms.bayes_gap,
@@ -201,7 +201,7 @@ def approx_error_estimate(
     for lam in lam_grid:
         model = train(gram, train_labels, lam, support=support, hkernel=hkernel)
         vals = decision_values(model, targets)
-        test_risks.append(float(np.mean(np.maximum(0.0, 1.0 - test_labels * vals))))
+        test_risks.append(float(np.mean(hinge(test_labels, vals))))
         norm_sqs.append(model.norm_sq)
         converged.append(model.converged)
         kkt.append(model.kkt)

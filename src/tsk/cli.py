@@ -144,11 +144,11 @@ def _cmd_noise_exponent(args) -> int:
     try:
         meta = MetaDistribution.from_config(cfg["meta"])
         q = CovarianceOperator.from_config(cfg["covariance"])
-        t_grid = [float(t) for t in cfg["t_grid"]]
+        t_grid = config_floats(cfg["t_grid"], "t_grid")
         n_outer = config_int(cfg["n_outer"], "n_outer")
         n_inner = config_int(cfg["n_inner"], "n_inner")
         seed = config_int(cfg["seed"] if args.seed is None else args.seed, "seed", minimum=0)
-        floor = float(cfg.get("floor", 1e-12))
+        floor = config_float(cfg.get("floor", 1e-12), "floor")
     except KeyError as exc:
         raise InputError(f"noise-exponent config missing field {exc}") from exc
     except InputError:
@@ -231,10 +231,9 @@ def _cmd_predict(args) -> int:
         raise InputError(f"dataset file not found: {args.data}")
     bags, labels = bags_from_json(data_path.read_text())
     vals = decision_values(model, embed_bags(model.support.kernel, bags))
-    preds = [int(sgn(clip(val, model.clip_bound))) for val in vals]
-    records = [{"decision": float(val), "label": pred} for val, pred in zip(vals, preds)]
-    correct = sum(pred == label for pred, label in zip(preds, labels))
-    payload = {"predictions": records, "accuracy": correct / len(bags)}
+    preds = sgn(clip(vals, model.clip_bound))
+    records = [{"decision": float(val), "label": int(pred)} for val, pred in zip(vals, preds)]
+    payload = {"predictions": records, "accuracy": int(np.sum(preds == labels)) / len(bags)}
     _write_json(args.out, payload)
     print(f"predict: {len(bags)} bags, accuracy {payload['accuracy']:.4f} -> {args.out}")
     return 0

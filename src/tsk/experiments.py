@@ -22,9 +22,9 @@ from .base_kernels import BaseKernel, sup_norm
 from .bounds import OracleTerms, Schedule, make_schedule, oracle_rhs
 from .errors import InputError, NumericalConsistencyError, config_float, config_floats, config_int, config_ints
 from .hilbert_kernel import HilbertKernel, lipschitz_modulus
-from .kme import SampleSet, _clamp_sq, concentration_bound, cross_inner, embed_bags, exact_gaussian_embedding, squared_norms
-from .rng import normals, stream, subseed
-from .svm import SvmModel, build_gram, decision_values, train
+from .kme import SampleSet, concentration_bound, cross_inner, embed_bags, exact_gaussian_embedding, squared_distances, squared_norms
+from .rng import mc_mean_se, normals, stream, subseed
+from .svm import SvmModel, build_gram, clip, decision_values, hinge, train, zero_one
 from .synth import MetaDistribution, bayes_risk, embed_inputs, sample_first_stage
 
 __all__ = [
@@ -144,14 +144,22 @@ class ExperimentConfig:
 
 
 def _eval_approx_model(model: dict, lam: float) -> float:
+    """A(lam) of the approx_error model: 0, a constant `value` >= 0, or c lam^beta with c >= 0."""
     kind = model.get("model", "zero")
     if kind == "zero":
         return 0.0
     if kind == "constant":
-        return config_float(model["value"], "approx_error value")
+        return _nonnegative(model["value"], "approx_error value")
     if kind == "power":
-        return config_float(model["c"], "approx_error c") * lam ** config_float(model["beta"], "approx_error beta")
+        return _nonnegative(model["c"], "approx_error c") * lam ** config_float(model["beta"], "approx_error beta")
     raise InputError(f"unknown approx-error model {kind!r}")
+
+
+def _nonnegative(value, field: str) -> float:
+    value = config_float(value, field)
+    if value < 0:
+        raise InputError(f"{field} must be >= 0, got {value!r}")
+    return value
 
 
 def estimate_risks(model: SvmModel, meta: MetaDistribution, t: int, test_m_or_exact, seed: int, bayes_mc: int = 100_000):
@@ -167,16 +175,11 @@ def estimate_risks(model: SvmModel, meta: MetaDistribution, t: int, test_m_or_ex
 
 
 def _risks_from_decisions(vals: np.ndarray, labels: np.ndarray, clip_bound: float):
-    t = labels.shape[0]
-    preds = np.where(vals >= 0.0, 1.0, -1.0)
-    errs = preds != labels
-    risk01 = float(errs.mean())
-    se01 = math.sqrt(risk01 * (1.0 - risk01) / t)
-    clipped = np.clip(vals, -clip_bound, clip_bound)
-    hinge_vals = np.maximum(0.0, 1.0 - labels * clipped)
-    hinge = float(hinge_vals.mean())
-    hinge_se = float(hinge_vals.std(ddof=1) / math.sqrt(t)) if t > 1 else 0.0
-    return risk01, hinge, se01, hinge_se
+    """(0-1 risk, clipped hinge risk, and their standard errors) of decision values on labelled draws."""
+    risk01 = float(zero_one(labels, vals).mean())
+    se01 = math.sqrt(risk01 * (1.0 - risk01) / labels.shape[0])
+    hinge_clipped, hinge_se = mc_mean_se(hinge(labels, clip(vals, clip_bound)))
+    return risk01, hinge_clipped, se01, hinge_se
 
 
 @dataclass(frozen=True)
@@ -410,7 +413,7 @@ def _coverage_distances(kernel: BaseKernel, mean, sigma: float, m: int, trials: 
     emps = embed_bags(
         kernel, [SampleSet(mean + sigma * normals(stream(seed, "coverage", m, r), (m, kernel.dim))) for r in range(trials)]
     )
-    return np.sqrt(_clamp_sq(squared_norms(emps) + squared_norms(exact)[0] - 2.0 * cross_inner(emps, exact)[:, 0]))
+    return np.sqrt(squared_distances(cross_inner(emps, exact), squared_norms(emps), squared_norms(exact))[:, 0])
 
 
 def run_kme_coverage(params: dict, seed: int) -> dict:
@@ -423,7 +426,7 @@ def run_kme_coverage(params: dict, seed: int) -> dict:
     try:
         kernel = BaseKernel.from_config(params["base_kernel"])
         sigma = config_float(params["sigma"], "sigma")
-        mean = np.asarray(params.get("mean", [0.0] * kernel.dim), dtype=np.float64)
+        mean = np.asarray(config_floats(params.get("mean", [0.0] * kernel.dim), "mean"))
         bag_sizes = config_ints(params["bag_sizes"], "bag_sizes", minimum=1)
         deltas = config_floats(params["deltas"], "deltas")
         trials = config_int(params["trials"], "trials", minimum=1)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, UnsupportedError, config_float
-from .kme import _clamp_sq, cross_inner, squared_norms
+from .kme import cross_inner, squared_distances, squared_norms
 
 __all__ = ["HilbertKernel", "HolderModulus", "hk_from_inner", "hk_eval", "feature_distance", "lipschitz_modulus"]
 
@@ -76,12 +76,12 @@ class HolderModulus:
 def hk_from_inner(hk: HilbertKernel, inners: np.ndarray, norms_a: np.ndarray, norms_b: np.ndarray) -> np.ndarray:
     """Second-level values from <a_i, b_j>, ||a_i||^2 and ||b_j||^2.
 
-    gaussian: exp(-d2 / width^2) with d2 = ||a_i||^2 + ||b_j||^2 - 2 <a_i, b_j>
-    clamped by `kme._clamp_sq`; linear: the inner products themselves.
+    gaussian: exp(-d2 / width^2) with d2 the squared distances of
+    `kme.squared_distances`; linear: the inner products themselves.
     """
     if hk.family == H_LINEAR:
         return inners
-    d2 = _clamp_sq(norms_a[:, None] + norms_b[None, :] - 2.0 * inners)
+    d2 = squared_distances(inners, norms_a, norms_b)
     return np.exp(np.divide(d2, -(hk.width**2), out=d2), out=d2)
 
 

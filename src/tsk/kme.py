@@ -37,6 +37,7 @@ __all__ = [
     "cross_inner",
     "squared_norms",
     "squared_distance",
+    "squared_distances",
     "rkhs_distance",
     "concentration_bound",
     "gaussian_family_kme_inner",
@@ -291,9 +292,15 @@ def _clamp_sq(sq):
     return np.maximum(sq, 0.0)
 
 
+def squared_distances(inners: np.ndarray, norms_a: np.ndarray, norms_b: np.ndarray) -> np.ndarray:
+    """Matrix of ||a_i - b_j||^2 = ||a_i||^2 + ||b_j||^2 - 2 <a_i, b_j> from the
+    inner products and both vectors of squared norms, noise below 0 clamped by `_clamp_sq`."""
+    return _clamp_sq(norms_a[:, None] + norms_b[None, :] - 2.0 * inners)
+
+
 def squared_distance(e1, e2) -> float:
     """||e1 - e2||^2 of two embeddings (batches of one), tiny negative values clamped to 0."""
-    return float(_clamp_sq(squared_norms(e1)[0] + squared_norms(e2)[0] - 2.0 * inner(e1, e2)))
+    return float(squared_distances(cross_inner(e1, e2), squared_norms(e1), squared_norms(e2))[0, 0])
 
 
 def rkhs_distance(e1, e2) -> float:

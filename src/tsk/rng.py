@@ -12,11 +12,12 @@ stream, so the normal sequence is pinned to the uniform sequence.
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 from scipy.special import ndtri
 
-__all__ = ["stream", "normals", "subseed"]
+__all__ = ["stream", "normals", "subseed", "mc_mean_se"]
 
 
 def _encode(part) -> int:
@@ -48,3 +49,12 @@ def normals(gen: np.random.Generator, shape) -> np.ndarray:
     u = gen.random(shape)
     u = np.maximum(u, 2.0**-53)
     return ndtri(u)
+
+
+def mc_mean_se(vals: np.ndarray):
+    """Monte Carlo mean of the draws and its standard error (sample SD with
+    ddof=1 over sqrt(n); 0 for a single draw), both as floats."""
+    n = vals.shape[0]
+    est = float(vals.mean())
+    se = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return est, se

@@ -50,34 +50,38 @@ __all__ = [
 DIAG_FLOOR = 1e-12  # linear-kernel coordinates below this norm are inert
 
 
-def sgn(t: float) -> float:
-    """Sign with ties sent to +1."""
-    return 1.0 if t >= 0.0 else -1.0
+def _float_or_array(a: np.ndarray):
+    return float(a) if a.ndim == 0 else a
 
 
-def _check_label(y) -> float:
-    if y not in (-1, 1, -1.0, 1.0):
-        raise InputError(f"labels must be -1 or +1, got {y!r}")
-    return float(y)
+def _pm_one(y) -> np.ndarray:
+    """Labels (a scalar or an array) as float64, every entry a number equal to -1 or +1."""
+    arr = np.asarray(y)
+    if arr.dtype.kind not in "iuf" or not np.all((arr == 1) | (arr == -1)):
+        raise InputError("labels must be -1 or +1" + (f", got {y!r}" if arr.ndim == 0 else ""))
+    return arr.astype(np.float64)
 
 
-def hinge(y, t: float) -> float:
-    """max(0, 1 - y t)."""
-    y = _check_label(y)
-    return max(0.0, 1.0 - y * t)
+def sgn(t):
+    """Sign with ties sent to +1, elementwise; a scalar gives a float."""
+    return _float_or_array(np.where(np.asarray(t) >= 0.0, 1.0, -1.0))
 
 
-def zero_one(y, t: float) -> float:
-    """0 iff sgn(t) == y, with sgn(0) = +1."""
-    y = _check_label(y)
-    return 0.0 if sgn(t) == y else 1.0
+def hinge(y, t):
+    """max(0, 1 - y t), elementwise over labels y and decision values t."""
+    return _float_or_array(np.maximum(0.0, 1.0 - _pm_one(y) * t))
 
 
-def clip(t: float, m: float) -> float:
-    """Truncate t to [-m, m]."""
+def zero_one(y, t):
+    """0 where sgn(t) == y, else 1 (sgn(0) = +1), elementwise."""
+    return _float_or_array(np.where(sgn(t) == _pm_one(y), 0.0, 1.0))
+
+
+def clip(t, m: float):
+    """Truncate t to [-m, m], elementwise."""
     if not (m > 0):
         raise InputError(f"clip bound must be > 0, got {m}")
-    return min(m, max(-m, t))
+    return _float_or_array(np.clip(t, -m, m))
 
 
 @dataclass(frozen=True)
@@ -142,11 +146,9 @@ def kkt_residual(model: SvmModel, gram: GramMatrix, labels) -> float:
 
 
 def _as_labels(labels, n: int) -> np.ndarray:
-    y = np.asarray(labels, dtype=np.float64)
+    y = _pm_one(labels)
     if y.shape != (n,):
         raise InputError(f"labels must have shape ({n},), got {y.shape}")
-    if not np.all(np.isin(y, (-1.0, 1.0))):
-        raise InputError("labels must be -1 or +1")
     return y
 
 
@@ -350,11 +352,11 @@ def regularized_empirical_risk(
     alpha = np.asarray(model.dual_coefs, dtype=np.float64)
     f = _margins(gram, y, alpha)
     norm_sq = float(np.dot(alpha * y, f))
-    vals = np.clip(f, -model.clip_bound, model.clip_bound) if clipped else f
+    vals = clip(f, model.clip_bound) if clipped else f
     if loss == "hinge":
-        emp = float(np.mean(np.maximum(0.0, 1.0 - y * vals)))
+        emp = float(np.mean(hinge(y, vals)))
     elif loss == "zero_one":
-        emp = float(np.mean(np.where(vals >= 0.0, 1.0, -1.0) != y))
+        emp = float(np.mean(zero_one(y, vals)))
     else:
         raise InputError(f"unknown loss {loss!r}")
     return emp + lam * norm_sq

@@ -21,11 +21,10 @@ import numpy as np
 
 from .errors import InputError, UnsupportedError, config_float, config_int
 from .kme import ExactBatch, SampleSet, embed_bags
-from .rng import normals, stream
+from .rng import mc_mean_se, normals, stream
 
 __all__ = [
     "MetaDistribution",
-    "Bag",
     "sample_first_stage",
     "sample_second_stage",
     "embed_inputs",
@@ -102,14 +101,6 @@ class MetaDistribution:
             raise InputError(f"meta-distribution config missing field {exc}") from exc
 
 
-@dataclass(frozen=True)
-class Bag:
-    mean: np.ndarray
-    spread: float
-    label: int
-    samples: SampleSet
-
-
 def _axis(meta: MetaDistribution) -> np.ndarray:
     e1 = np.zeros(meta.dim)
     e1[0] = 1.0
@@ -162,49 +153,32 @@ def embed_inputs(kernel, means, spread: float, size, bag_seed):
     return embed_bags(kernel, [sample_second_stage((m, spread), int(size), bag_seed(i)) for i, m in enumerate(means)])
 
 
-def _in_plus_support(meta: MetaDistribution, m: np.ndarray) -> bool:
-    c = meta.center_offset * _axis(meta)
-    return float(np.linalg.norm(m - c)) <= meta.center_spread + 1e-12
-
-
-def _in_minus_support(meta: MetaDistribution, m: np.ndarray) -> bool:
-    c = meta.center_offset * _axis(meta)
-    return float(np.linalg.norm(m + c)) <= meta.center_spread + 1e-12
-
-
 def eta(meta: MetaDistribution, q_params) -> float:
-    """Conditional probability of label +1 given the input's mean."""
+    """Conditional probability of label +1 given the input's mean: `eta_batch`
+    on one row, after checking that a hard_margin mean lies in a class support."""
     m = np.asarray(q_params[0] if isinstance(q_params, tuple) else q_params, dtype=np.float64)
     if m.shape != (meta.dim,):
         raise InputError(f"mean must have shape ({meta.dim},), got {m.shape}")
     if meta.family == HARD_MARGIN:
-        if _in_plus_support(meta, m):
-            return 1.0
-        if _in_minus_support(meta, m):
-            return 0.0
-        raise InputError("mean lies outside both hard_margin class supports")
-    return _eta_overlap(meta, m[None, :])[0]
-
-
-def _eta_overlap(meta: MetaDistribution, means: np.ndarray) -> np.ndarray:
-    # posterior of two isotropic Gaussian center densities with prior p_plus
-    c = meta.center_offset
-    s2 = meta.center_spread**2
-    proj = means[:, 0]
-    # log(phi_minus / phi_plus) = -2 c <m, e1> / s^2
-    logit = -2.0 * c * proj / s2
-    if meta.p_plus in (0.0, 1.0):
-        return np.full(means.shape[0], meta.p_plus)
-    logit += math.log((1.0 - meta.p_plus) / meta.p_plus)
-    return 1.0 / (1.0 + np.exp(logit))
+        c = meta.center_offset * _axis(meta)
+        if min(np.linalg.norm(m - c), np.linalg.norm(m + c)) > meta.center_spread + 1e-12:
+            raise InputError("mean lies outside both hard_margin class supports")
+    return float(eta_batch(meta, m[None, :])[0])
 
 
 def eta_batch(meta: MetaDistribution, means: np.ndarray) -> np.ndarray:
-    """Vectorized eta over rows of means (support checks skipped for hard_margin)."""
+    """Conditional probability of label +1 for each row of means (no support
+    check: a hard_margin mean counts by the sign of its first coordinate)."""
     means = np.asarray(means, dtype=np.float64)
     if meta.family == HARD_MARGIN:
         return np.where(means[:, 0] >= 0.0, 1.0, 0.0)
-    return _eta_overlap(meta, means)
+    if meta.p_plus in (0.0, 1.0):
+        return np.full(means.shape[0], meta.p_plus)
+    # posterior of two isotropic Gaussian center densities with prior p_plus:
+    # log(phi_minus / phi_plus) = -2 c <m, e1> / s^2
+    logit = -2.0 * meta.center_offset * means[:, 0] / meta.center_spread**2
+    logit += math.log((1.0 - meta.p_plus) / meta.p_plus)
+    return 1.0 / (1.0 + np.exp(logit))
 
 
 def bayes_risk(meta: MetaDistribution, mc_draws: int, seed: int):
@@ -217,10 +191,7 @@ def bayes_risk(meta: MetaDistribution, mc_draws: int, seed: int):
         raise InputError("mc_draws must be >= 1")
     means, _ = sample_first_stage(meta, mc_draws, seed)
     e = eta_batch(meta, means)
-    vals = np.minimum(e, 1.0 - e)
-    est = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(mc_draws)) if mc_draws > 1 else 0.0
-    return est, se
+    return mc_mean_se(np.minimum(e, 1.0 - e))
 
 
 def delta_to_boundary(meta: MetaDistribution, x) -> float:
@@ -234,13 +205,11 @@ def delta_to_boundary(meta: MetaDistribution, x) -> float:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (meta.dim,):
         raise InputError(f"point must have shape ({meta.dim},), got {x.shape}")
-    c = meta.center_offset * _axis(meta)
-    other = -c if x[0] >= 0.0 else c
-    to_ball = max(float(np.linalg.norm(x - other)) - meta.center_spread, 0.0)
-    return min(abs(float(x[0])), to_ball)
+    return float(delta_batch(meta, x[None, :])[0])
 
 
 def delta_batch(meta: MetaDistribution, x: np.ndarray) -> np.ndarray:
+    """Row-wise `delta_to_boundary`; |<e1, x>| outside the hard_margin geometry."""
     x = np.asarray(x, dtype=np.float64)
     if meta.family != HARD_MARGIN:
         return np.abs(x[:, 0])

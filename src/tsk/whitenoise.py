@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
-from .rng import normals, stream
+from .errors import InputError, config_floats, config_int
+from .rng import mc_mean_se, normals, stream
 from .synth import MetaDistribution, delta_batch, eta_batch, sample_first_stage
 
 __all__ = [
@@ -97,19 +97,13 @@ class CovarianceOperator:
         """n draws from N(0, Q), rows of shape (n, d)."""
         return normals(gen, (n, self.dim)) @ self.sqrt_matrix()
 
-    def to_config(self) -> dict:
-        return {
-            "eigenvalues": self.eigenvalues.tolist(),
-            "eigenvectors": self.eigenvectors.tolist(),
-        }
-
     @classmethod
     def from_config(cls, cfg: dict) -> "CovarianceOperator":
-        lam = np.asarray(cfg["eigenvalues"], dtype=np.float64)
+        lam = np.asarray(config_floats(cfg["eigenvalues"], "covariance eigenvalues"))
         if "eigenvectors" in cfg:
             return cls(lam, np.asarray(cfg["eigenvectors"], dtype=np.float64))
         if "rotation_seed" in cfg:
-            gen = stream(int(cfg["rotation_seed"]), "covariance-rotation")
+            gen = stream(config_int(cfg["rotation_seed"], "covariance rotation_seed", minimum=0), "covariance-rotation")
             q, _ = np.linalg.qr(normals(gen, (lam.shape[0], lam.shape[0])))
             return cls(lam, q)
         return cls(lam, np.eye(lam.shape[0]))
@@ -142,13 +136,6 @@ class VerificationReport:
         return out
 
 
-def _mc_mean_se(vals: np.ndarray):
-    n = vals.shape[0]
-    est = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return est, se
-
-
 def white_noise(h, z, q: CovarianceOperator) -> float:
     """W_h(z) = <Q^{-1/2} h, z>."""
     z = np.asarray(z, dtype=np.float64)
@@ -164,7 +151,7 @@ def white_noise_isometry_check(h1, h2, q: CovarianceOperator, n_mc: int, seed: i
     z = q.sample(gen, n_mc)
     w1 = z @ q.wn_coeff(h1)
     w2 = z @ q.wn_coeff(h2)
-    est, se = _mc_mean_se(w1 * w2)
+    est, se = mc_mean_se(w1 * w2)
     target = float(np.dot(np.asarray(h1, dtype=np.float64), np.asarray(h2, dtype=np.float64)))
     return VerificationReport(est, se, target, abs(est - target) <= 4.0 * se)
 
@@ -181,8 +168,8 @@ def characteristic_identity_check(
     gen = stream(seed, "characteristic")
     z = q.sample(gen, n_mc)
     w = z @ q.wn_coeff(h)
-    re_est, re_se = _mc_mean_se(np.cos(lam * w))
-    im_est, im_se = _mc_mean_se(np.sin(lam * w))
+    re_est, re_se = mc_mean_se(np.cos(lam * w))
+    im_est, im_se = mc_mean_se(np.sin(lam * w))
     h = np.asarray(h, dtype=np.float64)
     target = float(np.exp(-(lam**2) * np.dot(h, h) / 2.0))
     ok_re = abs(re_est - target) <= 4.0 * re_se
@@ -211,7 +198,7 @@ def feature_inner_mc(x, xp, gamma: float, q: CovarianceOperator, n_mc: int, seed
     z = q.sample(gen, n_mc)
     w = z @ q.wn_coeff(x - xp)
     lam = math.sqrt(2.0) / gamma
-    est, se = _mc_mean_se(np.cos(lam * w))
+    est, se = mc_mean_se(np.cos(lam * w))
     diff = x - xp
     target = float(np.exp(-np.dot(diff, diff) / gamma**2))
     return VerificationReport(est, se, target, abs(est - target) <= 4.0 * se)
@@ -228,7 +215,7 @@ def canonical_surjection_eval(g, x, gamma: float, q: CovarianceOperator, n_mc: i
     w = z @ q.wn_coeff(x)
     lam = math.sqrt(2.0) / gamma
     vals = np.real(np.exp(-1j * lam * w) * np.asarray(g(z)))
-    return _mc_mean_se(vals)
+    return mc_mean_se(vals)
 
 
 def smoothed_bayes_eval(
@@ -254,7 +241,7 @@ def smoothed_bayes_eval(
     fstar = np.where(y[:, 0] >= 0.0, 1.0, -1.0) if labeler is None else np.asarray(labeler(y))
     diff = y - x
     weights = np.exp(-np.einsum("ij,ij->i", diff, diff) / gamma**2)
-    raw, se = _mc_mean_se(fstar * weights)
+    raw, se = mc_mean_se(fstar * weights)
     clamped = min(1.0, max(-1.0, raw))
     within = abs(raw) <= 1.0 + 4.0 * se
     return VerificationReport(raw, se, clamped, within, extras={"clamped": clamped})
@@ -325,7 +312,7 @@ def geometric_noise_integrals(
         sq2 = np.einsum("ij,ij->i", shifted, shifted)
         t2[:, k] = np.mean(np.exp(-sq2 / col), axis=1) * weights[k]
     results = [
-        NoiseIntegrals(float(tj), *_mc_mean_se(t1[j]), *_mc_mean_se(t2[j])) for j, tj in enumerate(ts)
+        NoiseIntegrals(float(tj), *mc_mean_se(t1[j]), *mc_mean_se(t2[j])) for j, tj in enumerate(ts)
     ]
     if scalar:
         results, t1, t2 = results[0], t1[0], t2[0]

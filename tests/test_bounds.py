@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from tsk import (
 )
 from tsk.bounds import ApproxErrorEstimate, OracleTerms, approx_error_summary
 from tsk.errors import InputError
+from tsk.kme import concentration_bound
 from tsk.svm import train
 from tsk.hilbert_kernel import HolderModulus
 
@@ -60,7 +62,9 @@ class TestOracleRhs:
             n=64, lam=0.05, tau=2.0, bag_sizes=tuple([100] * 32 + [400] * 32), modulus=MOD,
             approx_error=0.2, bayes_gap=0.01,
         )
-        rhs = oracle_rhs(terms)
+        with mock.patch("tsk.bounds.concentration_bound", wraps=concentration_bound) as bound:
+            rhs = oracle_rhs(terms)
+        assert bound.call_count == 2  # once per distinct bag size
         assert rhs.total == rhs.approx + rhs.gap + rhs.estimation + rhs.confidence + rhs.shift + rhs.embedding
 
     def test_vanishing_terms_at_zero_approx_and_huge_bags(self):

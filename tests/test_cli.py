@@ -81,18 +81,21 @@ class TestRates:
         assert str(missing) in capsys.readouterr().err
 
 
+NOISE_EXPONENT = json.loads((CONFIGS / "noise_exponent_r5.json").read_text())
+KME_COVERAGE = json.loads((CONFIGS / "kme_coverage.json").read_text())
 NON_INTEGER_SIZES = [
     ("rates", SMOKE_RATES, {"n_grid": [8.7, 16]}),
     ("rates", SMOKE_RATES, {"replicates": 1.5}),
     ("rates", SMOKE_RATES, {"test_bags": True}),
     ("rates", SMOKE_RATES, {"n_grid": ["a", 16]}),
     ("rates", SMOKE_RATES, {"replicates": None}),
-    ("kme-coverage", json.loads((CONFIGS / "kme_coverage.json").read_text()), {"trials": 20.9}),
-    ("noise-exponent", json.loads((CONFIGS / "noise_exponent_r5.json").read_text()), {"n_outer": 20.7, "n_inner": 50}),
+    ("kme-coverage", KME_COVERAGE, {"trials": 20.9}),
+    ("noise-exponent", NOISE_EXPONENT, {"n_outer": 20.7, "n_inner": 50}),
     ("approx-error", json.loads((CONFIGS / "approx_error_hard_margin.json").read_text()), {"big_n": 10.5}),
     ("approx-error", json.loads((CONFIGS / "approx_error_hard_margin.json").read_text()), {"test_n": "80"}),
     ("approx-error", json.loads((CONFIGS / "approx_error_hard_margin.json").read_text()), {"embedding": 2.5}),
     ("approx-error", json.loads((CONFIGS / "approx_error_hard_margin.json").read_text()), {"embedding": "x"}),
+    ("noise-exponent", NOISE_EXPONENT, {"covariance": {"eigenvalues": [1.0, 0.8, 0.6, 0.4, 0.2], "rotation_seed": 3.7}}),
 ]
 
 
@@ -101,7 +104,8 @@ def test_non_integer_size_exits_2(tmp_path, capsys, cmd, base, fields):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(base | fields))
     assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-    assert "must be an integer" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "must be an integer" in err and any(name in err for name in fields)
 
 
 def test_train_non_integer_max_sweeps_exits_2(tmp_path, capsys):
@@ -115,9 +119,14 @@ def test_train_non_integer_max_sweeps_exits_2(tmp_path, capsys):
 NOT_FINITE_NUMBERS = [
     ("rates", SMOKE_RATES, {"schedule": {"kind": "thm55", "alpha": "x", "mu": 0.25}}, "must be a finite number"),
     ("rates", SMOKE_RATES, {"row_time_cap_s": 0}, "must be > 0"),
-    ("kme-coverage", json.loads((CONFIGS / "kme_coverage.json").read_text()), {"sigma": "wide"}, "must be a finite number"),
+    ("kme-coverage", KME_COVERAGE, {"sigma": "wide"}, "must be a finite number"),
     ("approx-error", json.loads((CONFIGS / "approx_error_hard_margin.json").read_text()), {"lambda_grid": ["a", 0.1]}, "must be a finite number"),
     ("approx-error", json.loads((CONFIGS / "approx_error_hard_margin.json").read_text()), {"lambda_grid": [0.0, 0.1]}, "must be > 0"),
+    ("kme-coverage", KME_COVERAGE, {"mean": ["a", "b"]}, "mean must be a finite number"),
+    ("noise-exponent", NOISE_EXPONENT, {"t_grid": ["2.0", 1, 0.5, 0.25]}, "t_grid must be a finite number"),
+    ("noise-exponent", NOISE_EXPONENT, {"t_grid": [True, 1, 0.5, 0.25]}, "t_grid must be a finite number"),
+    ("noise-exponent", NOISE_EXPONENT, {"floor": "1e-12"}, "floor must be a finite number"),
+    ("noise-exponent", NOISE_EXPONENT, {"covariance": {"eigenvalues": ["1", "0.5", "0.5", "0.5", "0.5"]}}, "eigenvalues must be a finite number"),
 ]
 
 
@@ -138,6 +147,8 @@ NESTED_FIELDS = [
     (None, "approx_error", {"model": "constant", "value": "x"}, "must be a finite number"),
     ("base_kernel", "dim", 2.7, "must be an integer"),
     ("meta", "dim", 2.7, "must be an integer"),
+    (None, "approx_error", {"model": "constant", "value": -0.1}, "approx_error value must be >= 0"),
+    (None, "approx_error", {"model": "power", "c": -1.0, "beta": 0.5}, "approx_error c must be >= 0"),
 ]
 
 

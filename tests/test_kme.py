@@ -16,7 +16,7 @@ from tsk import (
 )
 from tsk._backend import pair_sum, pair_sums
 from tsk.errors import InputError, NumericalConsistencyError, UnsupportedError
-from tsk.kme import _clamp_sq, gaussian_kme_inner_matrix
+from tsk.kme import gaussian_kme_inner_matrix, squared_distances
 
 from oracles import brute_pair_sum
 
@@ -105,9 +105,10 @@ class TestRkhsDistance:
             assert rkhs_distance(e1, e3) <= rkhs_distance(e1, e2) + rkhs_distance(e2, e3) + 1e-9
 
     def test_noise_clamped_but_corruption_raises(self):
-        assert _clamp_sq(-5e-11) == 0.0
+        # ||a||^2 + ||b||^2 - 2 <a, b> with ||a||^2 below 0 by noise, then by corruption
+        assert squared_distances(np.zeros((1, 1)), np.array([-5e-11]), np.zeros(1))[0, 0] == 0.0
         with pytest.raises(NumericalConsistencyError):
-            _clamp_sq(-1e-9)
+            squared_distances(np.zeros((1, 1)), np.array([-1e-9]), np.zeros(1))
 
 
 class TestConcentrationBound:

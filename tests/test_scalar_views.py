@@ -1,0 +1,71 @@
+"""Each per-example rule has one vectorized implementation; its scalar view
+must equal the matching element of the batch call bit for bit, and return a
+float."""
+
+import numpy as np
+import pytest
+
+from tsk import BaseKernel, MetaDistribution, base_eval, delta_to_boundary, eta, sample_first_stage
+from tsk._backend import pair_sums
+from tsk.base_kernels import FAMILY_CODES
+from tsk.errors import InputError
+from tsk.kme import EmpiricalBatch, ExactBatch, cross_inner, squared_distance, squared_distances, squared_norms
+from tsk.svm import clip, hinge, sgn, zero_one
+from tsk.synth import delta_batch, eta_batch
+
+RNG = np.random.default_rng(17)
+T = np.concatenate([[-2.0, -1.0, -0.0, 0.0, 1.0, 2.0], RNG.normal(scale=1.5, size=10)])
+Y = np.where(RNG.random(T.size) < 0.5, -1, 1)
+HM = MetaDistribution("hard_margin", 2, 2.0, 0.25, 0.5, 0.5, margin=1.0)
+OVERLAP = MetaDistribution("gaussian_overlap", 3, 1.0, 0.8, 0.0, 0.3)
+HM_MEANS = sample_first_stage(HM, 12, 5)[0]
+OVERLAP_MEANS = sample_first_stage(OVERLAP, 12, 6)[0]
+POINTS = 3.0 * RNG.normal(size=(12, 2))
+
+
+def _distance_case():
+    rng, base = np.random.default_rng(3), BaseKernel("gaussian", 0.9, 2)
+    a = ExactBatch(base, rng.normal(size=(4, 2)), rng.uniform(0.0, 0.5, size=4))
+    b = EmpiricalBatch(base, rng.normal(size=(6, 2)), rng.uniform(0.1, 1.0, size=6), np.cumsum([0, 1, 3, 2]))
+    batch = squared_distances(cross_inner(a, b), squared_norms(a), squared_norms(b)).ravel()
+    return (lambda i: squared_distance(a.take([i // len(b)]), b.take([i % len(b)]))), batch
+
+
+def _base_eval_case(family, dim):
+    rng, k = np.random.default_rng(dim), BaseKernel(family, 1.3, dim)
+    x, ys = rng.normal(size=dim), rng.normal(size=(7, dim))
+    row = pair_sums(x[None, :], [1.0], ys, np.ones(len(ys)), np.arange(len(ys) + 1), FAMILY_CODES[family], k.width)
+    return (lambda i: base_eval(k, x, ys[i])), row
+
+
+CASES = {
+    "hinge": lambda: ((lambda i: hinge(Y[i], T[i])), hinge(Y, T)),
+    "zero_one": lambda: ((lambda i: zero_one(Y[i], T[i])), zero_one(Y, T)),
+    "clip": lambda: ((lambda i: clip(T[i], 0.7)), clip(T, 0.7)),
+    "sgn": lambda: ((lambda i: sgn(T[i])), sgn(T)),
+    "eta hard_margin": lambda: ((lambda i: eta(HM, HM_MEANS[i])), eta_batch(HM, HM_MEANS)),
+    "eta gaussian_overlap": lambda: ((lambda i: eta(OVERLAP, OVERLAP_MEANS[i])), eta_batch(OVERLAP, OVERLAP_MEANS)),
+    "delta_to_boundary": lambda: ((lambda i: delta_to_boundary(HM, POINTS[i])), delta_batch(HM, POINTS)),
+    "squared_distance": _distance_case,
+    "base_eval gaussian": lambda: _base_eval_case("gaussian", 3),
+    "base_eval laplacian": lambda: _base_eval_case("laplacian", 3),
+    "base_eval gaussian d > 64": lambda: _base_eval_case("gaussian", 70),
+}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_scalar_view_equals_its_batch_element(name):
+    scalar, batch = CASES[name]()
+    assert batch.ndim == 1 and batch.size > 1
+    for i, want in enumerate(batch):
+        got = scalar(i)
+        assert type(got) is float and np.float64(got).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [0, 2, "1"])
+@pytest.mark.parametrize("rule", [hinge, zero_one])
+def test_labels_other_than_plus_minus_one_are_rejected(rule, bad):
+    with pytest.raises(InputError, match="labels must be -1 or"):
+        rule(bad, 0.5)
+    with pytest.raises(InputError, match="labels must be -1 or"):
+        rule([1, bad, -1], np.array([0.5, 0.5, 0.5]))

@@ -16,7 +16,7 @@ from tsk import (
     sample_second_stage,
 )
 from tsk.errors import InputError, UnsupportedError
-from tsk.synth import Bag, bags_from_json, bags_to_json, eta_batch
+from tsk.synth import bags_from_json, bags_to_json, eta_batch
 
 HM = MetaDistribution("hard_margin", 2, 2.0, 0.25, 0.5, 0.5, margin=1.0)
 OVERLAP_1D = MetaDistribution("gaussian_overlap", 1, 1.0, 1.0, 0.0, 0.5)
