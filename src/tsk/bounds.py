@@ -18,9 +18,9 @@ from .base_kernels import BaseKernel
 from .errors import InputError
 from .hilbert_kernel import HilbertKernel, HolderModulus
 from .kme import ExactBatch, PointBatch, concentration_bound
-from .svm import build_gram, decision_values, hinge, train
+from .svm import build_gram, decision_values_path, hinge, train
 from .synth import MetaDistribution, embed_inputs, sample_first_stage
-from .rng import subseed as _subseed
+from .rng import mc_mean_se, subseed as _subseed
 
 __all__ = [
     "OracleTerms",
@@ -169,7 +169,8 @@ def approx_error_estimate(
     clamped at 0. The min over the grid stands in for the infimum over the
     RKHS, which biases Ahat upward -- the conservative direction for every
     check that consumes it. Each solve's `converged` flag and KKT residual
-    are reported next to the estimates.
+    are reported next to the estimates. The test kernel is evaluated once for
+    the whole grid (`svm.decision_values_path`).
 
     input_space "kme" embeds the inputs through the base kernel; "mean" uses
     the raw mean vectors as Hilbert-space points (identity embedding), which
@@ -197,25 +198,19 @@ def approx_error_estimate(
         raise InputError(f"unknown input_space {input_space!r}")
     gram = build_gram(hkernel, support)
 
-    test_risks, norm_sqs, converged, kkt = [], [], [], []
-    for lam in lam_grid:
-        model = train(gram, train_labels, lam, support=support, hkernel=hkernel)
-        vals = decision_values(model, targets)
-        test_risks.append(float(np.mean(hinge(test_labels, vals))))
-        norm_sqs.append(model.norm_sq)
-        converged.append(model.converged)
-        kkt.append(model.kkt)
+    models = [train(gram, train_labels, lam, support=support, hkernel=hkernel) for lam in lam_grid]
+    test_risks = [float(np.mean(hinge(test_labels, vals))) for vals in decision_values_path(models, targets)]
     best = min(test_risks)
-    reg_values = [r + lam * ns for r, lam, ns in zip(test_risks, lam_grid, norm_sqs)]
+    reg_values = [r + m.lam * m.norm_sq for r, m in zip(test_risks, models)]
     ahat = [max(v - best, 0.0) for v in reg_values]
     return ApproxErrorEstimate(
         lam_grid=lam_grid,
         test_risks=tuple(test_risks),
         reg_values=tuple(reg_values),
-        norm_sqs=tuple(norm_sqs),
+        norm_sqs=tuple(m.norm_sq for m in models),
         ahat=tuple(ahat),
-        converged=tuple(converged),
-        kkt=tuple(kkt),
+        converged=tuple(m.converged for m in models),
+        kkt=tuple(m.kkt for m in models),
     )
 
 
@@ -230,7 +225,9 @@ def approx_error_summary(
     input_space: str = "kme",
     test_n=None,
 ):
-    """Mean and standard error of Ahat over independent seeds."""
+    """Mean and standard error of Ahat over independent seeds (at least one)."""
+    if not seeds:
+        raise InputError("approx-error needs at least one seed")
     runs = [
         approx_error_estimate(
             meta, hkernel, lam_grid, big_n, big_m_or_exact, s,
@@ -238,9 +235,7 @@ def approx_error_summary(
         )
         for s in seeds
     ]
-    ahat = np.array([r.ahat for r in runs])
-    mean = ahat.mean(axis=0)
-    se = ahat.std(axis=0, ddof=1) / math.sqrt(len(runs)) if len(runs) > 1 else np.zeros(len(lam_grid))
+    mean, se = mc_mean_se(np.array([r.ahat for r in runs]))
     return {
         "lambda_grid": [float(l) for l in lam_grid],
         "ahat_mean": mean.tolist(),

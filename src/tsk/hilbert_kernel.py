@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, UnsupportedError, config_float
-from .kme import cross_inner, squared_distances, squared_norms
+from .kme import _squared_distances_into, cross_inner, squared_norms
 
 __all__ = ["HilbertKernel", "HolderModulus", "hk_from_inner", "hk_eval", "feature_distance", "lipschitz_modulus"]
 
@@ -73,16 +73,25 @@ class HolderModulus:
         return self.coefficient * s**self.exponent
 
 
+def _hk_into(hk: HilbertKernel, inners: np.ndarray, norms_a: np.ndarray, norms_b: np.ndarray) -> np.ndarray:
+    """`hk_from_inner` computed in the caller's float64 matrix of inner products,
+    which it overwrites and returns: one buffer per kernel block."""
+    if hk.family == H_LINEAR:
+        return inners
+    d2 = _squared_distances_into(inners, norms_a, norms_b)
+    return np.exp(np.divide(d2, -(hk.width**2), out=d2), out=d2)
+
+
 def hk_from_inner(hk: HilbertKernel, inners: np.ndarray, norms_a: np.ndarray, norms_b: np.ndarray) -> np.ndarray:
-    """Second-level values from <a_i, b_j>, ||a_i||^2 and ||b_j||^2.
+    """Second-level values from <a_i, b_j>, ||a_i||^2 and ||b_j||^2; the inputs are unchanged.
 
     gaussian: exp(-d2 / width^2) with d2 the squared distances of
-    `kme.squared_distances`; linear: the inner products themselves.
+    `kme.squared_distances`, in one copy of the inner products; linear: the
+    inner products themselves.
     """
     if hk.family == H_LINEAR:
         return inners
-    d2 = squared_distances(inners, norms_a, norms_b)
-    return np.exp(np.divide(d2, -(hk.width**2), out=d2), out=d2)
+    return _hk_into(hk, np.array(inners, dtype=np.float64), norms_a, norms_b)
 
 
 def hk_eval(hk: HilbertKernel, e1, e2) -> float:

@@ -282,20 +282,38 @@ def inner(e1, e2) -> float:
     return float(cross_inner(e1, e2)[0, 0])
 
 
-def _clamp_sq(sq):
-    """Squared distances (scalar or array) with noise in [-NEG_TOL, 0) set to 0; lower or NaN raises."""
+def _clamp_sq(sq: np.ndarray) -> np.ndarray:
+    """Squared distances with noise in [-NEG_TOL, 0) set to 0 in place; lower or NaN raises."""
     low = np.min(sq, initial=0.0)
     if not low >= -NEG_TOL:
         raise NumericalConsistencyError(
             f"squared RKHS distance {low} is below -{NEG_TOL}; inner products are inconsistent"
         )
-    return np.maximum(sq, 0.0)
+    return np.maximum(sq, 0.0, out=sq)
+
+
+# entries of the norm-sum temporary of `_squared_distances_into`, so no temporary is full size
+_BLOCK_ENTRIES = 1 << 15
+
+
+def _squared_distances_into(inners: np.ndarray, norms_a: np.ndarray, norms_b: np.ndarray) -> np.ndarray:
+    """Overwrite the caller's float64 matrix of <a_i, b_j> with the clamped squared
+    distances (||a_i||^2 + ||b_j||^2) - 2 <a_i, b_j> and return it. The norm sums
+    are formed one row block at a time; 2x is exact, so every entry is bit for bit
+    the one of the full-size expression."""
+    rows = max(1, _BLOCK_ENTRIES // max(inners.shape[1], 1))
+    for lo in range(0, inners.shape[0], rows):
+        block = inners[lo : lo + rows]
+        block *= 2.0
+        np.subtract(norms_a[lo : lo + rows, None] + norms_b[None, :], block, out=block)
+    return _clamp_sq(inners)
 
 
 def squared_distances(inners: np.ndarray, norms_a: np.ndarray, norms_b: np.ndarray) -> np.ndarray:
     """Matrix of ||a_i - b_j||^2 = ||a_i||^2 + ||b_j||^2 - 2 <a_i, b_j> from the
-    inner products and both vectors of squared norms, noise below 0 clamped by `_clamp_sq`."""
-    return _clamp_sq(norms_a[:, None] + norms_b[None, :] - 2.0 * inners)
+    inner products and both vectors of squared norms, noise below 0 clamped by
+    `_clamp_sq`; computed in one copy of the inner products, the inputs are unchanged."""
+    return _squared_distances_into(np.array(inners, dtype=np.float64), norms_a, norms_b)
 
 
 def squared_distance(e1, e2) -> float:

@@ -52,9 +52,10 @@ def normals(gen: np.random.Generator, shape) -> np.ndarray:
 
 
 def mc_mean_se(vals: np.ndarray):
-    """Monte Carlo mean of the draws and its standard error (sample SD with
-    ddof=1 over sqrt(n); 0 for a single draw), both as floats."""
+    """Monte Carlo mean of the draws along axis 0 and its standard error (sample
+    SD with ddof=1 over sqrt(n); 0 for a single draw): two floats for 1-D draws,
+    else two arrays over the remaining axes."""
     n = vals.shape[0]
-    est = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return est, se
+    est = vals.mean(axis=0)
+    se = vals.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(est)
+    return (float(est), float(se)) if vals.ndim == 1 else (est, se)

@@ -12,7 +12,8 @@ minimal regularized empirical risk.
 
 Grams and decision values over batches of embeddings (`kme.ExactBatch`,
 `kme.EmpiricalBatch`, `kme.PointBatch`) come only from `kme.cross_inner`,
-`kme.squared_norms` and `hilbert_kernel.hk_from_inner`.
+`kme.squared_norms` and the second-level kernel of `hilbert_kernel`, computed
+in the one buffer `cross_inner` returns.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from . import _backend
 from .base_kernels import BaseKernel
 from .errors import InputError, NumericalConsistencyError, UnsupportedError
-from .hilbert_kernel import HilbertKernel, hk_from_inner
+from .hilbert_kernel import HilbertKernel, _hk_into
 from .kme import EmpiricalBatch, ExactBatch, SampleSet, cross_inner, embed, squared_norms
 
 __all__ = [
@@ -39,6 +40,7 @@ __all__ = [
     "train",
     "decision_value",
     "decision_values",
+    "decision_values_path",
     "predict",
     "regularized_empirical_risk",
     "kkt_residual",
@@ -321,15 +323,39 @@ def _require_support(model: SvmModel):
         raise InputError("model carries no support embeddings; prediction is unavailable")
 
 
+def decision_values_path(models, targets) -> np.ndarray:
+    """Decision values of several models on one target batch, one row per model.
+
+    The models must share one support batch and one second-level kernel, as
+    the models of a lambda grid trained on one Gram do. The kernel between
+    the union of their nonzero-coefficient support rows and the targets is
+    evaluated once, in the buffer `kme.cross_inner` returns; row j is
+    coef_j[nz_j] @ K[rows of nz_j], bit for bit the `decision_values` of
+    model j on its own.
+    """
+    models = list(models)
+    if not models:
+        raise InputError("decision_values_path needs at least one model")
+    for model in models:
+        _require_support(model)
+        if model.support is not models[0].support or model.hkernel != models[0].hkernel:
+            raise InputError("models of one decision path must share one support batch and one second-level kernel")
+    coefs = [m.dual_coefs * m.labels for m in models]
+    nonzeros = [np.flatnonzero(c) for c in coefs]
+    union = np.unique(np.concatenate(nonzeros))
+    support = models[0].support.take(union)
+    kernel = _hk_into(models[0].hkernel, cross_inner(support, targets), squared_norms(support), squared_norms(targets))
+    out = np.empty((len(models), kernel.shape[1]))
+    for row, coef, nz in zip(out, coefs, nonzeros):
+        # the gather copies as much as the kernel costs, so skip it when nz is the union
+        row[:] = coef[nz] @ (kernel if nz.size == union.size else kernel[np.searchsorted(union, nz)])
+    return out
+
+
 def decision_values(model: SvmModel, targets) -> np.ndarray:
     """f(e) = sum_i alpha_i y_i k(support_i, e) for each embedding of the target
     batch, summed over the support entries with nonzero coefficients only."""
-    _require_support(model)
-    coef = model.dual_coefs * model.labels
-    nonzero = np.flatnonzero(coef)
-    support = model.support.take(nonzero)
-    inners = cross_inner(support, targets)
-    return coef[nonzero] @ hk_from_inner(model.hkernel, inners, squared_norms(support), squared_norms(targets))
+    return decision_values_path([model], targets)[0]
 
 
 def decision_value(model: SvmModel, e) -> float:
@@ -372,8 +398,8 @@ def build_gram(hk: HilbertKernel, batch) -> GramMatrix:
     if len(batch) == 0:
         raise InputError("cannot build a Gram matrix from zero embeddings")
     inners = cross_inner(batch, batch)
-    norms = np.diag(inners)
-    return GramMatrix(hk_from_inner(hk, inners, norms, norms))
+    norms = np.diag(inners).copy()  # a view of the buffer that `_hk_into` overwrites
+    return GramMatrix(_hk_into(hk, inners, norms, norms))
 
 
 def model_to_json(model: SvmModel) -> dict:

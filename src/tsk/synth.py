@@ -184,11 +184,13 @@ def eta_batch(meta: MetaDistribution, means: np.ndarray) -> np.ndarray:
 def bayes_risk(meta: MetaDistribution, mc_draws: int, seed: int):
     """Monte Carlo estimate of E[min(eta, 1 - eta)] over the center law.
 
-    Returns (estimate, standard_error). Exactly zero for hard_margin since
-    the conditional probability is 0/1 on the supports.
+    Returns (estimate, standard_error). Exactly (0.0, 0.0) for hard_margin,
+    without sampling, since the conditional probability is 0/1 there.
     """
     if mc_draws < 1:
         raise InputError("mc_draws must be >= 1")
+    if meta.family == HARD_MARGIN:
+        return 0.0, 0.0
     means, _ = sample_first_stage(meta, mc_draws, seed)
     e = eta_batch(meta, means)
     return mc_mean_se(np.minimum(e, 1.0 - e))

@@ -101,7 +101,7 @@ class CovarianceOperator:
     def from_config(cls, cfg: dict) -> "CovarianceOperator":
         lam = np.asarray(config_floats(cfg["eigenvalues"], "covariance eigenvalues"))
         if "eigenvectors" in cfg:
-            return cls(lam, np.asarray(cfg["eigenvectors"], dtype=np.float64))
+            return cls(lam, np.array([config_floats(row, "covariance eigenvectors") for row in cfg["eigenvectors"]]))
         if "rotation_seed" in cfg:
             gen = stream(config_int(cfg["rotation_seed"], "covariance rotation_seed", minimum=0), "covariance-rotation")
             q, _ = np.linalg.qr(normals(gen, (lam.shape[0], lam.shape[0])))

@@ -116,6 +116,7 @@ def test_train_non_integer_max_sweeps_exits_2(tmp_path, capsys):
     assert "must be an integer" in capsys.readouterr().err
 
 
+COV_EIGENVALUES = {"eigenvalues": [1.0, 0.8, 0.6, 0.4, 0.2]}
 NOT_FINITE_NUMBERS = [
     ("rates", SMOKE_RATES, {"schedule": {"kind": "thm55", "alpha": "x", "mu": 0.25}}, "must be a finite number"),
     ("rates", SMOKE_RATES, {"row_time_cap_s": 0}, "must be > 0"),
@@ -127,6 +128,10 @@ NOT_FINITE_NUMBERS = [
     ("noise-exponent", NOISE_EXPONENT, {"t_grid": [True, 1, 0.5, 0.25]}, "t_grid must be a finite number"),
     ("noise-exponent", NOISE_EXPONENT, {"floor": "1e-12"}, "floor must be a finite number"),
     ("noise-exponent", NOISE_EXPONENT, {"covariance": {"eigenvalues": ["1", "0.5", "0.5", "0.5", "0.5"]}}, "eigenvalues must be a finite number"),
+    ("noise-exponent", NOISE_EXPONENT, {"covariance": COV_EIGENVALUES | {"eigenvectors": [[str(v) for v in row] for row in np.eye(5)]}}, "eigenvectors must be a finite number"),
+    ("noise-exponent", NOISE_EXPONENT, {"covariance": COV_EIGENVALUES | {"eigenvectors": [[bool(v) for v in row] for row in np.eye(5)]}}, "eigenvectors must be a finite number"),
+    ("noise-exponent", NOISE_EXPONENT, {"covariance": COV_EIGENVALUES | {"eigenvectors": [[math.nan] * 5] + np.eye(5)[1:].tolist()}}, "eigenvectors must be a finite number"),
+    ("noise-exponent", NOISE_EXPONENT, {"covariance": COV_EIGENVALUES | {"eigenvectors": ["1 0 0 0 0"] + np.eye(5)[1:].tolist()}}, "eigenvectors must be a list of numbers"),
 ]
 
 
