@@ -1,11 +1,18 @@
 """The two numpy inner loops: blocked pair sums and the dual coordinate pass.
 
 `pair_sums` is the one pair-sum path of `kme`: one kernel pass of a left
-expansion against the stacked points of many right expansions. Each right
-point's kernel row is reduced over the left atoms in a fixed order, then the
+expansion against the stacked points of many right expansions. Each block
+takes four array passes: distances into a reused buffer, one multiply by the
+precomputed rate, `exp`, and one fused weighted row sum. Each right point's
+kernel row is reduced over the left atoms in a fixed order, then the
 per-point values are summed per right expansion, so every value depends only
 on its two expansions, not on the other expansions in the batch or on the
 memory blocking. `pair_sum` is its one-segment call.
+
+`weighted_row_sums` is the one rule for a weighted kernel-row sum in `tsk`:
+numpy's own `einsum` loop, not BLAS, whose order of summation within a row
+does not depend on the other rows. A BLAS matrix-vector product may block
+rows differently with the shape, so a row could change with its neighbours.
 
 `cd_sweep` is the coordinate pass of `svm.train`.
 """
@@ -39,17 +46,25 @@ def _dist_block(Y: np.ndarray, X: np.ndarray, family: int, out: np.ndarray) -> n
     return np.sum(diff, axis=2, out=out)
 
 
+def weighted_row_sums(block: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sum_j block[i, j] w[j] for each row i, written into out; each row is
+    reduced on its own in a fixed order (numpy's einsum loop, no BLAS)."""
+    return np.einsum("ij,j->i", block, w, out=out)
+
+
 def pair_sums(X, wx, Y, wy, offsets, family: int, width: float, row_block=None) -> np.ndarray:
     """sum_ij wx_i wy_j k(x_i, y_j) of the left expansion (X, wx) against each
     right expansion Y[offsets[s]:offsets[s + 1]], for family 0 = gaussian,
     1 = laplacian; offsets run from 0 to len(Y) and every segment is nonempty.
 
     One kernel pass: the (right points x left atoms) block is built
-    `row_block` whole right points at a time, each right point's row is
-    weighted by wx and summed in a fixed order, and the per-point values
-    times wy are summed per segment. A value therefore depends only on
-    (X, wx) and its own segment, never on the other segments, their order,
-    `row_block` or the block budget.
+    `row_block` whole right points at a time into one reused buffer, scaled
+    in place by rate = -1/width^2 (gaussian) or -1/width (laplacian),
+    exponentiated in place, and each right point's row is weighted by wx and
+    summed by `weighted_row_sums`; the per-point values times wy are then
+    summed per segment. A value therefore depends only on (X, wx) and its own
+    segment, never on the other segments, their order, `row_block` or the
+    block budget.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     Y = np.ascontiguousarray(Y, dtype=np.float64)
@@ -62,16 +77,15 @@ def pair_sums(X, wx, Y, wy, offsets, family: int, width: float, row_block=None) 
     if row_block is None:
         row_block = max(1, _BLOCK_BUDGET // (m * (X.shape[1] if X.shape[1] > 64 else 1)))
     row_block = min(row_block, n)
-    scale = -(width * width if family == 0 else width)
+    rate = -1.0 / (width * width if family == 0 else width)
     buf = np.empty(row_block * m)
     v = np.empty(n)
     for r0 in range(0, n, row_block):
         r1 = min(r0 + row_block, n)
         block = _dist_block(Y[r0:r1], X, family, buf[: (r1 - r0) * m].reshape(r1 - r0, m))
-        np.divide(block, scale, out=block)
+        block *= rate
         np.exp(block, out=block)
-        block *= wx
-        np.sum(block, axis=1, out=v[r0:r1])
+        weighted_row_sums(block, wx, out=v[r0:r1])
     v *= wy
     return np.add.reduceat(v, offsets[:-1])
 

@@ -63,8 +63,8 @@ def _write_output(path: str, text: str):
         tmp.unlink(missing_ok=True)
 
 
-def _write_json(path: str, payload: dict):
-    _write_output(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _write_json(path: str, payload: dict, indent: int | None = 2):
+    _write_output(path, json.dumps(payload, indent=indent, sort_keys=True) + "\n")
 
 
 def _cmd_rates(args) -> int:
@@ -216,7 +216,9 @@ def _cmd_train(args) -> int:
         support=embs,
         hkernel=hk,
     )
-    _write_json(args.out, model_to_json(model))
+    # a model holds every support sample: written on one line, it goes through
+    # json's C encoder, which an indent would switch off (~4x slower)
+    _write_json(args.out, model_to_json(model), indent=None)
     print(
         f"train: N={len(bags)} lambda={lam} kkt={model.kkt:.2e} "
         f"{'converged' if model.converged else 'NOT converged'} -> {args.out}"

@@ -32,6 +32,7 @@ __all__ = [
     "PointBatch",
     "embed",
     "embed_bags",
+    "uniform_weights",
     "exact_gaussian_embedding",
     "inner",
     "cross_inner",
@@ -60,6 +61,15 @@ class SampleSet:
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise InputError(f"sample set must be a nonempty (M, d) matrix, got shape {pts.shape}")
         object.__setattr__(self, "points", pts)
+
+    @classmethod
+    def from_json(cls, samples) -> SampleSet:
+        """A bag read from JSON: a nonempty (M, d) matrix of numbers. Strings and
+        booleans raise rather than being converted."""
+        points = np.asarray(samples)
+        if points.dtype.kind not in "iuf":
+            raise InputError(f"samples must be numbers, got {points.dtype}")
+        return cls(points.astype(np.float64))
 
     @property
     def size(self) -> int:
@@ -174,13 +184,18 @@ class PointBatch:
         return _dot(self.points, self.points)
 
 
+def uniform_weights(m: int) -> np.ndarray:
+    """The weights 1/m of the empirical embedding of an m-point bag."""
+    return np.full(m, 1.0 / m)
+
+
 def embed_bags(k: BaseKernel, bags) -> EmpiricalBatch:
     """Uniform-weight empirical embeddings of a sequence of bags."""
     if any(s.dim != k.dim for s in bags):
         raise InputError(f"bag dimensions {sorted({s.dim for s in bags})} do not match kernel dimension {k.dim}")
     sizes = [s.size for s in bags]
     points = np.concatenate([np.empty((0, k.dim))] + [s.points for s in bags])
-    weights = np.concatenate([np.empty(0)] + [np.full(m, 1.0 / m) for m in sizes])
+    weights = np.concatenate([np.empty(0)] + [uniform_weights(m) for m in sizes])
     return EmpiricalBatch(k, points, weights, np.cumsum([0] + sizes))
 
 
@@ -213,13 +228,13 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _atoms_inner(k: BaseKernel, x: ExactBatch, e: EmpiricalBatch) -> np.ndarray:
     """<x_i, e_j>: each atom of e_j is the sigma' = 0 case of the closed form, and
-    x_i's row of atom values is weighted and summed on its own, in a fixed order."""
+    x_i's row of atom values is weighted and summed on its own by
+    `_backend.weighted_row_sums`."""
     out = np.empty((len(x), len(e)))
     for j in range(len(e)):
         pts, w = e.expansion(j)
         block = gaussian_kme_cross_inner(k, x.means, x.spreads, pts, np.zeros(len(pts)))
-        block *= w
-        np.sum(block, axis=1, out=out[:, j])
+        _backend.weighted_row_sums(block, w, out=out[:, j])
     return out
 
 
@@ -292,7 +307,8 @@ def _clamp_sq(sq: np.ndarray) -> np.ndarray:
     return np.maximum(sq, 0.0, out=sq)
 
 
-# entries of the norm-sum temporary of `_squared_distances_into`, so no temporary is full size
+# entries of the row-block temporaries of `_squared_distances_into` and
+# `gaussian_kme_cross_inner`, so no temporary is full size
 _BLOCK_ENTRIES = 1 << 15
 
 
@@ -366,16 +382,29 @@ def gaussian_kme_cross_inner(
     gets exactly the squared norm of `squared_norms`. The closed form is
     (g / v)^(d/2) exp(-d2 / v), and v and (g / v)^(d/2) depend only on the
     two spreads, so they are computed once per distinct pair of spreads
-    (once per block when every spread is the same).
+    (once per block when every spread is the same). With distinct spreads
+    they are tabulated and gathered one row block at a time, so the
+    distances are the only full-size array.
     """
     if k.family != GAUSSIAN:
         raise UnsupportedError("closed-form KME inner products require the gaussian base kernel")
     d2 = cdist(np.asarray(means_a, dtype=np.float64), np.asarray(means_b, dtype=np.float64), "sqeuclidean")
     sa2, ia = np.unique(np.asarray(spreads_a, dtype=np.float64) ** 2, return_inverse=True)
     sb2, ib = np.unique(np.asarray(spreads_b, dtype=np.float64) ** 2, return_inverse=True)
-    v, scale = _variance_terms(k, sa2[:, None], sb2[None, :])
-    if v.shape != (1, 1):
-        v, scale = v[np.ix_(ia, ib)], scale[np.ix_(ia, ib)]
-    out = np.exp(np.divide(d2, -v, out=d2), out=d2)
-    out *= scale
-    return out
+    if len(sa2) == len(sb2) == 1:
+        v, scale = _variance_terms(k, sa2[:, None], sb2[None, :])
+        np.exp(np.divide(d2, -v, out=d2), out=d2)
+        d2 *= scale
+        return d2
+    # about four block-sized temporaries are live at once: the two tables and a gather
+    rows = max(1, _BLOCK_ENTRIES // (4 * max(d2.shape[1], 1)))
+    for lo in range(0, d2.shape[0], rows):
+        ua, ia_block = np.unique(ia[lo : lo + rows], return_inverse=True)
+        neg_v, scale = _variance_terms(k, sa2[ua, None], sb2[None, :])
+        np.negative(neg_v, out=neg_v)
+        sel = np.ix_(ia_block, ib)
+        block = d2[lo : lo + rows]
+        np.exp(np.divide(block, neg_v[sel], out=block), out=block)
+        block *= scale[sel]
+        del neg_v, scale  # freed before the next block's tables are built
+    return d2

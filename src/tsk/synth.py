@@ -247,10 +247,7 @@ def bags_from_json(text: str):
     for i, rec in enumerate(records):
         try:
             label = rec["label"]
-            points = np.asarray(rec["samples"])
-            if points.dtype.kind not in "iuf":
-                raise InputError(f"samples must be numbers, got {points.dtype}")
-            bags.append(SampleSet(points.astype(np.float64)))
+            bags.append(SampleSet.from_json(rec["samples"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bag {i} is malformed: {exc}") from exc
         if isinstance(label, bool) or label not in (-1, 1):

@@ -404,13 +404,13 @@ class TestTrainPredict:
         model, data = self._exact_model(tmp_path)
         model["support"][2]["spread"] = math.nan
         assert self._predict_exit(tmp_path, model, data) == 2
-        assert "spreads must be finite" in capsys.readouterr().err
+        assert "spread must be a finite number" in capsys.readouterr().err
 
     def test_nan_mean_in_support_exits_2(self, tmp_path, capsys):
         model, data = self._exact_model(tmp_path)
         model["support"][0]["mean"][1] = math.nan
         assert self._predict_exit(tmp_path, model, data) == 2
-        assert "means must be finite" in capsys.readouterr().err
+        assert "mean must be a finite number" in capsys.readouterr().err
 
     def test_support_mixing_means_and_bags_exits_2(self, tmp_path, capsys):
         model, data = self._exact_model(tmp_path)

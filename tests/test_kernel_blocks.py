@@ -151,15 +151,17 @@ def traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def exact_batch(n, seed):
-    # one spread for the whole batch, as the meta-distributions draw it
-    return ExactBatch(BASE, np.random.default_rng(seed).normal(size=(n, 2)), np.full(n, 0.3))
+def exact_batch(n, seed, distinct=False):
+    # one spread for the whole batch, as the meta-distributions draw it, or one per embedding
+    rng = np.random.default_rng(seed)
+    return ExactBatch(BASE, rng.normal(size=(n, 2)), rng.uniform(0.0, 0.5, size=n) if distinct else np.full(n, 0.3))
 
 
 def test_kernel_blocks_allocate_about_one_output():
     build_gram(GAUSS, exact_batch(8, 0))  # lazy set-up outside the traced calls
-    batch = exact_batch(512, 1)
-    assert traced_peak(lambda: build_gram(GAUSS, batch)) <= 1.5 * 512 * 512 * 8
+    for distinct in (False, True):
+        batch = exact_batch(512, 1, distinct)
+        assert traced_peak(lambda: build_gram(GAUSS, batch)) <= 1.5 * 512 * 512 * 8
     nsv, support, targets = 100, exact_batch(100, 2), exact_batch(2000, 3)
     model = model_on(support, GAUSS, range(nsv), 4)
     assert traced_peak(lambda: decision_values(model, targets)) <= 1.5 * nsv * 2000 * 8

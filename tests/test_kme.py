@@ -229,17 +229,19 @@ class TestPairSums:
     @pytest.mark.parametrize("m", [1, 60])
     def test_matches_brute_force(self, family, d, m):
         x, wx, y, wy, offs = self.stacked(np.random.default_rng(41), m, d)
-        got = pair_sums(x, wx, y, wy, offs, 0 if family == "gaussian" else 1, 0.9)
-        want = [brute_pair_sum(x, wx, y[a:b], wy[a:b], family, 0.9) for a, b in zip(offs, offs[1:])]
-        np.testing.assert_allclose(got, want, rtol=1e-12)
+        for width in (0.05, 0.9, 20.0):  # kernel values from ~1e-170 up to ~1
+            got = pair_sums(x, wx, y, wy, offs, 0 if family == "gaussian" else 1, width)
+            want = [brute_pair_sum(x, wx, y[a:b], wy[a:b], family, width) for a, b in zip(offs, offs[1:])]
+            np.testing.assert_allclose(got, want, rtol=1e-12)
 
     @pytest.mark.parametrize("d", [2, 70])
-    def test_independent_of_row_block_and_of_other_segments(self, d):
+    @pytest.mark.parametrize("family", [0, 1], ids=["gaussian", "laplacian"])
+    def test_independent_of_row_block_and_of_other_segments(self, family, d):
         x, wx, y, wy, offs = self.stacked(np.random.default_rng(43), 17, d)
-        runs = [pair_sums(x, wx, y, wy, offs, 0, 1.1, row_block=rb) for rb in (1, 5, 17, None)]
+        runs = [pair_sums(x, wx, y, wy, offs, family, 1.1, row_block=rb) for rb in (1, 5, 17, None)]
         assert all(np.array_equal(r, runs[0]) for r in runs)
         for s, (a, b) in enumerate(zip(offs, offs[1:])):
-            assert pair_sums(x, wx, y[a:b], wy[a:b], [0, b - a], 0, 1.1)[0] == runs[0][s]
+            assert pair_sums(x, wx, y[a:b], wy[a:b], [0, b - a], family, 1.1)[0] == runs[0][s]
 
     def test_pair_sum_is_the_one_segment_call(self):
         x, wx, y, wy, _ = self.stacked(np.random.default_rng(47), 9, 2)

@@ -26,7 +26,7 @@ from tsk import (
     zero_one,
 )
 from tsk.errors import InputError, NumericalConsistencyError
-from tsk.kme import ExactBatch, embed_bags
+from tsk.kme import EmpiricalBatch, ExactBatch, embed_bags
 import tsk.svm as svm_module
 from tsk.svm import SvmModel, _box_path_max, _newton_step, decision_values, model_from_json, model_to_json, sgn
 
@@ -353,6 +353,24 @@ class TestDecisionAndPrediction:
         e = embed(self.base, SampleSet(np.array([[1.5, -0.5], [2.5, 0.5]])))
         assert decision_value(loaded, e) == pytest.approx(decision_value(self.model, e), rel=1e-12)
 
+    def test_uniform_weights_are_omitted_and_restored_bit_for_bit(self):
+        data = json.loads(json.dumps(model_to_json(self.model)))
+        assert all("weights" not in rec for rec in data["support"])
+        loaded = model_from_json(data).support
+        assert all(np.array_equal(getattr(loaded, f), getattr(self.embs, f)) for f in ("points", "weights", "offsets"))
+        # a file that spells the uniform weights out loads to the same batch
+        for rec in data["support"]:
+            rec["weights"] = [1.0 / len(rec["samples"])] * len(rec["samples"])
+        assert np.array_equal(model_from_json(data).support.weights, self.embs.weights)
+
+    def test_nonuniform_weights_round_trip(self):
+        weights = np.random.default_rng(8).uniform(0.1, 1.0, size=len(self.embs.points))
+        embs = EmpiricalBatch(self.base, self.embs.points, weights, self.embs.offsets)
+        model = train(build_gram(self.hk, embs), self.labels, 0.1, support=embs, hkernel=self.hk)
+        data = json.loads(json.dumps(model_to_json(model)))
+        assert all("weights" in rec for rec in data["support"])
+        assert np.array_equal(model_from_json(data).support.weights, weights)
+
     def test_decision_values_batch_matches_scalar(self):
         rng = np.random.default_rng(15)
         tests = embed_bags(self.base, [SampleSet(rng.normal(size=(2, 2))) for _ in range(5)])
@@ -375,13 +393,19 @@ VALID_MODEL = _valid_model_json()
 COUNTED = ("dual_coefs", "labels", "support")
 
 
+def as_exact_support(data):
+    """Replace the bag records by valid (mean, spread) records, one per bag."""
+    data["support"] = [{"mean": np.mean(rec["samples"], axis=0).tolist(), "spread": 0.3} for rec in data["support"]]
+    return data
+
+
 @st.composite
 def corrupted_models(draw):
     """A copy of VALID_MODEL with one corruption model_from_json must reject."""
     data = copy.deepcopy(VALID_MODEL)
     n = len(data["dual_coefs"])
     index = st.integers(0, n - 1)
-    kind = draw(st.sampled_from(["count", "empty", "coef", "label", "positive"]))
+    kind = draw(st.sampled_from(["count", "empty", "coef", "label", "positive", "string", "weights", "samples", "exact"]))
     if kind == "count":
         field = draw(st.sampled_from(COUNTED))
         if draw(st.booleans()):
@@ -395,8 +419,33 @@ def corrupted_models(draw):
         data["dual_coefs"][draw(index)] = draw(st.floats(max_value=0.0, exclude_max=True) | st.just(math.nan) | st.just(math.inf))
     elif kind == "label":
         data["labels"][draw(index)] = draw((st.integers() | st.floats()).filter(lambda v: v not in (-1, 1)))
-    else:
+    elif kind == "positive":
         data[draw(st.sampled_from(["lambda", "clip_bound"]))] = draw(st.floats(max_value=0.0) | st.just(math.nan))
+    elif kind == "string":  # a valid value in the wrong JSON type
+        field = draw(st.sampled_from(["lambda", "clip_bound", "kkt_residual", "norm_sq", "converged", "dual_coefs"]))
+        value = data[field]
+        if field == "dual_coefs":
+            data[field] = draw(st.sampled_from([[str(a) for a in value], [bool(a) for a in value]]))
+        else:
+            data[field] = draw(st.sampled_from([str(value), [value]] + ([] if field == "converged" else [True])))
+    elif kind == "weights":
+        sup = data["support"]
+        i, j = draw(st.lists(index, min_size=2, max_size=2, unique=True))
+        mi, mj = len(sup[i]["samples"]), len(sup[j]["samples"])
+        shift = {i: [1.0 / mi] * (mi + 1), j: [1.0 / mj] * (mj - 1)}  # the counts add up over the bags
+        bad = [shift, {i: ["0.5"] * mi}, {i: [True] * mi}, {i: [math.inf] * mi}, {i: "0.5"}]
+        for b, weights in draw(st.sampled_from(bad)).items():
+            sup[b]["weights"] = weights
+    elif kind == "samples":
+        rec = data["support"][draw(index)]
+        convert = draw(st.sampled_from([str, lambda v: v > 0]))
+        rec["samples"] = [[convert(v) for v in row] for row in rec["samples"]]
+    else:
+        rec = as_exact_support(data)["support"][draw(index)]
+        if draw(st.booleans()):
+            rec["spread"] = draw(st.sampled_from(["0.3", True, math.nan]))
+        else:
+            rec["mean"] = draw(st.sampled_from([[str(v) for v in rec["mean"]], [True, False], [math.nan, 0.0]]))
     return data
 
 
@@ -404,6 +453,7 @@ class TestModelJsonValidation:
     def test_valid_model_loads(self):
         model = model_from_json(copy.deepcopy(VALID_MODEL))
         assert len(model.support) == len(model.dual_coefs) == 4
+        assert len(model_from_json(as_exact_support(copy.deepcopy(VALID_MODEL))).support) == 4
 
     @settings(max_examples=300, deadline=None)
     @given(corrupted_models())
