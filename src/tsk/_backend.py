@@ -1,4 +1,4 @@
-"""The two numpy inner loops: blocked pair sums and the dual coordinate pass.
+"""The numpy inner loops: blocked pair sums, mean distances and the dual coordinate pass.
 
 `pair_sums` is the one pair-sum path of `kme`: one kernel pass of a left
 expansion against the stacked points of many right expansions. Each block
@@ -14,13 +14,19 @@ numpy's own `einsum` loop, not BLAS, whose order of summation within a row
 does not depend on the other rows. A BLAS matrix-vector product may block
 rows differently with the shape, so a row could change with its neighbours.
 
+`sqeuclidean` gives the mean distances of the exact closed form.
+
 `cd_sweep` is the coordinate pass of `svm.train`.
+
+This is the one module of `tsk` that loads `scipy.spatial`, and it does so
+on the first distance it computes (`_dist_block` or `sqeuclidean`), not at
+import: programs that never compute a distance, such as the white-noise
+checks and the noise-exponent fit, never hold it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 HAVE_EXT = False  # no compiled extension; kept for the benchmark's record stamp
 
@@ -36,6 +42,8 @@ _BLOCK_BUDGET = 2**16  # floats per kernel block in pair_sums
 def _dist_block(Y: np.ndarray, X: np.ndarray, family: int, out: np.ndarray) -> np.ndarray:
     """Squared euclidean (family 0) or cityblock (family 1) distances, written into out."""
     if X.shape[1] <= 64:
+        from scipy.spatial.distance import cdist
+
         return cdist(Y, X, "sqeuclidean" if family == 0 else "cityblock", out=out)
     # wide rows: broadcast + pairwise summation over the axis
     diff = Y[:, None, :] - X[None, :, :]
@@ -44,6 +52,13 @@ def _dist_block(Y: np.ndarray, X: np.ndarray, family: int, out: np.ndarray) -> n
     else:
         np.abs(diff, out=diff)
     return np.sum(diff, axis=2, out=out)
+
+
+def sqeuclidean(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """All squared euclidean distances between the rows of A and of B (cdist, for every d)."""
+    from scipy.spatial.distance import cdist
+
+    return cdist(A, B, "sqeuclidean")
 
 
 def weighted_row_sums(block: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -94,9 +94,13 @@ def _cmd_kme_coverage(args) -> int:
 
 
 def _cmd_whitenoise_verify(args) -> int:
-    dim, gamma, n_mc, seed = args.dim, args.gamma, args.mc, args.seed
+    dim = config_int(args.dim, "--dim", minimum=1)
+    gamma = config_float(args.gamma, "--gamma", above=0.0)
+    seed = config_int(args.seed, "--seed", minimum=0)
+    n_checks = config_int(args.checks, "--checks", minimum=1)
+    n_mc = args.mc
     checks = []
-    for i in range(args.checks):
+    for i in range(n_checks):
         gen = stream(seed, "verify-draw", i)
         q = random_covariance(dim, int(gen.integers(2**31)))
         h1 = normals(gen, dim)

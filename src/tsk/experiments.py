@@ -12,7 +12,6 @@ import io
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -301,15 +300,17 @@ def _compute_row(cfg: ExperimentConfig, n: int, m_n: int, lam_n: float, gamma_n:
 
 
 def _worker_count(threads: int | None) -> int:
+    """`threads`, else TSK_THREADS, else 1; a count below 1 is an InputError."""
     if threads is not None:
-        return max(1, int(threads))
+        return config_int(threads, "threads", minimum=1)
     env = os.environ.get("TSK_THREADS")
     if not env:
         return 1
     try:
-        return max(1, int(env))
+        value = int(env)
     except ValueError:
         raise InputError(f"TSK_THREADS must be an integer, got {env!r}") from None
+    return config_int(value, "TSK_THREADS", minimum=1)
 
 
 def run_rate_experiment(cfg: ExperimentConfig, threads: int | None = None) -> RateReport:
@@ -324,6 +325,9 @@ def run_rate_experiment(cfg: ExperimentConfig, threads: int | None = None) -> Ra
         for rep in range(cfg.replicates)
     ]
     if workers > 1:
+        # the process pool is loaded only when rows run on more than one worker
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_compute_row, cfg, *cell, bayes01) for cell in cells]
             rows = [f.result() for f in futures]

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from . import _backend
 from .base_kernels import FAMILY_CODES, GAUSSIAN, BaseKernel
@@ -378,17 +377,17 @@ def gaussian_kme_cross_inner(
 ) -> np.ndarray:
     """Cross inner-product matrix between two families of exact Gaussian KMEs.
 
-    Mean distances come from cdist, so a pair with equal means and spreads
-    gets exactly the squared norm of `squared_norms`. The closed form is
-    (g / v)^(d/2) exp(-d2 / v), and v and (g / v)^(d/2) depend only on the
-    two spreads, so they are computed once per distinct pair of spreads
-    (once per block when every spread is the same). With distinct spreads
-    they are tabulated and gathered one row block at a time, so the
-    distances are the only full-size array.
+    Mean distances come from `_backend.sqeuclidean` (cdist at every d), so a
+    pair with equal means and spreads gets exactly the squared norm of
+    `squared_norms`. The closed form is (g / v)^(d/2) exp(-d2 / v), and v
+    and (g / v)^(d/2) depend only on the two spreads, so they are computed
+    once per distinct pair of spreads (once per block when every spread is
+    the same). With distinct spreads they are tabulated and gathered one row
+    block at a time, so the distances are the only full-size array.
     """
     if k.family != GAUSSIAN:
         raise UnsupportedError("closed-form KME inner products require the gaussian base kernel")
-    d2 = cdist(np.asarray(means_a, dtype=np.float64), np.asarray(means_b, dtype=np.float64), "sqeuclidean")
+    d2 = _backend.sqeuclidean(np.asarray(means_a, dtype=np.float64), np.asarray(means_b, dtype=np.float64))
     sa2, ia = np.unique(np.asarray(spreads_a, dtype=np.float64) ** 2, return_inverse=True)
     sb2, ib = np.unique(np.asarray(spreads_b, dtype=np.float64) ** 2, return_inverse=True)
     if len(sa2) == len(sb2) == 1:

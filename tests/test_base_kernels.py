@@ -72,7 +72,7 @@ def test_nonincreasing_along_rays(family):
 
 
 def test_high_dimension_path_matches_fsum():
-    # d > 64 switches to compensated accumulation of the squared distance
+    # d > 64 switches from cdist to numpy's pairwise summation of the squared differences
     rng = np.random.default_rng(11)
     d = 130
     k = BaseKernel("gaussian", 1.5, d)

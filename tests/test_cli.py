@@ -9,7 +9,8 @@ import pytest
 
 from tsk import BaseKernel, HilbertKernel
 from tsk.cli import main
-from tsk.errors import NumericalConsistencyError
+from tsk.errors import InputError, NumericalConsistencyError
+from tsk.experiments import ExperimentConfig, run_rate_experiment
 from tsk.kme import ExactBatch
 from tsk.svm import build_gram, model_to_json, train
 from tsk.synth import MetaDistribution, bags_to_json, sample_first_stage, sample_second_stage
@@ -175,6 +176,26 @@ def test_non_integer_tsk_threads_exits_2(tmp_path, capsys, monkeypatch):
     assert "TSK_THREADS" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, env", [(["--threads", "0"], None), (["--threads", "-3"], None), ([], "0"), ([], "-2")]
+)
+def test_worker_count_below_one_exits_2(tmp_path, capsys, monkeypatch, flag, env):
+    if env is not None:
+        monkeypatch.setenv("TSK_THREADS", env)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(SMOKE_EMPIRICAL))
+    with mock.patch("tsk.experiments._compute_row") as compute_row:
+        code = main(["rates", "--config", str(path), "--out", str(tmp_path / "o.csv"), *flag])
+    compute_row.assert_not_called()
+    assert code == 2
+    assert ("threads" if flag else "TSK_THREADS") + " must be >= 1" in capsys.readouterr().err
+
+
+def test_run_rate_experiment_rejects_zero_threads():
+    with pytest.raises(InputError, match="threads must be >= 1"):
+        run_rate_experiment(ExperimentConfig.from_json(SMOKE_EMPIRICAL), threads=0)
+
+
 @pytest.mark.parametrize("fields", [{"lambda": "x"}, {"lambda": -0.1}, {"tol": None}, {"tol": 0.0}])
 def test_train_bad_lambda_or_tol_exits_2(tmp_path, capsys, fields):
     data, cfg = tmp_path / "bags.json", tmp_path / "cfg.json"
@@ -229,6 +250,29 @@ class TestWhitenoiseVerify:
         main(args + ["--out", str(a)])
         main(args + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--dim", "0"),
+            ("--dim", "-1"),
+            ("--checks", "0"),
+            ("--checks", "-2"),
+            ("--seed", "-1"),
+            ("--gamma", "inf"),
+            ("--gamma", "nan"),
+            ("--gamma", "0"),
+            ("--gamma", "-1.5"),
+        ],
+    )
+    def test_bad_flag_exits_2_before_any_draw(self, tmp_path, capsys, flag, value):
+        flags = {"--dim": "2", "--gamma": "1.0", "--mc": "5000", "--seed": "3", "--checks": "1"} | {flag: value}
+        args = ["whitenoise-verify", *(item for pair in flags.items() for item in pair), "--out", str(tmp_path / "wn.json")]
+        with mock.patch("tsk.cli.stream") as open_stream:
+            code = main(args)
+        open_stream.assert_not_called()
+        assert code == 2
+        assert f"error: {flag} must be" in capsys.readouterr().err
 
 
 class TestNoiseExponent:
