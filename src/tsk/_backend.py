@@ -14,14 +14,17 @@ numpy's own `einsum` loop, not BLAS, whose order of summation within a row
 does not depend on the other rows. A BLAS matrix-vector product may block
 rows differently with the shape, so a row could change with its neighbours.
 
-`sqeuclidean` gives the mean distances of the exact closed form.
+`sqeuclidean` gives the mean distances of the exact closed form, summed in
+numpy in `cdist`'s order, so they equal `cdist`'s bit for bit.
 
 `cd_sweep` is the coordinate pass of `svm.train`.
 
-This is the one module of `tsk` that loads `scipy.spatial`, and it does so
-on the first distance it computes (`_dist_block` or `sqeuclidean`), not at
-import: programs that never compute a distance, such as the white-noise
-checks and the noise-exponent fit, never hold it.
+This is the one module of `tsk` that loads `scipy.spatial`, and only
+`_dist_block` does so, on the first empirical kernel pass, where `cdist` is
+about twice as fast per entry as the numpy form at d = 2. Programs that
+compute no distance (the white-noise checks, the noise-exponent fit) or
+only exact ones (the rates and approximation-error runs on exact
+embeddings) never hold it.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ def active_backend() -> str:
     return "python"
 
 
-_BLOCK_BUDGET = 2**16  # floats per kernel block in pair_sums
+_BLOCK_BUDGET = 2**16  # floats per kernel block in pair_sums, and of the temporary of sqeuclidean
 
 
 def _dist_block(Y: np.ndarray, X: np.ndarray, family: int, out: np.ndarray) -> np.ndarray:
@@ -55,10 +58,30 @@ def _dist_block(Y: np.ndarray, X: np.ndarray, family: int, out: np.ndarray) -> n
 
 
 def sqeuclidean(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """All squared euclidean distances between the rows of A and of B (cdist, for every d)."""
-    from scipy.spatial.distance import cdist
+    """All squared euclidean distances between the rows of A and of B.
 
-    return cdist(A, B, "sqeuclidean")
+    Each entry is summed over the coordinates in order, (a_0 - b_0)^2 +
+    (a_1 - b_1)^2 + ..., the order of `cdist(A, B, "sqeuclidean")`, so the
+    two agree bit for bit at every d. One coordinate is added at a time to a
+    block of rows of the output, through one temporary of about `_BLOCK_BUDGET` entries.
+    """
+    At, Bt = (np.array(np.asarray(X, dtype=np.float64).T, order="C") for X in (A, B))
+    (d, n), m = At.shape, Bt.shape[1]
+    if d == 0:
+        return np.zeros((n, m))
+    out = np.empty((n, m))
+    rows = max(1, _BLOCK_BUDGET // max(m, 1))
+    tmp = np.empty(min(rows, n) * m)
+    for lo in range(0, n, rows):
+        block = out[lo : lo + rows]
+        term = tmp[: block.size].reshape(block.shape)
+        for c in range(d):
+            dst = block if c == 0 else term
+            np.subtract(At[c, lo : lo + rows, None], Bt[c, None, :], out=dst)
+            np.multiply(dst, dst, out=dst)
+            if c:
+                block += term
+    return out
 
 
 def weighted_row_sums(block: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -27,6 +27,7 @@ from .rng import normals, stream
 from .svm import build_gram, clip, decision_values, model_from_json, model_to_json, sgn, train
 from .synth import MetaDistribution, bags_from_json
 from .whitenoise import (
+    MIN_MC,
     CovarianceOperator,
     canonical_surjection_eval,
     characteristic_identity_check,
@@ -98,7 +99,7 @@ def _cmd_whitenoise_verify(args) -> int:
     gamma = config_float(args.gamma, "--gamma", above=0.0)
     seed = config_int(args.seed, "--seed", minimum=0)
     n_checks = config_int(args.checks, "--checks", minimum=1)
-    n_mc = args.mc
+    n_mc = config_int(args.mc, "--mc", minimum=MIN_MC)
     checks = []
     for i in range(n_checks):
         gen = stream(seed, "verify-draw", i)

@@ -297,13 +297,14 @@ def inner(e1, e2) -> float:
 
 
 def _clamp_sq(sq: np.ndarray) -> np.ndarray:
-    """Squared distances with noise in [-NEG_TOL, 0) set to 0 in place; lower or NaN raises."""
+    """Squared distances with noise in [-NEG_TOL, 0) set to 0 in place (no pass
+    when none is below 0); lower or NaN raises."""
     low = np.min(sq, initial=0.0)
     if not low >= -NEG_TOL:
         raise NumericalConsistencyError(
             f"squared RKHS distance {low} is below -{NEG_TOL}; inner products are inconsistent"
         )
-    return np.maximum(sq, 0.0, out=sq)
+    return np.maximum(sq, 0.0, out=sq) if low < 0.0 else sq
 
 
 # entries of the row-block temporaries of `_squared_distances_into` and
@@ -311,11 +312,22 @@ def _clamp_sq(sq: np.ndarray) -> np.ndarray:
 _BLOCK_ENTRIES = 1 << 15
 
 
+def _one_value(x: np.ndarray):
+    """x[0] when every entry of the nonempty x is that same number, else None."""
+    return x[0] if x.size and np.all(x == x[0]) else None
+
+
 def _squared_distances_into(inners: np.ndarray, norms_a: np.ndarray, norms_b: np.ndarray) -> np.ndarray:
     """Overwrite the caller's float64 matrix of <a_i, b_j> with the clamped squared
     distances (||a_i||^2 + ||b_j||^2) - 2 <a_i, b_j> and return it. The norm sums
-    are formed one row block at a time; 2x is exact, so every entry is bit for bit
-    the one of the full-size expression."""
+    are formed one row block at a time, or added once as a scalar when each side
+    has one norm (exact batches with one spread); 2x is exact, so every entry is
+    bit for bit the one of the full-size expression."""
+    na, nb = _one_value(norms_a), _one_value(norms_b)
+    if na is not None and nb is not None:
+        inners *= 2.0
+        np.subtract(na + nb, inners, out=inners)
+        return _clamp_sq(inners)
     rows = max(1, _BLOCK_ENTRIES // max(inners.shape[1], 1))
     for lo in range(0, inners.shape[0], rows):
         block = inners[lo : lo + rows]
@@ -377,24 +389,26 @@ def gaussian_kme_cross_inner(
 ) -> np.ndarray:
     """Cross inner-product matrix between two families of exact Gaussian KMEs.
 
-    Mean distances come from `_backend.sqeuclidean` (cdist at every d), so a
-    pair with equal means and spreads gets exactly the squared norm of
-    `squared_norms`. The closed form is (g / v)^(d/2) exp(-d2 / v), and v
-    and (g / v)^(d/2) depend only on the two spreads, so they are computed
-    once per distinct pair of spreads (once per block when every spread is
-    the same). With distinct spreads they are tabulated and gathered one row
-    block at a time, so the distances are the only full-size array.
+    Mean distances come from `_backend.sqeuclidean` (a numpy sum in cdist's
+    order at every d), so a pair with equal means and spreads gets exactly
+    the squared norm of `squared_norms`. The closed form is
+    (g / v)^(d/2) exp(-d2 / v), and v and (g / v)^(d/2) depend only on the
+    two spreads, so they are computed once per distinct pair of spreads
+    (once in all, with no sort, when each side has one spread). With
+    distinct spreads they are tabulated and gathered one row block at a
+    time, so the distances are the only full-size array.
     """
     if k.family != GAUSSIAN:
         raise UnsupportedError("closed-form KME inner products require the gaussian base kernel")
-    d2 = _backend.sqeuclidean(np.asarray(means_a, dtype=np.float64), np.asarray(means_b, dtype=np.float64))
-    sa2, ia = np.unique(np.asarray(spreads_a, dtype=np.float64) ** 2, return_inverse=True)
-    sb2, ib = np.unique(np.asarray(spreads_b, dtype=np.float64) ** 2, return_inverse=True)
-    if len(sa2) == len(sb2) == 1:
-        v, scale = _variance_terms(k, sa2[:, None], sb2[None, :])
+    d2 = _backend.sqeuclidean(means_a, means_b)
+    sa2, sb2 = np.asarray(spreads_a, dtype=np.float64) ** 2, np.asarray(spreads_b, dtype=np.float64) ** 2
+    if _one_value(sa2) is not None and _one_value(sb2) is not None:
+        v, scale = _variance_terms(k, sa2[:1, None], sb2[None, :1])
         np.exp(np.divide(d2, -v, out=d2), out=d2)
         d2 *= scale
         return d2
+    sa2, ia = np.unique(sa2, return_inverse=True)
+    sb2, ib = np.unique(sb2, return_inverse=True)
     # about four block-sized temporaries are live at once: the two tables and a gather
     rows = max(1, _BLOCK_ENTRIES // (4 * max(d2.shape[1], 1)))
     for lo in range(0, d2.shape[0], rows):

@@ -39,6 +39,8 @@ __all__ = [
     "random_covariance",
 ]
 
+MIN_MC = 1000  # fewest Monte Carlo draws a verification check accepts
+
 
 @dataclass(frozen=True)
 class CovarianceOperator:
@@ -437,5 +439,5 @@ def fit_geometric_noise(
 
 
 def _check_mc(n_mc: int):
-    if n_mc < 1000:
-        raise InputError(f"Monte Carlo checks need n_mc >= 1000, got {n_mc}")
+    if n_mc < MIN_MC:
+        raise InputError(f"Monte Carlo checks need n_mc >= {MIN_MC}, got {n_mc}")

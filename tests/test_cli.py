@@ -263,6 +263,8 @@ class TestWhitenoiseVerify:
             ("--gamma", "nan"),
             ("--gamma", "0"),
             ("--gamma", "-1.5"),
+            ("--mc", "10"),
+            ("--mc", "999"),
         ],
     )
     def test_bad_flag_exits_2_before_any_draw(self, tmp_path, capsys, flag, value):

@@ -1,8 +1,10 @@
 """Which heavy modules a program loads, checked in a fresh interpreter.
 
-`scipy.spatial` is loaded by `_backend` on the first distance, and the
-process pool only when rate rows run on more than one worker, so the
-programs that compute no distance never hold either. Module names only;
+`scipy.spatial` is loaded by `_backend` only when an empirical x empirical
+kernel pass runs (`cdist` in `_dist_block`); the mean distances of the exact
+closed form are numpy sums. The process pool is loaded only when rate rows
+run on more than one worker. So the programs that compute no distance, and
+those that use exact embeddings only, hold neither. Module names only;
 memory figures depend on the machine.
 """
 
@@ -38,13 +40,39 @@ assert main(["whitenoise-verify", "--dim", "2", "--gamma", "1.0", "--mc", "2000"
     assert loaded_after(script, tmp_path) == {m: False for m in HEAVY}
 
 
-def test_first_distance_loads_scipy_spatial(tmp_path):
+def test_exact_only_programs_do_not_load_scipy_spatial(tmp_path):
+    rates = json.loads((ROOT / "configs" / "rates_hard_margin.json").read_text())
+    rates.update(n_grid=[8, 16], replicates=1, test_bags=50)
+    (tmp_path / "rates.json").write_text(json.dumps(rates))
+    approx = json.loads((ROOT / "configs" / "approx_error_hard_margin.json").read_text())
+    approx.update(big_n=20, test_n=50, seeds=[1])
+    (tmp_path / "approx.json").write_text(json.dumps(approx))
     script = """
 import numpy as np
 from tsk import BaseKernel, HilbertKernel
-from tsk.kme import ExactBatch
+from tsk.cli import main
+from tsk.kme import EmpiricalBatch, ExactBatch, cross_inner
 from tsk.svm import build_gram
-batch = ExactBatch(BaseKernel("gaussian", 1.0, 2), np.zeros((3, 2)), np.full(3, 0.5))
-build_gram(HilbertKernel("gaussian", 1.0), batch)
+k = BaseKernel("gaussian", 1.0, 2)
+exact = ExactBatch(k, np.arange(6.0).reshape(3, 2), np.full(3, 0.5))
+other = ExactBatch(k, np.ones((2, 2)), np.array([0.1, 0.4]))
+bags = EmpiricalBatch(k, np.arange(8.0).reshape(4, 2), np.full(4, 0.5), [0, 2, 4])
+build_gram(HilbertKernel("gaussian", 1.0), exact)
+cross_inner(exact, other)
+cross_inner(exact, bags)
+assert main(["rates", "--config", "rates.json", "--out", "rates.csv", "--threads", "1"]) == 0
+assert main(["approx-error", "--config", "approx.json", "--out", "approx.json.out"]) == 0
+"""
+    assert loaded_after(script, tmp_path) == {m: False for m in HEAVY}
+
+
+def test_empirical_gram_loads_scipy_spatial(tmp_path):
+    script = """
+import numpy as np
+from tsk import BaseKernel, HilbertKernel
+from tsk.kme import EmpiricalBatch
+from tsk.svm import build_gram
+bags = EmpiricalBatch(BaseKernel("gaussian", 1.0, 2), np.arange(8.0).reshape(4, 2), np.full(4, 0.5), [0, 2, 4])
+build_gram(HilbertKernel("gaussian", 1.0), bags)
 """
     assert loaded_after(script, tmp_path) == {"scipy.spatial": True, "concurrent.futures.process": False}

@@ -14,7 +14,9 @@ from tsk import (
     inner,
     rkhs_distance,
 )
-from tsk._backend import pair_sum, pair_sums
+from scipy.spatial.distance import cdist
+
+from tsk._backend import _BLOCK_BUDGET, pair_sum, pair_sums, sqeuclidean
 from tsk.errors import InputError, NumericalConsistencyError, UnsupportedError
 from tsk.kme import gaussian_kme_inner_matrix, squared_distances
 
@@ -210,6 +212,35 @@ class TestMixedAndProperties:
         wx, wy = rng.normal(size=37), rng.normal(size=53)
         vals = {pair_sum(x, wx, y, wy, 0, 1.0, row_block=rb) for rb in (1, 5, 17, None)}
         assert len(vals) == 1
+
+
+def distance_inputs(case, d, rng):
+    """Row sets for the mean-distance check; "blocks" spans several row blocks of sqeuclidean."""
+    a, b = rng.normal(size=(37, d)), rng.normal(size=(53, d))
+    if case == "repeated":
+        a[1::3] = a[0]
+        b[:5] = a[0]
+    elif case == "offset":
+        a += 1e6
+        b += 1e6
+    elif case == "one_row":
+        a, b = a[:1], b[:1]
+    elif case == "one_row_left":
+        a = a[:1]
+    elif case == "blocks":
+        a, b = rng.normal(size=(_BLOCK_BUDGET // 100 + 7, d)), rng.normal(size=(100, d))
+    return a, b
+
+
+class TestSqeuclidean:
+    """The exact closed form's mean distances against cdist, the oracle, bit for bit."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 64, 65, 130])
+    @pytest.mark.parametrize("case", ["random", "repeated", "offset", "one_row", "one_row_left", "blocks"])
+    def test_equals_cdist_bit_for_bit(self, case, d):
+        a, b = distance_inputs(case, d, np.random.default_rng(d))
+        assert np.array_equal(sqeuclidean(a, b), cdist(a, b, "sqeuclidean"))
+        assert np.array_equal(sqeuclidean(b, a), cdist(b, a, "sqeuclidean"))
 
 
 class TestPairSums:
