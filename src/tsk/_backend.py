@@ -17,6 +17,9 @@ rows differently with the shape, so a row could change with its neighbours.
 `sqeuclidean` gives the mean distances of the exact closed form, summed in
 numpy in `cdist`'s order, so they equal `cdist`'s bit for bit.
 
+`row_blocks` is the one row-block rule of `tsk`: every full-size kernel
+matrix is worked on in its row slices of about `_BLOCK_BUDGET` floats.
+
 `cd_sweep` is the coordinate pass of `svm.train`.
 
 This is the one module of `tsk` that loads `scipy.spatial`, and only
@@ -39,7 +42,14 @@ def active_backend() -> str:
     return "python"
 
 
-_BLOCK_BUDGET = 2**16  # floats per kernel block in pair_sums, and of the temporary of sqeuclidean
+_BLOCK_BUDGET = 2**16  # floats per row block of a full-size kernel matrix
+
+
+def row_blocks(n: int, row_size: int, rows: int | None = None) -> list:
+    """Row slices of an n-row array of row_size floats per row: `rows` rows each, by default as
+    many as fit in `_BLOCK_BUDGET` floats; the first slice always exists (empty when n is 0)."""
+    rows = rows or max(1, _BLOCK_BUDGET // max(row_size, 1))
+    return [slice(lo, min(lo + rows, n)) for lo in range(0, max(n, 1), rows)]
 
 
 def _dist_block(Y: np.ndarray, X: np.ndarray, family: int, out: np.ndarray) -> np.ndarray:
@@ -63,21 +73,21 @@ def sqeuclidean(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     Each entry is summed over the coordinates in order, (a_0 - b_0)^2 +
     (a_1 - b_1)^2 + ..., the order of `cdist(A, B, "sqeuclidean")`, so the
     two agree bit for bit at every d. One coordinate is added at a time to a
-    block of rows of the output, through one temporary of about `_BLOCK_BUDGET` entries.
+    row block of the output, through one temporary the size of a block.
     """
     At, Bt = (np.array(np.asarray(X, dtype=np.float64).T, order="C") for X in (A, B))
     (d, n), m = At.shape, Bt.shape[1]
     if d == 0:
         return np.zeros((n, m))
     out = np.empty((n, m))
-    rows = max(1, _BLOCK_BUDGET // max(m, 1))
-    tmp = np.empty(min(rows, n) * m)
-    for lo in range(0, n, rows):
-        block = out[lo : lo + rows]
-        term = tmp[: block.size].reshape(block.shape)
+    blocks = row_blocks(n, m)
+    tmp = np.empty_like(out[blocks[0]])
+    for rows in blocks:
+        block = out[rows]
+        term = tmp[: len(block)]
         for c in range(d):
             dst = block if c == 0 else term
-            np.subtract(At[c, lo : lo + rows, None], Bt[c, None, :], out=dst)
+            np.subtract(At[c, rows, None], Bt[c, None, :], out=dst)
             np.multiply(dst, dst, out=dst)
             if c:
                 block += term
@@ -96,7 +106,7 @@ def pair_sums(X, wx, Y, wy, offsets, family: int, width: float, row_block=None) 
     1 = laplacian; offsets run from 0 to len(Y) and every segment is nonempty.
 
     One kernel pass: the (right points x left atoms) block is built
-    `row_block` whole right points at a time into one reused buffer, scaled
+    `row_block` whole right points at a time (by default `row_blocks`) into one reused buffer, scaled
     in place by rate = -1/width^2 (gaussian) or -1/width (laplacian),
     exponentiated in place, and each right point's row is weighted by wx and
     summed by `weighted_row_sums`; the per-point values times wy are then
@@ -112,18 +122,15 @@ def pair_sums(X, wx, Y, wy, offsets, family: int, width: float, row_block=None) 
     m, n = X.shape[0], Y.shape[0]
     if m < 1 or offsets[0] != 0 or offsets[-1] != n or np.any(np.diff(offsets) < 1):
         raise ValueError("pair_sums needs a nonempty left expansion and nonempty segments covering Y")
-    if row_block is None:
-        row_block = max(1, _BLOCK_BUDGET // (m * (X.shape[1] if X.shape[1] > 64 else 1)))
-    row_block = min(row_block, n)
+    blocks = row_blocks(n, m * (X.shape[1] if X.shape[1] > 64 else 1), row_block)
     rate = -1.0 / (width * width if family == 0 else width)
-    buf = np.empty(row_block * m)
+    buf = np.empty((blocks[0].stop, m))
     v = np.empty(n)
-    for r0 in range(0, n, row_block):
-        r1 = min(r0 + row_block, n)
-        block = _dist_block(Y[r0:r1], X, family, buf[: (r1 - r0) * m].reshape(r1 - r0, m))
+    for rows in blocks:
+        block = _dist_block(Y[rows], X, family, buf[: rows.stop - rows.start])
         block *= rate
         np.exp(block, out=block)
-        weighted_row_sums(block, wx, out=v[r0:r1])
+        weighted_row_sums(block, wx, out=v[rows])
     v *= wy
     return np.add.reduceat(v, offsets[:-1])
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _backend
-from .errors import InputError, config_float, config_int
+from .errors import InputError, config_float, config_int, config_section
 
 __all__ = ["BaseKernel", "base_eval", "sup_norm", "GAUSSIAN", "LAPLACIAN"]
 
@@ -44,11 +44,9 @@ class BaseKernel:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "BaseKernel":
-        try:
-            width, dim = config_float(cfg["width"], "base kernel width"), config_int(cfg["dim"], "base kernel dim", minimum=1)
-            return cls(family=cfg["family"], width=width, dim=dim)
-        except KeyError as exc:
-            raise InputError(f"base kernel config missing field {exc}") from exc
+        cfg = config_section(cfg, "base_kernel")
+        width, dim = config_float(cfg["width"], "base kernel width"), config_int(cfg["dim"], "base kernel dim", minimum=1)
+        return cls(family=cfg["family"], width=width, dim=dim)
 
 
 def base_eval(k: BaseKernel, x, xp) -> float:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .base_kernels import BaseKernel
 from .bounds import approx_error_summary
-from .errors import InputError, NumericalConsistencyError, config_float, config_floats, config_int, config_ints
+from .errors import InputError, NumericalConsistencyError, config_float, config_floats, config_int, config_ints, config_section
 from .experiments import ExperimentConfig, rate_report_csv, run_kme_coverage, run_rate_experiment
 from .hilbert_kernel import HilbertKernel
 from .kme import embed_bags
@@ -39,11 +39,12 @@ from .whitenoise import (
 
 
 def _load_json(path: str) -> dict:
+    """A config or model file: one JSON object."""
     p = Path(path)
     if not p.exists():
         raise InputError(f"file not found: {path}")
     try:
-        return json.loads(p.read_text())
+        return config_section(json.loads(p.read_text()), path)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
 
@@ -110,12 +111,11 @@ def _cmd_whitenoise_verify(args) -> int:
         iso = white_noise_isometry_check(h1, h2, q, n_mc, seed + 7 * i + 1)
         char = characteristic_identity_check(h1, lam, q, n_mc, seed + 7 * i + 2)
         feat = feature_inner_mc(h1, h2, gamma, q, n_mc, seed + 7 * i + 3)
-        x, xp = h1, h2
-        wn = q.wn_coeff(xp)
+        wn = q.wn_coeff(h2)
         est, se = canonical_surjection_eval(
-            lambda z: np.exp(1j * (np.sqrt(2.0) / gamma) * (z @ wn)), x, gamma, q, n_mc, seed + 7 * i + 4
+            lambda z: np.exp(1j * (np.sqrt(2.0) / gamma) * (z @ wn)), h1, gamma, q, n_mc, seed + 7 * i + 4
         )
-        diff = np.asarray(x) - np.asarray(xp)
+        diff = h1 - h2
         target = float(np.exp(-np.dot(diff, diff) / gamma**2))
         surj = {
             "estimate": est,
@@ -131,10 +131,7 @@ def _cmd_whitenoise_verify(args) -> int:
                 "surjection": surj,
             }
         )
-    all_pass = all(
-        c["isometry"]["pass"] and c["characteristic"]["pass"] and c["feature_inner"]["pass"] and c["surjection"]["pass"]
-        for c in checks
-    )
+    all_pass = all(part["pass"] for c in checks for part in c.values())
     payload = {"dim": dim, "gamma": gamma, "n_mc": n_mc, "seed": seed, "checks": checks, "all_pass": all_pass}
     if args.out:
         _write_json(args.out, payload)
@@ -146,20 +143,13 @@ def _cmd_whitenoise_verify(args) -> int:
 
 def _cmd_noise_exponent(args) -> int:
     cfg = _load_json(args.config)
-    try:
-        meta = MetaDistribution.from_config(cfg["meta"])
-        q = CovarianceOperator.from_config(cfg["covariance"])
-        t_grid = config_floats(cfg["t_grid"], "t_grid")
-        n_outer = config_int(cfg["n_outer"], "n_outer")
-        n_inner = config_int(cfg["n_inner"], "n_inner")
-        seed = config_int(cfg["seed"] if args.seed is None else args.seed, "seed", minimum=0)
-        floor = config_float(cfg.get("floor", 1e-12), "floor")
-    except KeyError as exc:
-        raise InputError(f"noise-exponent config missing field {exc}") from exc
-    except InputError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"noise-exponent config has a malformed field: {exc}") from exc
+    meta = MetaDistribution.from_config(cfg["meta"])
+    q = CovarianceOperator.from_config(cfg["covariance"])
+    t_grid = config_floats(cfg["t_grid"], "t_grid")
+    n_outer = config_int(cfg["n_outer"], "n_outer")
+    n_inner = config_int(cfg["n_inner"], "n_inner")
+    seed = config_int(cfg["seed"] if args.seed is None else args.seed, "seed", minimum=0)
+    floor = config_float(cfg.get("floor", 1e-12), "floor")
     fit = fit_geometric_noise(meta, q, t_grid, n_outer, n_inner, seed, floor=floor)
     _write_json(args.out, fit.to_json())
     print(f"noise-exponent: alpha_hat={fit.alpha_hat:.4f} c_hat={fit.c_hat:.4f} valid={fit.valid}")
@@ -168,17 +158,14 @@ def _cmd_noise_exponent(args) -> int:
 
 def _cmd_approx_error(args) -> int:
     cfg = _load_json(args.config)
-    try:
-        meta = MetaDistribution.from_config(cfg["meta"])
-        hk = HilbertKernel.from_config(cfg["hilbert_kernel"])
-        lam_grid = config_floats(cfg["lambda_grid"], "lambda_grid", above=0.0)
-        big_n = config_int(cfg["big_n"], "big_n")
-        embedding = cfg.get("embedding", "exact")
-        embedding = embedding if embedding == "exact" else config_int(embedding, "embedding", minimum=1)
-        seeds = config_ints(cfg.get("seeds", [cfg.get("seed", 0)]), "seeds", minimum=0)
-        test_n = None if cfg.get("test_n") is None else config_int(cfg["test_n"], "test_n")
-    except KeyError as exc:
-        raise InputError(f"approx-error config missing field {exc}") from exc
+    meta = MetaDistribution.from_config(cfg["meta"])
+    hk = HilbertKernel.from_config(cfg["hilbert_kernel"])
+    lam_grid = config_floats(cfg["lambda_grid"], "lambda_grid", above=0.0)
+    big_n = config_int(cfg["big_n"], "big_n")
+    embedding = cfg.get("embedding", "exact")
+    embedding = embedding if embedding == "exact" else config_int(embedding, "embedding", minimum=1)
+    seeds = config_ints(cfg.get("seeds", [cfg.get("seed", 0)]), "seeds", minimum=0)
+    test_n = None if cfg.get("test_n") is None else config_int(cfg["test_n"], "test_n")
     base = BaseKernel.from_config(cfg["base_kernel"]) if "base_kernel" in cfg else None
     summary = approx_error_summary(
         meta,
@@ -198,14 +185,11 @@ def _cmd_approx_error(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = _load_json(args.config)
-    try:
-        base = BaseKernel.from_config(cfg["base_kernel"])
-        hk = HilbertKernel.from_config(cfg["hilbert_kernel"])
-        lam = config_float(cfg["lambda"], "lambda", above=0.0)
-        tol = config_float(cfg.get("tol", 1e-8), "tol", above=0.0)
-        max_sweeps = config_int(cfg.get("max_sweeps", 10_000), "max_sweeps", minimum=1)
-    except KeyError as exc:
-        raise InputError(f"train config missing field {exc}") from exc
+    base = BaseKernel.from_config(cfg["base_kernel"])
+    hk = HilbertKernel.from_config(cfg["hilbert_kernel"])
+    lam = config_float(cfg["lambda"], "lambda", above=0.0)
+    tol = config_float(cfg.get("tol", 1e-8), "tol", above=0.0)
+    max_sweeps = config_int(cfg.get("max_sweeps", 10_000), "max_sweeps", minimum=1)
     data_path = Path(args.data)
     if not data_path.exists():
         raise InputError(f"dataset file not found: {args.data}")

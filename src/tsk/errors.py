@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package, and the number checks for config fields.
+"""Exception hierarchy shared across the package, and the type checks for config fields.
 
 CLI exit-code mapping: InputError (and subclasses) -> 2,
 NumericalConsistencyError -> 3.
@@ -22,6 +22,23 @@ class NumericalConsistencyError(RuntimeError):
     Distinguishes genuine corruption (e.g. a Gram matrix far from PSD) from
     ordinary floating-point noise, which is clamped silently.
     """
+
+
+class _Section(dict):
+    """A config section: a dict whose missing fields raise InputError naming the section."""
+
+    def __missing__(self, key):
+        raise InputError(f"{self.name} missing field {key!r}")
+
+
+def config_section(value, field: str) -> dict:
+    """A config, or a nested section such as its base_kernel or schedule: a JSON
+    object, returned as a copy whose missing fields raise InputError naming `field`."""
+    if not isinstance(value, dict):
+        raise InputError(f"{field} must be a JSON object, got {value!r}")
+    section = _Section(value)
+    section.name = field
+    return section
 
 
 def config_int(value, field: str, minimum: int | None = None) -> int:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .base_kernels import BaseKernel, sup_norm
 from .bounds import OracleTerms, Schedule, make_schedule, oracle_rhs
-from .errors import InputError, NumericalConsistencyError, config_float, config_floats, config_int, config_ints
+from .errors import InputError, NumericalConsistencyError, config_float, config_floats, config_int, config_ints, config_section
 from .hilbert_kernel import HilbertKernel, lipschitz_modulus
 from .kme import SampleSet, concentration_bound, cross_inner, embed_bags, exact_gaussian_embedding, squared_distances, squared_norms
 from .rng import mc_mean_se, normals, stream, subseed
@@ -85,6 +85,10 @@ class ExperimentConfig:
         if not (self.test_embedding == "exact" or int(self.test_embedding) >= 1):
             raise InputError("test_embedding must be 'exact' or a bag size >= 1")
         _eval_approx_model(self.approx_error_model, 0.5)  # validates the shape
+        # every row's oracle bound needs these; checked once here, before any row runs
+        OracleTerms(n=2, lam=1.0, tau=self.tau, bag_sizes=(1, 1), modulus=lipschitz_modulus(self.hkernel), approx_error=0.0)
+        if self.meta.dim != self.base_kernel.dim:
+            raise InputError(f"meta dim {self.meta.dim} does not match base_kernel dim {self.base_kernel.dim}")
 
     def schedule(self) -> Schedule:
         return make_schedule(self.schedule_kind, self.n_grid, self.alpha, beta=self.beta, mu=self.mu)
@@ -115,31 +119,29 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, cfg: dict) -> "ExperimentConfig":
-        try:
-            sched = cfg["schedule"]
-            test_embedding = cfg.get("test_embedding", "exact")
-            return cls(
-                meta=MetaDistribution.from_config(cfg["meta"]),
-                base_kernel=BaseKernel.from_config(cfg["base_kernel"]),
-                hkernel=HilbertKernel.from_config(cfg["hilbert_kernel"]),
-                schedule_kind=sched["kind"],
-                alpha=config_float(sched["alpha"], "schedule alpha"),
-                beta=config_float(sched["beta"], "schedule beta") if "beta" in sched else None,
-                mu=config_float(sched["mu"], "schedule mu") if "mu" in sched else None,
-                n_grid=config_ints(cfg["n_grid"], "n_grid"),
-                replicates=config_int(cfg["replicates"], "replicates"),
-                test_bags=config_int(cfg["test_bags"], "test_bags"),
-                test_embedding=test_embedding if test_embedding == "exact" else config_int(test_embedding, "test_embedding"),
-                train_embedding=cfg.get("train_embedding", "empirical"),
-                seed=config_int(cfg["seed"], "seed", minimum=0),
-                universal_c=config_float(cfg.get("universal_c", 100.0), "universal_c", above=0.0),
-                tau=config_float(cfg.get("tau", 1.0), "tau", above=0.0),
-                approx_error_model=dict(cfg.get("approx_error", {"model": "zero"})),
-                bayes_mc=config_int(cfg.get("bayes_mc", 100_000), "bayes_mc"),
-                row_time_cap_s=config_float(cfg.get("row_time_cap_s", 300.0), "row_time_cap_s", above=0.0),
-            )
-        except KeyError as exc:
-            raise InputError(f"experiment config missing field {exc}") from exc
+        cfg = config_section(cfg, "experiment config")
+        sched = config_section(cfg["schedule"], "schedule")
+        test_embedding = cfg.get("test_embedding", "exact")
+        return cls(
+            meta=MetaDistribution.from_config(cfg["meta"]),
+            base_kernel=BaseKernel.from_config(cfg["base_kernel"]),
+            hkernel=HilbertKernel.from_config(cfg["hilbert_kernel"]),
+            schedule_kind=sched["kind"],
+            alpha=config_float(sched["alpha"], "schedule alpha"),
+            beta=config_float(sched["beta"], "schedule beta") if "beta" in sched else None,
+            mu=config_float(sched["mu"], "schedule mu") if "mu" in sched else None,
+            n_grid=config_ints(cfg["n_grid"], "n_grid"),
+            replicates=config_int(cfg["replicates"], "replicates"),
+            test_bags=config_int(cfg["test_bags"], "test_bags"),
+            test_embedding=test_embedding if test_embedding == "exact" else config_int(test_embedding, "test_embedding"),
+            train_embedding=cfg.get("train_embedding", "empirical"),
+            seed=config_int(cfg["seed"], "seed", minimum=0),
+            universal_c=config_float(cfg.get("universal_c", 100.0), "universal_c", above=0.0),
+            tau=config_float(cfg.get("tau", 1.0), "tau"),
+            approx_error_model=config_section(cfg.get("approx_error", {"model": "zero"}), "approx_error"),
+            bayes_mc=config_int(cfg.get("bayes_mc", 100_000), "bayes_mc"),
+            row_time_cap_s=config_float(cfg.get("row_time_cap_s", 300.0), "row_time_cap_s", above=0.0),
+        )
 
 
 def _eval_approx_model(model: dict, lam: float) -> float:
@@ -427,15 +429,13 @@ def run_kme_coverage(params: dict, seed: int) -> dict:
     oracle, and a violation is rkhs_distance(empirical, exact) exceeding the
     bound at the requested confidence.
     """
-    try:
-        kernel = BaseKernel.from_config(params["base_kernel"])
-        sigma = config_float(params["sigma"], "sigma")
-        mean = np.asarray(config_floats(params.get("mean", [0.0] * kernel.dim), "mean"))
-        bag_sizes = config_ints(params["bag_sizes"], "bag_sizes", minimum=1)
-        deltas = config_floats(params["deltas"], "deltas")
-        trials = config_int(params["trials"], "trials", minimum=1)
-    except KeyError as exc:
-        raise InputError(f"coverage config missing field {exc}") from exc
+    params = config_section(params, "coverage config")
+    kernel = BaseKernel.from_config(params["base_kernel"])
+    sigma = config_float(params["sigma"], "sigma")
+    mean = np.asarray(config_floats(params.get("mean", [0.0] * kernel.dim), "mean"))
+    bag_sizes = config_ints(params["bag_sizes"], "bag_sizes", minimum=1)
+    deltas = config_floats(params["deltas"], "deltas")
+    trials = config_int(params["trials"], "trials", minimum=1)
     seed = config_int(seed, "seed", minimum=0)
     results = []
     for m in bag_sizes:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, UnsupportedError, config_float
+from .errors import InputError, UnsupportedError, config_float, config_section
 from .kme import _squared_distances_into, cross_inner, squared_norms
 
 __all__ = ["HilbertKernel", "HolderModulus", "hk_from_inner", "hk_eval", "feature_distance", "lipschitz_modulus"]
@@ -43,12 +43,9 @@ class HilbertKernel:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "HilbertKernel":
-        try:
-            fam = cfg["family"]
-        except KeyError as exc:
-            raise InputError(f"second-level kernel config missing field {exc}") from exc
+        cfg = config_section(cfg, "hilbert_kernel")
         width = cfg.get("width")
-        return cls(family=fam, width=None if width is None else config_float(width, "second-level kernel width"))
+        return cls(family=cfg["family"], width=None if width is None else config_float(width, "second-level kernel width"))
 
     def with_width(self, width: float) -> "HilbertKernel":
         return HilbertKernel(self.family, width)

@@ -107,7 +107,7 @@ class ExactBatch:
 
     @cached_property
     def _norms(self) -> np.ndarray:
-        return _variance_terms(self.kernel, self.spreads**2, self.spreads**2)[1]
+        return _closed_form_into(self.kernel, np.zeros(len(self)), self.spreads**2, self.spreads**2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,7 +180,7 @@ class PointBatch:
 
     @cached_property
     def _norms(self) -> np.ndarray:
-        return _dot(self.points, self.points)
+        return _dot_into(self.points, self.points, np.empty(len(self)), np.empty(len(self)))
 
 
 def uniform_weights(m: int) -> np.ndarray:
@@ -208,20 +208,37 @@ def exact_gaussian_embedding(k: BaseKernel, mean, spread: float) -> ExactBatch:
     return ExactBatch(k, np.asarray(mean, dtype=np.float64)[None], [spread])
 
 
-def _variance_terms(k: BaseKernel, s2a, s2b):
-    """v = g + 2 (s2a + s2b) and (g / v)^(d/2) of the closed form, g = width^2;
-    the symmetric grouping keeps the swap (m, s) <-> (m', s') bit-exact."""
+def _closed_form_into(k: BaseKernel, d2: np.ndarray, s2a, s2b) -> np.ndarray:
+    """(g / v)^(d/2) exp(-d2 / v), v = g + 2 (s2a + s2b) and g = width^2, computed in the
+    caller's array of squared mean distances through one temporary of the spreads'
+    broadcast shape; the symmetric grouping keeps the swap (m, s) <-> (m', s') bit-exact."""
     g = k.width * k.width
-    v = g + 2.0 * (s2a + s2b)
-    return v, (g / v) ** (k.dim / 2.0)
+    t = np.add(s2a, s2b)
+    t *= -2.0
+    t -= g  # -v
+    np.exp(np.divide(d2, t, out=d2), out=d2)
+    np.divide(-g, t, out=t)  # g / v
+    t **= k.dim / 2.0
+    d2 *= t
+    return d2
 
 
-def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Dot products over the last axis, accumulated coordinate by coordinate: each value depends
-    only on its own two points, so _dot(p, p) is the diagonal of _dot(p[:, None], p[None])."""
-    out = np.zeros(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]))
+def _dot_into(x: np.ndarray, y: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis written into out, accumulated from 0 coordinate by
+    coordinate through tmp: each value depends only on its own two points."""
+    out.fill(0.0)
     for c in range(x.shape[-1]):
-        out += x[..., c] * y[..., c]
+        out += np.multiply(x[..., c], y[..., c], out=tmp)
+    return out
+
+
+def _point_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Matrix of x_i . y_j by `_dot_into`, one row block at a time through one reused temporary."""
+    out = np.empty((len(x), len(y)))
+    blocks = _backend.row_blocks(*out.shape)
+    tmp = np.empty_like(out[blocks[0]])
+    for rows in blocks:
+        _dot_into(x[rows, None], y[None], out[rows], tmp[: rows.stop - rows.start])
     return out
 
 
@@ -271,7 +288,7 @@ def cross_inner(a, b) -> np.ndarray:
         raise InputError(f"embeddings use different base kernels: {a.kernel} vs {b.kernel}")
     k, kinds = a.kernel, (type(a), type(b))
     if kinds == (PointBatch, PointBatch):
-        return _dot(a.points[:, None], b.points[None])
+        return _point_dots(a.points, b.points)
     if kinds == (ExactBatch, ExactBatch):
         return gaussian_kme_cross_inner(k, a.means, a.spreads, b.means, b.spreads)
     if kinds == (ExactBatch, EmpiricalBatch):
@@ -307,32 +324,23 @@ def _clamp_sq(sq: np.ndarray) -> np.ndarray:
     return np.maximum(sq, 0.0, out=sq) if low < 0.0 else sq
 
 
-# entries of the row-block temporaries of `_squared_distances_into` and
-# `gaussian_kme_cross_inner`, so no temporary is full size
-_BLOCK_ENTRIES = 1 << 15
-
-
-def _one_value(x: np.ndarray):
-    """x[0] when every entry of the nonempty x is that same number, else None."""
-    return x[0] if x.size and np.all(x == x[0]) else None
+def _shrink(x: np.ndarray) -> np.ndarray:
+    """x, or its first entry alone when every entry of the nonempty x is that
+    same number, so a block broadcasts it as one number."""
+    return x[:1] if x.size and np.all(x == x[0]) else x
 
 
 def _squared_distances_into(inners: np.ndarray, norms_a: np.ndarray, norms_b: np.ndarray) -> np.ndarray:
     """Overwrite the caller's float64 matrix of <a_i, b_j> with the clamped squared
     distances (||a_i||^2 + ||b_j||^2) - 2 <a_i, b_j> and return it. The norm sums
-    are formed one row block at a time, or added once as a scalar when each side
-    has one norm (exact batches with one spread); 2x is exact, so every entry is
-    bit for bit the one of the full-size expression."""
-    na, nb = _one_value(norms_a), _one_value(norms_b)
-    if na is not None and nb is not None:
-        inners *= 2.0
-        np.subtract(na + nb, inners, out=inners)
-        return _clamp_sq(inners)
-    rows = max(1, _BLOCK_ENTRIES // max(inners.shape[1], 1))
-    for lo in range(0, inners.shape[0], rows):
-        block = inners[lo : lo + rows]
+    are formed one row block at a time, each side broadcast as one number when
+    its norms are one number (exact batches with one spread); 2x is exact, so
+    every entry is bit for bit the one of the full-size expression."""
+    nb = _shrink(norms_b)[None, :]
+    for rows in _backend.row_blocks(*inners.shape):
+        block = inners[rows]
         block *= 2.0
-        np.subtract(norms_a[lo : lo + rows, None] + norms_b[None, :], block, out=block)
+        np.subtract(_shrink(norms_a[rows])[:, None] + nb, block, out=block)
     return _clamp_sq(inners)
 
 
@@ -393,31 +401,16 @@ def gaussian_kme_cross_inner(
     order at every d), so a pair with equal means and spreads gets exactly
     the squared norm of `squared_norms`. The closed form is
     (g / v)^(d/2) exp(-d2 / v), and v and (g / v)^(d/2) depend only on the
-    two spreads, so they are computed once per distinct pair of spreads
-    (once in all, with no sort, when each side has one spread). With
-    distinct spreads they are tabulated and gathered one row block at a
-    time, so the distances are the only full-size array.
+    two spreads. They are computed one row block of the distances at a time
+    by broadcasting the block's spreads against the columns' spreads, each
+    side taking part as one number when its spreads are all that number, so
+    the distances are the only full-size array.
     """
     if k.family != GAUSSIAN:
         raise UnsupportedError("closed-form KME inner products require the gaussian base kernel")
     d2 = _backend.sqeuclidean(means_a, means_b)
-    sa2, sb2 = np.asarray(spreads_a, dtype=np.float64) ** 2, np.asarray(spreads_b, dtype=np.float64) ** 2
-    if _one_value(sa2) is not None and _one_value(sb2) is not None:
-        v, scale = _variance_terms(k, sa2[:1, None], sb2[None, :1])
-        np.exp(np.divide(d2, -v, out=d2), out=d2)
-        d2 *= scale
-        return d2
-    sa2, ia = np.unique(sa2, return_inverse=True)
-    sb2, ib = np.unique(sb2, return_inverse=True)
-    # about four block-sized temporaries are live at once: the two tables and a gather
-    rows = max(1, _BLOCK_ENTRIES // (4 * max(d2.shape[1], 1)))
-    for lo in range(0, d2.shape[0], rows):
-        ua, ia_block = np.unique(ia[lo : lo + rows], return_inverse=True)
-        neg_v, scale = _variance_terms(k, sa2[ua, None], sb2[None, :])
-        np.negative(neg_v, out=neg_v)
-        sel = np.ix_(ia_block, ib)
-        block = d2[lo : lo + rows]
-        np.exp(np.divide(block, neg_v[sel], out=block), out=block)
-        block *= scale[sel]
-        del neg_v, scale  # freed before the next block's tables are built
+    sa2 = np.asarray(spreads_a, dtype=np.float64) ** 2
+    sb2 = _shrink(np.asarray(spreads_b, dtype=np.float64) ** 2)[None, :]
+    for rows in _backend.row_blocks(*d2.shape):
+        _closed_form_into(k, d2[rows], _shrink(sa2[rows])[:, None], sb2)
     return d2

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, UnsupportedError, config_float, config_int
+from .errors import InputError, UnsupportedError, config_float, config_int, config_section
 from .kme import ExactBatch, SampleSet, embed_bags
 from .rng import mc_mean_se, normals, stream
 
@@ -87,18 +87,16 @@ class MetaDistribution:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "MetaDistribution":
-        try:
-            return cls(
-                family=cfg["family"],
-                dim=config_int(cfg["dim"], "meta dim", minimum=1),
-                center_offset=config_float(cfg["c"], "meta c"),
-                center_spread=config_float(cfg["s"], "meta s"),
-                bag_spread=config_float(cfg["sigma"], "meta sigma"),
-                p_plus=config_float(cfg["p_plus"], "meta p_plus"),
-                margin=config_float(cfg.get("r", 0.0), "meta r"),
-            )
-        except KeyError as exc:
-            raise InputError(f"meta-distribution config missing field {exc}") from exc
+        cfg = config_section(cfg, "meta")
+        return cls(
+            family=cfg["family"],
+            dim=config_int(cfg["dim"], "meta dim", minimum=1),
+            center_offset=config_float(cfg["c"], "meta c"),
+            center_spread=config_float(cfg["s"], "meta s"),
+            bag_spread=config_float(cfg["sigma"], "meta sigma"),
+            p_plus=config_float(cfg["p_plus"], "meta p_plus"),
+            margin=config_float(cfg.get("r", 0.0), "meta r"),
+        )
 
 
 def _axis(meta: MetaDistribution) -> np.ndarray:

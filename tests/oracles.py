@@ -2,12 +2,17 @@
 
 Everything here deliberately avoids the library's own computational paths:
 brute-force double sums, projected gradient ascent on the dual, randomized
-grid search on the primal, and closed-form Gaussian integrals.
+grid search on the primal, and closed-form Gaussian integrals. The one
+exception is `tabulated_kme_cross_inner`, the earlier form of the library's
+closed-form cross inner products, kept as the reference its replacement
+must equal bit for bit.
 """
 
 import math
 
 import numpy as np
+
+from tsk import _backend
 
 
 def brute_pair_sum(x, wx, y, wy, family, width):
@@ -169,3 +174,48 @@ def coverage_distances_one_by_one(kernel, mean, sigma, m, trials, seed):
         pts = mean + sigma * normals(stream(seed, "coverage", m, r), (m, kernel.dim))
         out[r] = rkhs_distance(embed(kernel, SampleSet(pts)), exact)
     return out
+
+
+def _variance_terms(k, s2a, s2b):
+    """v = g + 2 (s2a + s2b) and (g / v)^(d/2) of the closed form, g = width^2;
+    the symmetric grouping keeps the swap (m, s) <-> (m', s') bit-exact."""
+    g = k.width * k.width
+    v = g + 2.0 * (s2a + s2b)
+    return v, (g / v) ** (k.dim / 2.0)
+
+
+# entries of the row-block temporaries of `tabulated_kme_cross_inner`
+_BLOCK_ENTRIES = 1 << 15
+
+
+def _one_value(x):
+    """x[0] when every entry of the nonempty x is that same number, else None."""
+    return x[0] if x.size and np.all(x == x[0]) else None
+
+
+def tabulated_kme_cross_inner(k, means_a, spreads_a, means_b, spreads_b):
+    """The exact Gaussian KME cross inner products as `kme.gaussian_kme_cross_inner`
+    computed them before every row block broadcast its spreads: v and (g / v)^(d/2)
+    once in all when each side has one spread, else tabulated once per distinct
+    pair of spreads and gathered one row block at a time."""
+    d2 = _backend.sqeuclidean(means_a, means_b)
+    sa2, sb2 = np.asarray(spreads_a, dtype=np.float64) ** 2, np.asarray(spreads_b, dtype=np.float64) ** 2
+    if _one_value(sa2) is not None and _one_value(sb2) is not None:
+        v, scale = _variance_terms(k, sa2[:1, None], sb2[None, :1])
+        np.exp(np.divide(d2, -v, out=d2), out=d2)
+        d2 *= scale
+        return d2
+    sa2, ia = np.unique(sa2, return_inverse=True)
+    sb2, ib = np.unique(sb2, return_inverse=True)
+    # about four block-sized temporaries are live at once: the two tables and a gather
+    rows = max(1, _BLOCK_ENTRIES // (4 * max(d2.shape[1], 1)))
+    for lo in range(0, d2.shape[0], rows):
+        ua, ia_block = np.unique(ia[lo : lo + rows], return_inverse=True)
+        neg_v, scale = _variance_terms(k, sa2[ua, None], sb2[None, :])
+        np.negative(neg_v, out=neg_v)
+        sel = np.ix_(ia_block, ib)
+        block = d2[lo : lo + rows]
+        np.exp(np.divide(block, neg_v[sel], out=block), out=block)
+        block *= scale[sel]
+        del neg_v, scale  # freed before the next block's tables are built
+    return d2

@@ -155,6 +155,10 @@ NESTED_FIELDS = [
     ("meta", "dim", 2.7, "must be an integer"),
     (None, "approx_error", {"model": "constant", "value": -0.1}, "approx_error value must be >= 0"),
     (None, "approx_error", {"model": "power", "c": -1.0, "beta": 0.5}, "approx_error c must be >= 0"),
+    # every row would fail on these, so they are rejected at load
+    (None, "tau", 0.5, "tau must be >= 1"),
+    (None, "hilbert_kernel", {"family": "linear"}, "defined for the gaussian family only"),
+    ("meta", "dim", 3, "meta dim 3 does not match base_kernel dim 2"),
 ]
 
 
@@ -165,6 +169,38 @@ def test_bad_nested_config_field_exits_2(tmp_path, capsys, section, name, value,
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert main(["rates", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+    assert message in capsys.readouterr().err
+
+
+APPROX_ERROR = json.loads((CONFIGS / "approx_error_hard_margin.json").read_text())
+TRAIN = json.loads((CONFIGS / "train_example.json").read_text())
+# a config or a nested section of the wrong JSON type; base None is a whole config replaced by fields
+WRONG_JSON_TYPES = [
+    ("approx-error", APPROX_ERROR, {"base_kernel": 5}, "base_kernel must be a JSON object"),
+    ("approx-error", APPROX_ERROR, {"meta": []}, "meta must be a JSON object"),
+    ("rates", SMOKE_RATES, {"meta": "x"}, "meta must be a JSON object"),
+    ("rates", SMOKE_RATES, {"schedule": 3}, "schedule must be a JSON object"),
+    ("rates", SMOKE_RATES, {"hilbert_kernel": "g"}, "hilbert_kernel must be a JSON object"),
+    ("rates", SMOKE_RATES, {"approx_error": "zero"}, "approx_error must be a JSON object"),
+    ("train", TRAIN, {"base_kernel": 5}, "base_kernel must be a JSON object"),
+    ("train", TRAIN, {"hilbert_kernel": []}, "hilbert_kernel must be a JSON object"),
+    ("kme-coverage", KME_COVERAGE, {"base_kernel": 5}, "base_kernel must be a JSON object"),
+    ("rates", None, [SMOKE_RATES], "must be a JSON object"),
+    ("train", None, [TRAIN], "must be a JSON object"),
+    ("kme-coverage", None, [KME_COVERAGE], "must be a JSON object"),
+    ("noise-exponent", NOISE_EXPONENT, {"covariance": COV_EIGENVALUES | {"eigenvectors": 5}}, "eigenvectors must be a list of 5 rows of 5 numbers"),
+    ("noise-exponent", NOISE_EXPONENT, {"covariance": COV_EIGENVALUES | {"eigenvectors": np.eye(5)[:, :4].tolist()}}, "eigenvectors must be a list of 5 rows"),
+    ("noise-exponent", NOISE_EXPONENT, {"covariance": COV_EIGENVALUES | {"eigenvectors": [[1.0]] + np.eye(5)[1:].tolist()}}, "eigenvectors must be a list of 5 rows"),
+]
+
+
+@pytest.mark.parametrize("cmd, base, fields, message", WRONG_JSON_TYPES)
+def test_wrong_json_type_exits_2(tmp_path, capsys, cmd, base, fields, message):
+    cfg, data = tmp_path / "cfg.json", tmp_path / "bags.json"
+    cfg.write_text(json.dumps(fields if base is None else base | fields))
+    write_dataset(data)
+    extra = ["--data", str(data)] if cmd == "train" else []
+    assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / "out"), *extra]) == 2
     assert message in capsys.readouterr().err
 
 

@@ -15,9 +15,20 @@ from tsk import BaseKernel, HilbertKernel, MetaDistribution, bayes_risk
 from tsk.bounds import approx_error_summary
 from tsk.errors import InputError
 from tsk.hilbert_kernel import _hk_into, hk_from_inner
-from tsk.kme import EmpiricalBatch, ExactBatch, PointBatch, _squared_distances_into, cross_inner, squared_distances, squared_norms
+from tsk.kme import (
+    EmpiricalBatch,
+    ExactBatch,
+    PointBatch,
+    _squared_distances_into,
+    cross_inner,
+    gaussian_kme_cross_inner,
+    squared_distances,
+    squared_norms,
+)
 from tsk.rng import mc_mean_se
 from tsk.svm import SvmModel, build_gram, decision_values, decision_values_path
+
+from oracles import tabulated_kme_cross_inner
 
 BASE = BaseKernel("gaussian", 1.0, 2)
 GAUSS = HilbertKernel("gaussian", 0.7)
@@ -51,6 +62,29 @@ def test_public_views_leave_their_arguments_unchanged():
     squared_distances(inners, na, nb)
     hk_from_inner(GAUSS, inners, na, nb)
     assert all(np.array_equal(a, b) for a, b in zip((inners, na, nb), saved))
+
+
+def spreads_of(kind, n, side, rng):
+    """Spreads of one side: one value (on both sides, or on side a or b only,
+    the other side distinct), a few repeated values, or all distinct."""
+    if kind == "one" or kind == f"{side}_only_one":
+        return np.full(n, 0.3)
+    if kind == "few":
+        return rng.choice([0.0, 0.1, 0.25, 0.5], size=n)
+    return rng.uniform(0.0, 0.6, size=n)
+
+
+# 3000 x 50 and 700 x 300 span several row blocks of the closed form
+@pytest.mark.parametrize("shape", [(1, 1), (5, 40), (3000, 50), (700, 300)])
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@pytest.mark.parametrize("spreads", ["one", "few", "distinct", "a_only_one", "b_only_one"])
+def test_broadcast_closed_form_equals_tabulated(shape, d, spreads):
+    rng = np.random.default_rng(shape[0] + 7 * d)
+    k = BaseKernel("gaussian", 0.8, d)
+    means_a, means_b = rng.normal(size=(shape[0], d)), rng.normal(size=(shape[1], d))
+    sa, sb = spreads_of(spreads, shape[0], "a", rng), spreads_of(spreads, shape[1], "b", rng)
+    got = gaussian_kme_cross_inner(k, means_a, sa, means_b, sb)
+    assert np.array_equal(got, tabulated_kme_cross_inner(k, means_a, sa, means_b, sb))
 
 
 def make_batch(kind, n, seed):
@@ -165,3 +199,5 @@ def test_kernel_blocks_allocate_about_one_output():
     nsv, support, targets = 100, exact_batch(100, 2), exact_batch(2000, 3)
     model = model_on(support, GAUSS, range(nsv), 4)
     assert traced_peak(lambda: decision_values(model, targets)) <= 1.5 * nsv * 2000 * 8
+    points = PointBatch(np.random.default_rng(5).normal(size=(512, 2)))
+    assert traced_peak(lambda: build_gram(GAUSS, points)) <= 1.5 * 512 * 512 * 8
