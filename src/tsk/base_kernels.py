@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _backend
-from .errors import InputError, config_float, config_int, config_section
+from .errors import InputError
 
 __all__ = ["BaseKernel", "base_eval", "sup_norm", "GAUSSIAN", "LAPLACIAN"]
 
@@ -44,9 +44,8 @@ class BaseKernel:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "BaseKernel":
-        cfg = config_section(cfg, "base_kernel")
-        width, dim = config_float(cfg["width"], "base kernel width"), config_int(cfg["dim"], "base kernel dim", minimum=1)
-        return cls(family=cfg["family"], width=width, dim=dim)
+        from .config import BASE_KERNEL, read  # the config module imports this one
+        return read(BASE_KERNEL, cfg, "base_kernel")
 
 
 def base_eval(k: BaseKernel, x, xp) -> float:

@@ -17,18 +17,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .base_kernels import BaseKernel
 from .bounds import approx_error_summary
-from .errors import InputError, NumericalConsistencyError, config_float, config_floats, config_int, config_ints, config_section
+from .config import COMMANDS, read
+from .errors import InputError, NumericalConsistencyError, config_float, config_int
 from .experiments import ExperimentConfig, rate_report_csv, run_kme_coverage, run_rate_experiment
-from .hilbert_kernel import HilbertKernel
 from .kme import embed_bags
 from .rng import normals, stream
 from .svm import build_gram, clip, decision_values, model_from_json, model_to_json, sgn, train
-from .synth import MetaDistribution, bags_from_json
+from .synth import bags_from_json
 from .whitenoise import (
     MIN_MC,
-    CovarianceOperator,
     canonical_surjection_eval,
     characteristic_identity_check,
     feature_inner_mc,
@@ -38,15 +36,29 @@ from .whitenoise import (
 )
 
 
+def _read_input(path: str) -> str:
+    """The text of an input file (config, model or dataset); one that cannot be read as UTF-8 is an InputError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+
+
 def _load_json(path: str) -> dict:
     """A config or model file: one JSON object."""
-    p = Path(path)
-    if not p.exists():
-        raise InputError(f"file not found: {path}")
     try:
-        return config_section(json.loads(p.read_text()), path)
+        data = json.loads(_read_input(path))
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InputError(f"{path} must be a JSON object, got {data!r}")
+    return data
+
+
+def _load_config(args) -> dict:
+    """The --config file, with --seed, when the command has it and it is given, in place of the file's seed."""
+    cfg = _load_json(args.config)
+    return cfg if getattr(args, "seed", None) is None else cfg | {"seed": args.seed}
 
 
 def _check_writable(path: str):
@@ -70,10 +82,7 @@ def _write_json(path: str, payload: dict, indent: int | None = 2):
 
 
 def _cmd_rates(args) -> int:
-    cfg_data = _load_json(args.config)
-    if args.seed is not None:
-        cfg_data["seed"] = args.seed
-    cfg = ExperimentConfig.from_json(cfg_data)
+    cfg = ExperimentConfig.from_json(_load_config(args))
     report = run_rate_experiment(cfg, threads=args.threads)
     _write_output(args.out, rate_report_csv(report, timing=args.timing))
     if args.summary:
@@ -86,9 +95,7 @@ def _cmd_rates(args) -> int:
 
 
 def _cmd_kme_coverage(args) -> int:
-    params = _load_json(args.config)
-    seed = args.seed if args.seed is not None else params.get("seed", 0)
-    report = run_kme_coverage(params, seed)
+    report = run_kme_coverage(_load_config(args))
     _write_json(args.out, report)
     worst = max((r["violation_rate"] - r["delta"] for r in report["results"]), default=0.0)
     print(f"kme-coverage: wrote {args.out} (worst rate-minus-delta {worst:+.4f})")
@@ -117,20 +124,8 @@ def _cmd_whitenoise_verify(args) -> int:
         )
         diff = h1 - h2
         target = float(np.exp(-np.dot(diff, diff) / gamma**2))
-        surj = {
-            "estimate": est,
-            "std_error": se,
-            "target": target,
-            "pass": abs(est - target) <= 4.0 * se,
-        }
-        checks.append(
-            {
-                "isometry": iso.to_json(),
-                "characteristic": char.to_json(),
-                "feature_inner": feat.to_json(),
-                "surjection": surj,
-            }
-        )
+        surj = {"estimate": est, "std_error": se, "target": target, "pass": abs(est - target) <= 4.0 * se}
+        checks.append({"isometry": iso.to_json(), "characteristic": char.to_json(), "feature_inner": feat.to_json(), "surjection": surj})
     all_pass = all(part["pass"] for c in checks for part in c.values())
     payload = {"dim": dim, "gamma": gamma, "n_mc": n_mc, "seed": seed, "checks": checks, "all_pass": all_pass}
     if args.out:
@@ -142,41 +137,21 @@ def _cmd_whitenoise_verify(args) -> int:
 
 
 def _cmd_noise_exponent(args) -> int:
-    cfg = _load_json(args.config)
-    meta = MetaDistribution.from_config(cfg["meta"])
-    q = CovarianceOperator.from_config(cfg["covariance"])
-    t_grid = config_floats(cfg["t_grid"], "t_grid")
-    n_outer = config_int(cfg["n_outer"], "n_outer")
-    n_inner = config_int(cfg["n_inner"], "n_inner")
-    seed = config_int(cfg["seed"] if args.seed is None else args.seed, "seed", minimum=0)
-    floor = config_float(cfg.get("floor", 1e-12), "floor")
-    fit = fit_geometric_noise(meta, q, t_grid, n_outer, n_inner, seed, floor=floor)
+    cfg = read(COMMANDS["noise-exponent"], _load_config(args))
+    fit = fit_geometric_noise(
+        cfg["meta"], cfg["covariance"], cfg["t_grid"], cfg["n_outer"], cfg["n_inner"], cfg["seed"], floor=cfg["floor"]
+    )
     _write_json(args.out, fit.to_json())
     print(f"noise-exponent: alpha_hat={fit.alpha_hat:.4f} c_hat={fit.c_hat:.4f} valid={fit.valid}")
     return 0
 
 
 def _cmd_approx_error(args) -> int:
-    cfg = _load_json(args.config)
-    meta = MetaDistribution.from_config(cfg["meta"])
-    hk = HilbertKernel.from_config(cfg["hilbert_kernel"])
-    lam_grid = config_floats(cfg["lambda_grid"], "lambda_grid", above=0.0)
-    big_n = config_int(cfg["big_n"], "big_n")
-    embedding = cfg.get("embedding", "exact")
-    embedding = embedding if embedding == "exact" else config_int(embedding, "embedding", minimum=1)
-    seeds = config_ints(cfg.get("seeds", [cfg.get("seed", 0)]), "seeds", minimum=0)
-    test_n = None if cfg.get("test_n") is None else config_int(cfg["test_n"], "test_n")
-    base = BaseKernel.from_config(cfg["base_kernel"]) if "base_kernel" in cfg else None
+    cfg = read(COMMANDS["approx-error"], _load_config(args))
+    seeds = cfg["seeds"] if cfg["seed"] is None else (cfg["seed"],)
     summary = approx_error_summary(
-        meta,
-        hk,
-        lam_grid,
-        big_n,
-        embedding,
-        seeds,
-        base_kernel=base,
-        input_space=cfg.get("input_space", "kme"),
-        test_n=test_n,
+        cfg["meta"], cfg["hilbert_kernel"], cfg["lambda_grid"], cfg["big_n"], cfg["embedding"], seeds,
+        base_kernel=cfg["base_kernel"], input_space=cfg["input_space"], test_n=cfg["test_n"],
     )
     _write_json(args.out, summary)
     print(f"approx-error: wrote {args.out} (ahat {summary['ahat_mean']})")
@@ -184,43 +159,22 @@ def _cmd_approx_error(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg = _load_json(args.config)
-    base = BaseKernel.from_config(cfg["base_kernel"])
-    hk = HilbertKernel.from_config(cfg["hilbert_kernel"])
-    lam = config_float(cfg["lambda"], "lambda", above=0.0)
-    tol = config_float(cfg.get("tol", 1e-8), "tol", above=0.0)
-    max_sweeps = config_int(cfg.get("max_sweeps", 10_000), "max_sweeps", minimum=1)
-    data_path = Path(args.data)
-    if not data_path.exists():
-        raise InputError(f"dataset file not found: {args.data}")
-    bags, labels = bags_from_json(data_path.read_text())
-    embs = embed_bags(base, bags)
-    gram = build_gram(hk, embs)
-    model = train(
-        gram,
-        labels,
-        lam,
-        tol=tol,
-        max_sweeps=max_sweeps,
-        support=embs,
-        hkernel=hk,
-    )
+    cfg = read(COMMANDS["train"], _load_config(args))
+    lam, hk = cfg["lambda"], cfg["hilbert_kernel"]
+    bags, labels = bags_from_json(_read_input(args.data))
+    embs = embed_bags(cfg["base_kernel"], bags)
+    model = train(build_gram(hk, embs), labels, lam, tol=cfg["tol"], max_sweeps=cfg["max_sweeps"], support=embs, hkernel=hk)
     # a model holds every support sample: written on one line, it goes through
     # json's C encoder, which an indent would switch off (~4x slower)
     _write_json(args.out, model_to_json(model), indent=None)
-    print(
-        f"train: N={len(bags)} lambda={lam} kkt={model.kkt:.2e} "
-        f"{'converged' if model.converged else 'NOT converged'} -> {args.out}"
-    )
+    status = "converged" if model.converged else "NOT converged"
+    print(f"train: N={len(bags)} lambda={lam} kkt={model.kkt:.2e} {status} -> {args.out}")
     return 0
 
 
 def _cmd_predict(args) -> int:
     model = model_from_json(_load_json(args.model))
-    data_path = Path(args.data)
-    if not data_path.exists():
-        raise InputError(f"dataset file not found: {args.data}")
-    bags, labels = bags_from_json(data_path.read_text())
+    bags, labels = bags_from_json(_read_input(args.data))
     vals = decision_values(model, embed_bags(model.support.kernel, bags))
     preds = sgn(clip(vals, model.clip_bound))
     records = [{"decision": float(val), "label": int(pred)} for val, pred in zip(vals, preds)]

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package, and the type checks for config fields.
+"""Exception hierarchy shared across the package, and the type checks for config, model and flag values.
 
 CLI exit-code mapping: InputError (and subclasses) -> 2,
 NumericalConsistencyError -> 3.
@@ -24,23 +24,6 @@ class NumericalConsistencyError(RuntimeError):
     """
 
 
-class _Section(dict):
-    """A config section: a dict whose missing fields raise InputError naming the section."""
-
-    def __missing__(self, key):
-        raise InputError(f"{self.name} missing field {key!r}")
-
-
-def config_section(value, field: str) -> dict:
-    """A config, or a nested section such as its base_kernel or schedule: a JSON
-    object, returned as a copy whose missing fields raise InputError naming `field`."""
-    if not isinstance(value, dict):
-        raise InputError(f"{field} must be a JSON object, got {value!r}")
-    section = _Section(value)
-    section.name = field
-    return section
-
-
 def config_int(value, field: str, minimum: int | None = None) -> int:
     """A size or seed read from a config: an int or an integral float, at least `minimum`.
 
@@ -62,8 +45,8 @@ def config_ints(values, field: str, minimum: int | None = None) -> tuple:
     return tuple(config_int(v, field, minimum) for v in values)
 
 
-def config_float(value, field: str, above: float | None = None) -> float:
-    """A real number read from a config: an int or a finite float, greater than `above`.
+def config_float(value, field: str, above: float | None = None, minimum: float | None = None) -> float:
+    """A real number read from a config: an int or a finite float, greater than `above`, at least `minimum`.
 
     Booleans, NaN, infinities, strings, null and containers raise InputError
     rather than failing later with a traceback.
@@ -72,6 +55,8 @@ def config_float(value, field: str, above: float | None = None) -> float:
         raise InputError(f"{field} must be a finite number, got {value!r}")
     if above is not None and not value > above:
         raise InputError(f"{field} must be > {above}, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise InputError(f"{field} must be >= {minimum}, got {value!r}")
     return float(value)
 
 

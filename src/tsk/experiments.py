@@ -12,14 +12,15 @@ import io
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
 
 from .base_kernels import BaseKernel, sup_norm
 from .bounds import OracleTerms, Schedule, make_schedule, oracle_rhs
-from .errors import InputError, NumericalConsistencyError, config_float, config_floats, config_int, config_ints, config_section
+from .config import COMMANDS, read
+from .errors import InputError, NumericalConsistencyError, config_int
 from .hilbert_kernel import HilbertKernel, lipschitz_modulus
 from .kme import SampleSet, concentration_bound, cross_inner, embed_bags, exact_gaussian_embedding, squared_distances, squared_norms
 from .rng import mc_mean_se, normals, stream, subseed
@@ -76,16 +77,8 @@ class ExperimentConfig:
     row_time_cap_s: float = 300.0
 
     def __post_init__(self):
-        if self.replicates < 1:
-            raise InputError("replicates must be >= 1")
-        if self.test_bags < 1:
-            raise InputError("test_bags must be >= 1")
-        if self.train_embedding not in ("empirical", "exact"):
-            raise InputError(f"train_embedding must be 'empirical' or 'exact', got {self.train_embedding!r}")
-        if not (self.test_embedding == "exact" or int(self.test_embedding) >= 1):
-            raise InputError("test_embedding must be 'exact' or a bag size >= 1")
-        _eval_approx_model(self.approx_error_model, 0.5)  # validates the shape
-        # every row's oracle bound needs these; checked once here, before any row runs
+        # the fields are checked by `config.read`; every row's oracle bound needs
+        # these across fields, so they are checked once here, before any row runs
         OracleTerms(n=2, lam=1.0, tau=self.tau, bag_sizes=(1, 1), modulus=lipschitz_modulus(self.hkernel), approx_error=0.0)
         if self.meta.dim != self.base_kernel.dim:
             raise InputError(f"meta dim {self.meta.dim} does not match base_kernel dim {self.base_kernel.dim}")
@@ -94,73 +87,33 @@ class ExperimentConfig:
         return make_schedule(self.schedule_kind, self.n_grid, self.alpha, beta=self.beta, mu=self.mu)
 
     def to_json(self) -> dict:
-        return {
-            "meta": self.meta.to_config(),
-            "base_kernel": self.base_kernel.to_config(),
-            "hilbert_kernel": self.hkernel.to_config(),
-            "schedule": {
-                "kind": self.schedule_kind,
-                "alpha": self.alpha,
-                **({"beta": self.beta} if self.beta is not None else {}),
-                **({"mu": self.mu} if self.mu is not None else {}),
-            },
-            "n_grid": list(self.n_grid),
-            "replicates": self.replicates,
-            "test_bags": self.test_bags,
-            "test_embedding": self.test_embedding,
-            "train_embedding": self.train_embedding,
-            "seed": self.seed,
-            "universal_c": self.universal_c,
-            "tau": self.tau,
-            "approx_error": dict(self.approx_error_model),
-            "bayes_mc": self.bayes_mc,
-            "row_time_cap_s": self.row_time_cap_s,
-        }
+        """The config that `from_json` reads back into this one."""
+        cfg = {f.name: getattr(self, f.name) for f in fields(self)}
+        schedule = {"kind": cfg.pop("schedule_kind"), **{key: cfg.pop(key) for key in ("alpha", "beta", "mu")}}
+        cfg.update(meta=self.meta.to_config(), base_kernel=self.base_kernel.to_config(), hilbert_kernel=cfg.pop("hkernel").to_config())
+        cfg.update(n_grid=list(self.n_grid), approx_error=dict(cfg.pop("approx_error_model")))
+        return cfg | {"schedule": {key: value for key, value in schedule.items() if value is not None}}
 
     @classmethod
     def from_json(cls, cfg: dict) -> "ExperimentConfig":
-        cfg = config_section(cfg, "experiment config")
-        sched = config_section(cfg["schedule"], "schedule")
-        test_embedding = cfg.get("test_embedding", "exact")
+        values = read(COMMANDS["rates"], cfg)
+        schedule = values.pop("schedule")
         return cls(
-            meta=MetaDistribution.from_config(cfg["meta"]),
-            base_kernel=BaseKernel.from_config(cfg["base_kernel"]),
-            hkernel=HilbertKernel.from_config(cfg["hilbert_kernel"]),
-            schedule_kind=sched["kind"],
-            alpha=config_float(sched["alpha"], "schedule alpha"),
-            beta=config_float(sched["beta"], "schedule beta") if "beta" in sched else None,
-            mu=config_float(sched["mu"], "schedule mu") if "mu" in sched else None,
-            n_grid=config_ints(cfg["n_grid"], "n_grid"),
-            replicates=config_int(cfg["replicates"], "replicates"),
-            test_bags=config_int(cfg["test_bags"], "test_bags"),
-            test_embedding=test_embedding if test_embedding == "exact" else config_int(test_embedding, "test_embedding"),
-            train_embedding=cfg.get("train_embedding", "empirical"),
-            seed=config_int(cfg["seed"], "seed", minimum=0),
-            universal_c=config_float(cfg.get("universal_c", 100.0), "universal_c", above=0.0),
-            tau=config_float(cfg.get("tau", 1.0), "tau"),
-            approx_error_model=config_section(cfg.get("approx_error", {"model": "zero"}), "approx_error"),
-            bayes_mc=config_int(cfg.get("bayes_mc", 100_000), "bayes_mc"),
-            row_time_cap_s=config_float(cfg.get("row_time_cap_s", 300.0), "row_time_cap_s", above=0.0),
+            hkernel=values.pop("hilbert_kernel"),
+            approx_error_model=values.pop("approx_error"),
+            schedule_kind=schedule.pop("kind"),
+            **schedule,
+            **values,
         )
 
 
 def _eval_approx_model(model: dict, lam: float) -> float:
-    """A(lam) of the approx_error model: 0, a constant `value` >= 0, or c lam^beta with c >= 0."""
-    kind = model.get("model", "zero")
-    if kind == "zero":
-        return 0.0
-    if kind == "constant":
-        return _nonnegative(model["value"], "approx_error value")
-    if kind == "power":
-        return _nonnegative(model["c"], "approx_error c") * lam ** config_float(model["beta"], "approx_error beta")
-    raise InputError(f"unknown approx-error model {kind!r}")
-
-
-def _nonnegative(value, field: str) -> float:
-    value = config_float(value, field)
-    if value < 0:
-        raise InputError(f"{field} must be >= 0, got {value!r}")
-    return value
+    """A(lam) of an approx_error model as `config.read` returns it: 0, a constant `value`, or c lam^beta."""
+    if model["model"] == "constant":
+        return model["value"]
+    if model["model"] == "power":
+        return model["c"] * lam ** model["beta"]
+    return 0.0
 
 
 def estimate_risks(model: SvmModel, meta: MetaDistribution, t: int, test_m_or_exact, seed: int, bayes_mc: int = 100_000):
@@ -422,25 +375,24 @@ def _coverage_distances(kernel: BaseKernel, mean, sigma: float, m: int, trials: 
     return np.sqrt(squared_distances(cross_inner(emps, exact), squared_norms(emps), squared_norms(exact))[:, 0])
 
 
-def run_kme_coverage(params: dict, seed: int) -> dict:
+_CONFIG_SEED = object()  # run_kme_coverage's default seed: the config's own
+
+
+def run_kme_coverage(params: dict, seed=_CONFIG_SEED) -> dict:
     """Empirical violation rates of the embedding concentration bound.
 
     Bags come from N(mean, sigma^2 I); the exact embedding is the closed-form
     oracle, and a violation is rkhs_distance(empirical, exact) exceeding the
-    bound at the requested confidence.
+    bound at the requested confidence. `seed`, when given, replaces the config's.
     """
-    params = config_section(params, "coverage config")
-    kernel = BaseKernel.from_config(params["base_kernel"])
-    sigma = config_float(params["sigma"], "sigma")
-    mean = np.asarray(config_floats(params.get("mean", [0.0] * kernel.dim), "mean"))
-    bag_sizes = config_ints(params["bag_sizes"], "bag_sizes", minimum=1)
-    deltas = config_floats(params["deltas"], "deltas")
-    trials = config_int(params["trials"], "trials", minimum=1)
-    seed = config_int(seed, "seed", minimum=0)
+    cfg = read(COMMANDS["kme-coverage"], params)
+    kernel, sigma, trials = cfg["base_kernel"], cfg["sigma"], cfg["trials"]
+    mean = np.zeros(kernel.dim) if cfg["mean"] is None else np.asarray(cfg["mean"])
+    seed = cfg["seed"] if seed is _CONFIG_SEED else config_int(seed, "seed", minimum=0)
     results = []
-    for m in bag_sizes:
+    for m in cfg["bag_sizes"]:
         dists = _coverage_distances(kernel, mean, sigma, m, trials, seed)
-        for delta in deltas:
+        for delta in cfg["deltas"]:
             bound = concentration_bound(m, delta, sup_norm(kernel))
             rate = float(np.mean(dists > bound))
             results.append(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, UnsupportedError, config_float, config_section
+from .errors import InputError, UnsupportedError
 from .kme import _squared_distances_into, cross_inner, squared_norms
 
 __all__ = ["HilbertKernel", "HolderModulus", "hk_from_inner", "hk_eval", "feature_distance", "lipschitz_modulus"]
@@ -36,16 +36,12 @@ class HilbertKernel:
                 raise InputError(f"gaussian second-level kernel needs width > 0, got {self.width}")
 
     def to_config(self) -> dict:
-        cfg = {"family": self.family}
-        if self.width is not None:
-            cfg["width"] = float(self.width)
-        return cfg
+        return {"family": self.family} | ({} if self.width is None else {"width": float(self.width)})
 
     @classmethod
     def from_config(cls, cfg: dict) -> "HilbertKernel":
-        cfg = config_section(cfg, "hilbert_kernel")
-        width = cfg.get("width")
-        return cls(family=cfg["family"], width=None if width is None else config_float(width, "second-level kernel width"))
+        from .config import HILBERT_KERNEL, read  # the config module imports this one
+        return read(HILBERT_KERNEL, cfg, "hilbert_kernel")
 
     def with_width(self, width: float) -> "HilbertKernel":
         return HilbertKernel(self.family, width)

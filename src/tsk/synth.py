@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, UnsupportedError, config_float, config_int, config_section
+from .errors import InputError, UnsupportedError
 from .kme import ExactBatch, SampleSet, embed_bags
 from .rng import mc_mean_se, normals, stream
 
@@ -73,30 +73,14 @@ class MetaDistribution:
             raise InputError("gaussian_overlap needs center spread s > 0")
 
     def to_config(self) -> dict:
-        cfg = {
-            "family": self.family,
-            "dim": self.dim,
-            "c": self.center_offset,
-            "s": self.center_spread,
-            "sigma": self.bag_spread,
-            "p_plus": self.p_plus,
-        }
-        if self.family == HARD_MARGIN:
-            cfg["r"] = self.margin
-        return cfg
+        cfg = {"family": self.family, "dim": self.dim, "c": self.center_offset, "s": self.center_spread,
+               "sigma": self.bag_spread, "p_plus": self.p_plus}
+        return cfg | {"r": self.margin} if self.family == HARD_MARGIN else cfg
 
     @classmethod
     def from_config(cls, cfg: dict) -> "MetaDistribution":
-        cfg = config_section(cfg, "meta")
-        return cls(
-            family=cfg["family"],
-            dim=config_int(cfg["dim"], "meta dim", minimum=1),
-            center_offset=config_float(cfg["c"], "meta c"),
-            center_spread=config_float(cfg["s"], "meta s"),
-            bag_spread=config_float(cfg["sigma"], "meta sigma"),
-            p_plus=config_float(cfg["p_plus"], "meta p_plus"),
-            margin=config_float(cfg.get("r", 0.0), "meta r"),
-        )
+        from .config import META, read  # the config module imports this one
+        return read(META, cfg, "meta")
 
 
 def _axis(meta: MetaDistribution) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, config_floats, config_int, config_section
+from .errors import InputError
 from .rng import mc_mean_se, normals, stream
 from .synth import MetaDistribution, delta_batch, eta_batch, sample_first_stage
 
@@ -101,19 +101,8 @@ class CovarianceOperator:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "CovarianceOperator":
-        cfg = config_section(cfg, "covariance")
-        lam = np.asarray(config_floats(cfg["eigenvalues"], "covariance eigenvalues"))
-        if "eigenvectors" in cfg:
-            vecs, d = cfg["eigenvectors"], len(lam)
-            rows = [config_floats(row, "covariance eigenvectors") for row in vecs] if isinstance(vecs, list) else None
-            if rows is None or [len(row) for row in rows] != [d] * d:
-                raise InputError(f"covariance eigenvectors must be a list of {d} rows of {d} numbers, got {vecs!r}")
-            return cls(lam, np.array(rows))
-        if "rotation_seed" in cfg:
-            gen = stream(config_int(cfg["rotation_seed"], "covariance rotation_seed", minimum=0), "covariance-rotation")
-            q, _ = np.linalg.qr(normals(gen, (lam.shape[0], lam.shape[0])))
-            return cls(lam, q)
-        return cls(lam, np.eye(lam.shape[0]))
+        from .config import COVARIANCE, read  # the config module imports this one
+        return read(COVARIANCE, cfg, "covariance")
 
 
 def random_covariance(dim: int, seed: int, lo: float = 0.2, hi: float = 2.0) -> CovarianceOperator:

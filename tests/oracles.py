@@ -38,18 +38,31 @@ def rand_psd(rng, n, lo=0.3, hi=3.0):
     return (k + k.T) / 2.0
 
 
-def pgd_dual_objectives(instances, iters=10**6):
-    """Batched projected gradient ascent on the SVM duals.
+def primal_objective(k, y, lam, alpha):
+    """P(f) = (1/N) sum_i hinge(y_i, f(x_i)) + lam ||f||^2 of f = sum_j alpha_j y_j k(x_j, .)."""
+    coef = alpha * y
+    f = k @ coef
+    return float(np.mean(np.maximum(0.0, 1.0 - y * f)) + lam * coef @ k @ coef)
 
-    instances: list of (gram, labels, lam). Runs the stated oracle -- `iters`
-    synchronized steps at step size 1/||Q||_2 -- and returns the dual
-    objectives in primal units, 2 lam (sum a - a'Qa/2).
+
+def pgd_dual_objectives(instances, iters=10**6, gap_tol=1e-10):
+    """Batched projected gradient ascent on the SVM duals, certified by weak duality.
+
+    instances: list of (gram, labels, lam). Takes synchronized steps at step
+    size 1/||Q||_2 until every instance's primal-dual gap P(f_a) - 2 lam D(a)
+    is at most `gap_tol`, or `iters` steps have been taken; f_a is
+    sum_j a_j y_j k(x_j, .), P its primal objective (`primal_objective`) and
+    D(a) = sum a - a'Qa/2. Returns the dual objectives in primal units,
+    2 lam D(a), and the gaps: weak duality puts each optimum between 2 lam D(a)
+    and 2 lam D(a) + gap.
     """
     b = len(instances)
     p = max(k.shape[0] for k, _, _ in instances)
     q = np.zeros((b, p, p))
     box = np.zeros((b, p))
     ones = np.zeros((b, p))
+    lams = np.array([lam for _, _, lam in instances])
+    sizes = np.array([k.shape[0] for k, _, _ in instances])
     for i, (k, y, lam) in enumerate(instances):
         n = k.shape[0]
         q[i, :n, :n] = k * np.outer(y, y)
@@ -59,15 +72,20 @@ def pgd_dual_objectives(instances, iters=10**6):
     for i in range(b):
         step[i] = 1.0 / max(np.linalg.eigvalsh(q[i])[-1], 1e-12)
     alpha = np.zeros((b, p))
-    for _ in range(iters):
-        g = ones - np.matmul(q, alpha[..., None])[..., 0]
-        alpha = np.clip(alpha + step * g, 0.0, box)
+    for taken in range(iters + 1):
+        qa = np.matmul(q, alpha[..., None])[..., 0]  # (Qa)_i = y_i f_a(x_i)
+        quad = (alpha * qa).sum(axis=1)
+        primal = (ones * np.maximum(0.0, 1.0 - qa)).sum(axis=1) / sizes + lams * quad
+        gaps = primal - 2.0 * lams * (alpha.sum(axis=1) - 0.5 * quad)
+        if gaps.max() <= gap_tol or taken == iters:
+            break
+        alpha = np.clip(alpha + step * (ones - qa), 0.0, box)
     out = []
     for i, (k, y, lam) in enumerate(instances):
         n = k.shape[0]
         a = alpha[i, :n]
         out.append(2.0 * lam * (a.sum() - 0.5 * a @ (k * np.outer(y, y)) @ a))
-    return out
+    return out, gaps.tolist()
 
 
 def primal_grid_min(k, y, lam, pts=17, max_rounds=200, seed=0, restarts=3):

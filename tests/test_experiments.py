@@ -205,12 +205,13 @@ class TestRateExperiment:
         assert ExperimentConfig.from_json(cfg.to_json()) == cfg
 
     def test_config_validation(self):
+        # the fields are checked where a config is read, by `tsk.config`
         with pytest.raises(InputError):
-            smoke_config(replicates=0)
+            ExperimentConfig.from_json(VALID_RATES | {"replicates": 0})
         with pytest.raises(InputError):
-            smoke_config(train_embedding="approximate")
+            ExperimentConfig.from_json(VALID_RATES | {"train_embedding": "approximate"})
         with pytest.raises(InputError):
-            smoke_config(approx_error_model={"model": "spline"})
+            ExperimentConfig.from_json(VALID_RATES | {"approx_error": {"model": "spline"}})
 
 
 class TestKmeCoverage:

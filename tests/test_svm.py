@@ -199,7 +199,7 @@ class TestNewtonSolver:
         gram = build_gram(HilbertKernel("gaussian", 1.0), embs)
         assert np.linalg.matrix_rank(gram.entries) <= 12
         lams = (0.001, 0.01, 0.1)
-        oracle = pgd_dual_objectives([(gram.entries, y, lam) for lam in lams], iters=200_000)
+        oracle, _ = pgd_dual_objectives([(gram.entries, y, lam) for lam in lams], iters=200_000)
         for lam, target in zip(lams, oracle):
             model = train(gram, y, lam)
             assert model.converged
@@ -261,7 +261,7 @@ class TestNewtonSolver:
             for lam in (0.003, 0.01, 0.03):
                 gram, y = noisy_points_gram(rng, n, ridge=0.05)
                 instances.append((gram.entries, y, lam))
-        oracle = pgd_dual_objectives(instances, iters=100_000)
+        oracle, _ = pgd_dual_objectives(instances, iters=100_000)
         seen = np.zeros(3, dtype=bool)  # some coefficient at 0, at C, strictly between
         for (k, y, lam), target in zip(instances, oracle):
             model = train(GramMatrix(k), y, lam, tol=1e-10)
@@ -282,7 +282,7 @@ class TestDualPrimalAgainstOracles:
             k = rand_psd(rng, n)
             y = rng.choice([-1.0, 1.0], size=n)
             instances.append((k, y, [0.01, 0.1, 1.0][trial % 3]))
-        oracle = pgd_dual_objectives(instances, iters=200_000)
+        oracle, _ = pgd_dual_objectives(instances, iters=200_000)
         for (k, y, lam), target in zip(instances, oracle):
             model = train(GramMatrix(k), y, lam, tol=1e-10)
             assert model.objective == pytest.approx(target, abs=1e-6)
