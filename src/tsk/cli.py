@@ -174,6 +174,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = model_from_json(_load_json(args.model))
+    if not model.converged:
+        print(f"warning: {args.model} was not converged (KKT residual {model.kkt:.3e}); predicting with it as it is", file=sys.stderr)
     bags, labels = bags_from_json(_read_input(args.data))
     vals = decision_values(model, embed_bags(model.support.kernel, bags))
     preds = sgn(clip(vals, model.clip_bound))

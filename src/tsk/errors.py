@@ -45,8 +45,8 @@ def config_ints(values, field: str, minimum: int | None = None) -> tuple:
     return tuple(config_int(v, field, minimum) for v in values)
 
 
-def config_float(value, field: str, above: float | None = None, minimum: float | None = None) -> float:
-    """A real number read from a config: an int or a finite float, greater than `above`, at least `minimum`.
+def config_float(value, field: str, above: float | None = None, minimum: float | None = None, below: float | None = None) -> float:
+    """A real number read from a config: an int or a finite float, greater than `above`, at least `minimum`, less than `below`.
 
     Booleans, NaN, infinities, strings, null and containers raise InputError
     rather than failing later with a traceback.
@@ -57,11 +57,13 @@ def config_float(value, field: str, above: float | None = None, minimum: float |
         raise InputError(f"{field} must be > {above}, got {value!r}")
     if minimum is not None and value < minimum:
         raise InputError(f"{field} must be >= {minimum}, got {value!r}")
+    if below is not None and not value < below:
+        raise InputError(f"{field} must be < {below}, got {value!r}")
     return float(value)
 
 
-def config_floats(values, field: str, above: float | None = None) -> tuple:
+def config_floats(values, field: str, above: float | None = None, minimum: float | None = None, below: float | None = None) -> tuple:
     """A JSON list of real numbers, each checked by `config_float`."""
     if not isinstance(values, (list, tuple)):
         raise InputError(f"{field} must be a list of numbers, got {values!r}")
-    return tuple(config_float(v, field, above) for v in values)
+    return tuple(config_float(v, field, above, minimum, below) for v in values)

@@ -61,15 +61,6 @@ class SampleSet:
             raise InputError(f"sample set must be a nonempty (M, d) matrix, got shape {pts.shape}")
         object.__setattr__(self, "points", pts)
 
-    @classmethod
-    def from_json(cls, samples) -> SampleSet:
-        """A bag read from JSON: a nonempty (M, d) matrix of numbers. Strings and
-        booleans raise rather than being converted."""
-        points = np.asarray(samples)
-        if points.dtype.kind not in "iuf":
-            raise InputError(f"samples must be numbers, got {points.dtype}")
-        return cls(points.astype(np.float64))
-
     @property
     def size(self) -> int:
         return self.points.shape[0]

@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _backend
-from .base_kernels import BaseKernel
-from .errors import InputError, NumericalConsistencyError, UnsupportedError, config_float, config_floats
+from .errors import InputError, NumericalConsistencyError, UnsupportedError
 from .hilbert_kernel import HilbertKernel, _hk_into
 from .kme import EmpiricalBatch, ExactBatch, SampleSet, cross_inner, embed, squared_norms, uniform_weights
 
@@ -439,68 +438,7 @@ def _bag_record(points: np.ndarray, weights: np.ndarray) -> dict:
     return record
 
 
-def _bag_from_json(i: int, record: dict):
-    """Points and weights of support bag i: the samples a matrix of numbers,
-    the weights one finite number per sample, uniform when absent."""
-    points = SampleSet.from_json(record["samples"]).points
-    if "weights" not in record:
-        return points, uniform_weights(len(points))
-    weights = config_floats(record["weights"], f"support bag {i} weights")
-    if len(weights) != len(points):
-        raise InputError(f"support bag {i} has {len(weights)} weights for {len(points)} samples")
-    return points, np.array(weights)
-
-
-def _support_from_json(base: BaseKernel, records):
-    """One batch from the support records, each checked here: all sample bags
-    (`_bag_from_json`) or all (mean, spread) pairs of finite numbers."""
-    kinds = {"samples" in rec for rec in records}
-    if len(kinds) != 1:
-        raise InputError("support must be a nonempty list of records that are all bags or all (mean, spread) pairs")
-    if kinds == {False}:
-        means = [config_floats(rec["mean"], f"support {i} mean") for i, rec in enumerate(records)]
-        spreads = [config_float(rec["spread"], f"support {i} spread") for i, rec in enumerate(records)]
-        return ExactBatch(base, means, spreads)
-    points, weights = zip(*(_bag_from_json(i, rec) for i, rec in enumerate(records)))
-    return EmpiricalBatch(base, np.concatenate(points), np.concatenate(weights), np.cumsum([0] + [len(p) for p in points]))
-
-
 def model_from_json(data: dict) -> SvmModel:
-    """Rebuild a model written by `model_to_json`, validating it once here.
-
-    Coefficient, label and support counts must agree and be nonzero,
-    coefficients finite numbers >= 0, labels +-1, lambda and clip_bound
-    numbers > 0, kkt_residual and norm_sq finite numbers, converged a
-    boolean, and the support batch valid (finite means of the kernel's
-    dimension, finite spreads >= 0, or finite nonempty bags of numbers with
-    one finite weight per sample when weights are given).
-    """
-    try:
-        base = BaseKernel.from_config(data["base_kernel"])
-        hk = HilbertKernel.from_config(data["hilbert_kernel"])
-        support = _support_from_json(base, data["support"])
-        alpha = np.array(config_floats(data["dual_coefs"], "dual_coefs"))
-        n = len(support)
-        labels = _as_labels(data["labels"], n)
-        lam = config_float(data["lambda"], "lambda", above=0.0)
-        clip_bound = config_float(data["clip_bound"], "clip_bound", above=0.0)
-        if n == 0 or alpha.shape != (n,) or np.any(alpha < 0.0):
-            raise InputError(f"dual_coefs must hold {n} > 0 finite values >= 0, one per support bag; got {alpha}")
-        if not isinstance(converged := data.get("converged", True), bool):
-            raise InputError(f"converged must be true or false, got {converged!r}")
-        return SvmModel(
-            dual_coefs=alpha,
-            labels=labels,
-            lam=lam,
-            box_c=1.0 / (2.0 * lam * n),
-            clip_bound=clip_bound,
-            converged=converged,
-            kkt=config_float(data.get("kkt_residual", 0.0), "kkt_residual"),
-            sweeps=0,
-            objective=0.0,
-            norm_sq=config_float(data.get("norm_sq", 0.0), "norm_sq"),
-            support=support,
-            hkernel=hk,
-        )
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"malformed model JSON: {exc}") from exc
+    """Rebuild a model written by `model_to_json`, read once by the model table of `config.FILES`."""
+    from .config import FILES, read  # the config module imports this one
+    return read(FILES["model"], data)

@@ -213,29 +213,11 @@ def bags_to_json(bags, labels) -> str:
 
 
 def bags_from_json(text: str):
-    """Parse the dataset format; returns (list of SampleSet, labels array).
-
-    The dataset is validated here, once: every label is -1 or +1 (booleans
-    and other numbers are rejected, not rounded) and every bag is a nonempty
-    matrix of numbers with the same number d >= 1 of columns.
-    """
+    """Parse the dataset format; returns (list of SampleSet, labels array). The
+    dataset is read once, by the dataset table of `config.FILES`."""
+    from .config import FILES, read  # the config module imports this one
     try:
         records = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid dataset JSON: {exc}") from exc
-    if not isinstance(records, list) or not records:
-        raise InputError("dataset must be a nonempty JSON array of bags")
-    bags, labels = [], []
-    for i, rec in enumerate(records):
-        try:
-            label = rec["label"]
-            bags.append(SampleSet.from_json(rec["samples"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bag {i} is malformed: {exc}") from exc
-        if isinstance(label, bool) or label not in (-1, 1):
-            raise InputError(f"bag {i} label must be -1 or +1, got {label!r}")
-        labels.append(int(label))
-    dims = sorted({bag.dim for bag in bags})
-    if len(dims) != 1 or dims[0] < 1:
-        raise InputError(f"every bag needs the same sample dimension >= 1, got {dims}")
-    return bags, np.asarray(labels)
+    return read(FILES["dataset"], {"bags": records})

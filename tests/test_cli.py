@@ -209,27 +209,22 @@ def test_wrong_json_type_exits_2(tmp_path, capsys, cmd, base, fields, message):
     assert message in capsys.readouterr().err
 
 
-def test_non_integer_tsk_threads_exits_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("TSK_THREADS", "abc")
+def test_non_integer_threads_exits_2(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(SMOKE_EMPIRICAL))
-    assert main(["rates", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 2
-    assert "TSK_THREADS" in capsys.readouterr().err
+    assert main(["rates", "--config", str(path), "--out", str(tmp_path / "o.csv"), "--threads", "abc"]) == 2
+    assert "--threads" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "flag, env", [(["--threads", "0"], None), (["--threads", "-3"], None), ([], "0"), ([], "-2")]
-)
-def test_worker_count_below_one_exits_2(tmp_path, capsys, monkeypatch, flag, env):
-    if env is not None:
-        monkeypatch.setenv("TSK_THREADS", env)
+@pytest.mark.parametrize("flag", [["--threads", "0"], ["--threads", "-3"]])
+def test_worker_count_below_one_exits_2(tmp_path, capsys, flag):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(SMOKE_EMPIRICAL))
     with mock.patch("tsk.experiments._compute_row") as compute_row:
         code = main(["rates", "--config", str(path), "--out", str(tmp_path / "o.csv"), *flag])
     compute_row.assert_not_called()
     assert code == 2
-    assert ("threads" if flag else "TSK_THREADS") + " must be >= 1" in capsys.readouterr().err
+    assert "threads must be >= 1" in capsys.readouterr().err
 
 
 def test_run_rate_experiment_rejects_zero_threads():
@@ -445,6 +440,19 @@ class TestTrainPredict:
         assert code == 2
         assert "dual_coefs" in capsys.readouterr().err
 
+    def test_unconverged_model_warns_and_predicts_the_same(self, tmp_path, capsys):
+        data, model_path = tmp_path / "bags.json", tmp_path / "model.json"
+        write_dataset(data)
+        main(["train", "--config", str(CONFIGS / "train_example.json"), "--data", str(data), "--out", str(model_path)])
+        converged, unconverged = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["predict", "--model", str(model_path), "--data", str(data), "--out", str(converged)]) == 0
+        model_path.write_text(json.dumps(json.loads(model_path.read_text()) | {"converged": False, "kkt_residual": 0.25}))
+        assert capsys.readouterr().err == ""
+        assert main(["predict", "--model", str(model_path), "--data", str(data), "--out", str(unconverged)]) == 0
+        warning = capsys.readouterr().err.splitlines()
+        assert len(warning) == 1 and "not converged" in warning[0] and "KKT residual 2.500e-01" in warning[0]
+        assert converged.read_bytes() == unconverged.read_bytes()
+
     def test_nan_sample_is_an_input_error(self, tmp_path, capsys):
         data = tmp_path / "bags.json"
         write_dataset(data)
@@ -503,7 +511,7 @@ class TestTrainPredict:
         model, data = self._exact_model(tmp_path)
         model["support"][1] = {"samples": [[0.0, 0.0], [1.0, 1.0]]}
         assert self._predict_exit(tmp_path, model, data) == 2
-        assert "all bags or all (mean, spread) pairs" in capsys.readouterr().err
+        assert "missing field support[1].mean" in capsys.readouterr().err  # support[0] sets the kind of every record
 
     def test_missing_data_file(self, tmp_path, capsys):
         code = main(["train", "--config", str(CONFIGS / "train_example.json"), "--data", str(tmp_path / "no.json"), "--out", str(tmp_path / "m.json")])

@@ -134,13 +134,6 @@ class TestRateExperiment:
         parallel = rate_report_csv(run_rate_experiment(cfg, threads=2))
         assert serial == parallel
 
-    def test_tsk_threads_env_respected(self, monkeypatch):
-        monkeypatch.setenv("TSK_THREADS", "2")
-        cfg = smoke_config()
-        via_env = rate_report_csv(run_rate_experiment(cfg))
-        monkeypatch.delenv("TSK_THREADS")
-        assert via_env == rate_report_csv(run_rate_experiment(cfg, threads=1))
-
     def test_timing_column_off_by_default(self):
         rep = run_rate_experiment(smoke_config())
         line = rate_report_csv(rep).splitlines()[1]

@@ -401,11 +401,13 @@ def as_exact_support(data):
 
 @st.composite
 def corrupted_models(draw):
-    """A copy of VALID_MODEL with one corruption model_from_json must reject."""
+    """A copy of VALID_MODEL with one corruption model_from_json must reject. The kinds of one
+    field's value (a coefficient, lambda, clip_bound, a string or boolean in any field, the samples
+    and the exact support) are left to the generated fuzz of tests/test_config.py."""
     data = copy.deepcopy(VALID_MODEL)
     n = len(data["dual_coefs"])
     index = st.integers(0, n - 1)
-    kind = draw(st.sampled_from(["count", "empty", "coef", "label", "positive", "string", "weights", "samples", "exact"]))
+    kind = draw(st.sampled_from(["count", "empty", "label", "weights"]))
     if kind == "count":
         field = draw(st.sampled_from(COUNTED))
         if draw(st.booleans()):
@@ -415,20 +417,9 @@ def corrupted_models(draw):
     elif kind == "empty":
         for field in COUNTED:
             data[field] = []
-    elif kind == "coef":
-        data["dual_coefs"][draw(index)] = draw(st.floats(max_value=0.0, exclude_max=True) | st.just(math.nan) | st.just(math.inf))
     elif kind == "label":
         data["labels"][draw(index)] = draw((st.integers() | st.floats()).filter(lambda v: v not in (-1, 1)))
-    elif kind == "positive":
-        data[draw(st.sampled_from(["lambda", "clip_bound"]))] = draw(st.floats(max_value=0.0) | st.just(math.nan))
-    elif kind == "string":  # a valid value in the wrong JSON type
-        field = draw(st.sampled_from(["lambda", "clip_bound", "kkt_residual", "norm_sq", "converged", "dual_coefs"]))
-        value = data[field]
-        if field == "dual_coefs":
-            data[field] = draw(st.sampled_from([[str(a) for a in value], [bool(a) for a in value]]))
-        else:
-            data[field] = draw(st.sampled_from([str(value), [value]] + ([] if field == "converged" else [True])))
-    elif kind == "weights":
+    else:
         sup = data["support"]
         i, j = draw(st.lists(index, min_size=2, max_size=2, unique=True))
         mi, mj = len(sup[i]["samples"]), len(sup[j]["samples"])
@@ -436,16 +427,6 @@ def corrupted_models(draw):
         bad = [shift, {i: ["0.5"] * mi}, {i: [True] * mi}, {i: [math.inf] * mi}, {i: "0.5"}]
         for b, weights in draw(st.sampled_from(bad)).items():
             sup[b]["weights"] = weights
-    elif kind == "samples":
-        rec = data["support"][draw(index)]
-        convert = draw(st.sampled_from([str, lambda v: v > 0]))
-        rec["samples"] = [[convert(v) for v in row] for row in rec["samples"]]
-    else:
-        rec = as_exact_support(data)["support"][draw(index)]
-        if draw(st.booleans()):
-            rec["spread"] = draw(st.sampled_from(["0.3", True, math.nan]))
-        else:
-            rec["mean"] = draw(st.sampled_from([[str(v) for v in rec["mean"]], [True, False], [math.nan, 0.0]]))
     return data
 
 
