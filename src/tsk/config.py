@@ -206,7 +206,7 @@ FILES = {
         "converged": (config_bool, REQUIRED), "kkt_residual": (NONNEGATIVE, REQUIRED), "norm_sq": REAL,
         "support": (partial(config_records, table=(SUPPORT_BAG, SUPPORT_MEAN)), REQUIRED),
     }, lambda **values: _model(values.pop("lambda"), **values), "the model"),
-    "dataset": Section({"bags": (partial(config_records, table=BAG), REQUIRED)}, _dataset, "the dataset"),
+    "dataset": Section({"bags": (partial(config_records, table=BAG), REQUIRED)}, _dataset),
 }
 
 
