@@ -8,7 +8,7 @@ learning-rate schedules, and Gaussian-measure feature-space identities.
 """
 
 from ._backend import active_backend
-from .base_kernels import BaseKernel, base_eval, sup_norm
+from .base_kernels import BaseKernel, sup_norm
 from .errors import InputError, NumericalConsistencyError, UnsupportedError
 from .hilbert_kernel import HilbertKernel, HolderModulus, feature_distance, hk_eval, lipschitz_modulus
 from .kme import (
@@ -19,9 +19,7 @@ from .kme import (
     embed,
     embed_bags,
     exact_gaussian_embedding,
-    gaussian_family_kme_inner,
     inner,
-    rkhs_distance,
 )
 from .svm import (
     GramMatrix,

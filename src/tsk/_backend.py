@@ -23,8 +23,8 @@ matrix is worked on in its row slices of about `_BLOCK_BUDGET` floats.
 `cd_sweep` is the coordinate pass of `svm.train`.
 
 This is the one module of `tsk` that loads `scipy.spatial`, and only
-`_dist_block` does so, on the first empirical kernel pass, where `cdist` is
-about twice as fast per entry as the numpy form at d = 2. Programs that
+`_dist_block` does so, on the first empirical kernel pass: `cdist` computes
+every pair-sum distance block, at every width. Programs that
 compute no distance (the white-noise checks, the noise-exponent fit) or
 only exact ones (the rates and approximation-error runs on exact
 embeddings) never hold it.
@@ -53,18 +53,10 @@ def row_blocks(n: int, row_size: int, rows: int | None = None) -> list:
 
 
 def _dist_block(Y: np.ndarray, X: np.ndarray, family: int, out: np.ndarray) -> np.ndarray:
-    """Squared euclidean (family 0) or cityblock (family 1) distances, written into out."""
-    if X.shape[1] <= 64:
-        from scipy.spatial.distance import cdist
+    """Squared euclidean (family 0) or cityblock (family 1) distances by `cdist`, written into out."""
+    from scipy.spatial.distance import cdist
 
-        return cdist(Y, X, "sqeuclidean" if family == 0 else "cityblock", out=out)
-    # wide rows: broadcast + pairwise summation over the axis
-    diff = Y[:, None, :] - X[None, :, :]
-    if family == 0:
-        np.square(diff, out=diff)
-    else:
-        np.abs(diff, out=diff)
-    return np.sum(diff, axis=2, out=out)
+    return cdist(Y, X, "sqeuclidean" if family == 0 else "cityblock", out=out)
 
 
 def sqeuclidean(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -122,7 +114,7 @@ def pair_sums(X, wx, Y, wy, offsets, family: int, width: float, row_block=None) 
     m, n = X.shape[0], Y.shape[0]
     if m < 1 or offsets[0] != 0 or offsets[-1] != n or np.any(np.diff(offsets) < 1):
         raise ValueError("pair_sums needs a nonempty left expansion and nonempty segments covering Y")
-    blocks = row_blocks(n, m * (X.shape[1] if X.shape[1] > 64 else 1), row_block)
+    blocks = row_blocks(n, m, row_block)
     rate = -1.0 / (width * width if family == 0 else width)
     buf = np.empty((blocks[0].stop, m))
     v = np.empty(n)

@@ -10,10 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _backend
 from .errors import InputError
 
-__all__ = ["BaseKernel", "base_eval", "sup_norm", "GAUSSIAN", "LAPLACIAN"]
+__all__ = ["BaseKernel", "sup_norm", "GAUSSIAN", "LAPLACIAN"]
 
 GAUSSIAN = "gaussian"
 LAPLACIAN = "laplacian"
@@ -46,15 +45,6 @@ class BaseKernel:
     def from_config(cls, cfg: dict) -> "BaseKernel":
         from .config import BASE_KERNEL, read  # the config module imports this one
         return read(BASE_KERNEL, cfg, "base_kernel")
-
-
-def base_eval(k: BaseKernel, x, xp) -> float:
-    """k(x, x'): the one-point `_backend.pair_sum`, symmetric bit-exactly since its distances are."""
-    x = np.asarray(x, dtype=np.float64)
-    xp = np.asarray(xp, dtype=np.float64)
-    if x.shape != (k.dim,) or xp.shape != (k.dim,):
-        raise InputError(f"points must have shape ({k.dim},), got {x.shape} and {xp.shape}")
-    return _backend.pair_sum(x[None, :], [1.0], xp[None, :], [1.0], FAMILY_CODES[k.family], k.width)
 
 
 def sup_norm(k: BaseKernel) -> float:

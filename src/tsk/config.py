@@ -114,6 +114,37 @@ def _same_dim(meta, base_kernel, **values) -> dict:
     return values | {"meta": meta, "base_kernel": base_kernel}
 
 
+def _rates(n_grid, **values) -> dict:
+    """The values read, the N grid nonempty and strictly increasing, checked by `_same_dim`."""
+    if not n_grid or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
+        raise InputError(f"n_grid must be a nonempty, strictly increasing list, got {list(n_grid)}")
+    return _same_dim(n_grid=n_grid, **values)
+
+
+def _approx_error(input_space, **values) -> dict:
+    """The values read, checked by `_same_dim`; the kme input space embeds through the base kernel."""
+    if input_space == "kme" and values["base_kernel"] is None:
+        raise InputError('base_kernel must be given with input_space "kme", which embeds the inputs through it')
+    return _same_dim(input_space=input_space, **values)
+
+
+def _noise_exponent(meta, covariance, t_grid, **values) -> dict:
+    """The values read, the covariance on meta.dim eigenvalues built only then, and a t grid of
+    at least 3 points, the fewest a power law is fitted to."""
+    if len(covariance["eigenvalues"]) != meta.dim:
+        raise InputError(f"covariance.eigenvalues must hold meta.dim = {meta.dim} numbers, got {len(covariance['eigenvalues'])}")
+    if len(t_grid) < 3:
+        raise InputError(f"t_grid must hold at least 3 points, got {len(t_grid)}")
+    return values | {"meta": meta, "covariance": COVARIANCE.build(**covariance), "t_grid": t_grid}
+
+
+def _kme_coverage(base_kernel, mean, **values) -> dict:
+    """The values read; a mean, when given, is a point of the base kernel's space."""
+    if mean is not None and len(mean) != base_kernel.dim:
+        raise InputError(f"mean must hold base_kernel.dim = {base_kernel.dim} numbers, got {len(mean)}")
+    return values | {"base_kernel": base_kernel, "mean": mean}
+
+
 def _model(lam, support, base_kernel, hilbert_kernel, dual_coefs, labels, clip_bound, converged, kkt_residual, norm_sq) -> SvmModel:
     """The model of a model file: one coefficient and one label per support record, every record of
     the base kernel's dimension, and a bag's weights, when given, one per sample (else 1/m)."""
@@ -170,25 +201,27 @@ COMMANDS = {
     "rates": Section({
         "meta": (META, REQUIRED), "base_kernel": (BASE_KERNEL, REQUIRED), "hilbert_kernel": (HILBERT_KERNEL, REQUIRED),
         "schedule": (SCHEDULE, REQUIRED), "approx_error": (APPROX_ERROR, {"model": "zero"}),
-        "n_grid": (config_ints, REQUIRED), "replicates": (SIZE, REQUIRED), "test_bags": (SIZE, REQUIRED), "bayes_mc": (SIZE, 100_000),
+        "n_grid": (partial(config_ints, minimum=2), REQUIRED), "replicates": (SIZE, REQUIRED), "test_bags": (SIZE, REQUIRED), "bayes_mc": (SIZE, 100_000),
         "test_embedding": (config_size_or_exact, "exact"), "train_embedding": (_one_of(("empirical", "exact")), "empirical"),
         "seed": (SEED, REQUIRED), "universal_c": (POSITIVE, 100.0), "tau": (partial(config_float, minimum=1.0), 1.0),
         "row_time_cap_s": (POSITIVE, 300.0),
-    }, _same_dim),
+    }, _rates),
     "approx-error": Section({
         "meta": (META, REQUIRED), "hilbert_kernel": (HILBERT_KERNEL, REQUIRED), "base_kernel": (BASE_KERNEL, None),
-        "lambda_grid": (partial(config_floats, above=0.0), REQUIRED), "big_n": (config_int, REQUIRED), "test_n": (config_int, None),
+        "lambda_grid": (partial(config_floats, above=0.0), REQUIRED), "big_n": (partial(config_int, minimum=2), REQUIRED), "test_n": (SIZE, None),
         "embedding": (config_size_or_exact, "exact"), "input_space": (_one_of(("kme", "mean")), "kme"),
         ("seeds", "seed"): ((partial(config_ints, minimum=0), SEED), (0,)),
-    }, _same_dim),
+    }, _approx_error),
+    # the covariance is read as its fields, so that meta.dim is checked before a rotation is drawn
     "noise-exponent": Section({
-        "meta": (META, REQUIRED), "covariance": (COVARIANCE, REQUIRED), "t_grid": (config_floats, REQUIRED),
-        "n_outer": (config_int, REQUIRED), "n_inner": (config_int, REQUIRED), "seed": (SEED, REQUIRED), "floor": (config_float, 1e-12),
-    }),
+        "meta": (META, REQUIRED), "covariance": (Section(COVARIANCE), REQUIRED), "t_grid": (partial(config_floats, above=0.0), REQUIRED),
+        "n_outer": (SIZE, REQUIRED), "n_inner": (SIZE, REQUIRED), "seed": (SEED, REQUIRED), "floor": (POSITIVE, 1e-12),
+    }, _noise_exponent),
     "kme-coverage": Section({
-        "base_kernel": (BASE_KERNEL, REQUIRED), "sigma": REAL, "mean": (config_floats, None), "deltas": (partial(config_floats, above=0.0, below=1.0), REQUIRED),
-        "bag_sizes": (partial(config_ints, minimum=1), REQUIRED), "trials": (SIZE, REQUIRED), "seed": (SEED, 0),
-    }),
+        "base_kernel": (BASE_KERNEL, REQUIRED), "sigma": (NONNEGATIVE, REQUIRED), "mean": (config_floats, None),
+        "deltas": (partial(config_floats, above=0.0, below=1.0), REQUIRED), "bag_sizes": (partial(config_ints, minimum=1), REQUIRED),
+        "trials": (SIZE, REQUIRED), "seed": (SEED, 0),
+    }, _kme_coverage),
     "train": Section({
         "base_kernel": (BASE_KERNEL, REQUIRED), "hilbert_kernel": (HILBERT_KERNEL, REQUIRED),
         "lambda": (POSITIVE, REQUIRED), "tol": (POSITIVE, 1e-8), "max_sweeps": (SIZE, 10_000),

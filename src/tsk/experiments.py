@@ -21,7 +21,7 @@ from .bounds import OracleTerms, Schedule, make_schedule, oracle_rhs
 from .config import COMMANDS, read
 from .errors import InputError, NumericalConsistencyError, config_int
 from .hilbert_kernel import HilbertKernel, lipschitz_modulus
-from .kme import SampleSet, concentration_bound, cross_inner, embed_bags, exact_gaussian_embedding, squared_distances, squared_norms
+from .kme import SampleSet, _squared_distances_into, concentration_bound, cross_inner, embed_bags, exact_gaussian_embedding, squared_norms
 from .rng import mc_mean_se, normals, stream, subseed
 from .svm import SvmModel, build_gram, clip, decision_values, hinge, train, zero_one
 from .synth import MetaDistribution, bayes_risk, embed_inputs, sample_first_stage
@@ -355,7 +355,7 @@ def _coverage_distances(kernel: BaseKernel, mean, sigma: float, m: int, trials: 
     emps = embed_bags(
         kernel, [SampleSet(mean + sigma * normals(stream(seed, "coverage", m, r), (m, kernel.dim))) for r in range(trials)]
     )
-    return np.sqrt(squared_distances(cross_inner(emps, exact), squared_norms(emps), squared_norms(exact))[:, 0])
+    return np.sqrt(_squared_distances_into(cross_inner(emps, exact), squared_norms(emps), squared_norms(exact))[:, 0])
 
 
 _CONFIG_SEED = object()  # run_kme_coverage's default seed: the config's own
@@ -365,8 +365,9 @@ def run_kme_coverage(params: dict, seed=_CONFIG_SEED) -> dict:
     """Empirical violation rates of the embedding concentration bound.
 
     Bags come from N(mean, sigma^2 I); the exact embedding is the closed-form
-    oracle, and a violation is rkhs_distance(empirical, exact) exceeding the
-    bound at the requested confidence. `seed`, when given, replaces the config's.
+    oracle, and a violation is an empirical embedding whose RKHS distance to
+    it exceeds the bound at the requested confidence. `seed`, when given,
+    replaces the config's.
     """
     cfg = read(COMMANDS["kme-coverage"], params)
     kernel, sigma, trials = cfg["base_kernel"], cfg["sigma"], cfg["trials"]

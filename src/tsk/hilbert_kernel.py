@@ -2,9 +2,10 @@
 
 The gaussian family is the Hilbert-space Gaussian kernel evaluated on RKHS
 distances; linear is the plain inner product, kept as a baseline. Both are
-computed only by `hk_from_inner`, from first-level inner products and
-squared norms. The gaussian kernel's feature map is Lipschitz with an
-explicit power-law modulus, which the bound evaluators consume.
+computed only by `_hk_into`, from first-level inner products and squared
+norms, in the buffer of inner products it is given. The gaussian kernel's
+feature map is Lipschitz with an explicit power-law modulus, which the bound
+evaluators consume.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from .errors import InputError, UnsupportedError
 from .kme import _squared_distances_into, cross_inner, squared_norms
 
-__all__ = ["HilbertKernel", "HolderModulus", "hk_from_inner", "hk_eval", "feature_distance", "lipschitz_modulus"]
+__all__ = ["HilbertKernel", "HolderModulus", "hk_eval", "feature_distance", "lipschitz_modulus"]
 
 H_GAUSSIAN = "gaussian"
 H_LINEAR = "linear"
@@ -67,29 +68,19 @@ class HolderModulus:
 
 
 def _hk_into(hk: HilbertKernel, inners: np.ndarray, norms_a: np.ndarray, norms_b: np.ndarray) -> np.ndarray:
-    """`hk_from_inner` computed in the caller's float64 matrix of inner products,
-    which it overwrites and returns: one buffer per kernel block."""
+    """Second-level values from <a_i, b_j>, ||a_i||^2 and ||b_j||^2, computed in the caller's
+    float64 matrix of inner products, which it overwrites and returns: one buffer per kernel
+    block. gaussian: exp(-d2 / width^2) with d2 the clamped squared distances of
+    `kme._squared_distances_into`; linear: the inner products themselves."""
     if hk.family == H_LINEAR:
         return inners
     d2 = _squared_distances_into(inners, norms_a, norms_b)
     return np.exp(np.divide(d2, -(hk.width**2), out=d2), out=d2)
 
 
-def hk_from_inner(hk: HilbertKernel, inners: np.ndarray, norms_a: np.ndarray, norms_b: np.ndarray) -> np.ndarray:
-    """Second-level values from <a_i, b_j>, ||a_i||^2 and ||b_j||^2; the inputs are unchanged.
-
-    gaussian: exp(-d2 / width^2) with d2 the squared distances of
-    `kme.squared_distances`, in one copy of the inner products; linear: the
-    inner products themselves.
-    """
-    if hk.family == H_LINEAR:
-        return inners
-    return _hk_into(hk, np.array(inners, dtype=np.float64), norms_a, norms_b)
-
-
 def hk_eval(hk: HilbertKernel, e1, e2) -> float:
     """k(e1, e2) for batches of one: exp(-||e1-e2||^2 / width^2) for gaussian, <e1, e2> for linear."""
-    return float(hk_from_inner(hk, cross_inner(e1, e2), squared_norms(e1), squared_norms(e2))[0, 0])
+    return float(_hk_into(hk, cross_inner(e1, e2), squared_norms(e1), squared_norms(e2))[0, 0])
 
 
 def feature_distance(hk: HilbertKernel, e1, e2) -> float:

@@ -36,11 +36,7 @@ __all__ = [
     "inner",
     "cross_inner",
     "squared_norms",
-    "squared_distance",
-    "squared_distances",
-    "rkhs_distance",
     "concentration_bound",
-    "gaussian_family_kme_inner",
     "gaussian_kme_inner_matrix",
     "gaussian_kme_cross_inner",
 ]
@@ -322,33 +318,18 @@ def _shrink(x: np.ndarray) -> np.ndarray:
 
 
 def _squared_distances_into(inners: np.ndarray, norms_a: np.ndarray, norms_b: np.ndarray) -> np.ndarray:
-    """Overwrite the caller's float64 matrix of <a_i, b_j> with the clamped squared
-    distances (||a_i||^2 + ||b_j||^2) - 2 <a_i, b_j> and return it. The norm sums
-    are formed one row block at a time, each side broadcast as one number when
-    its norms are one number (exact batches with one spread); 2x is exact, so
-    every entry is bit for bit the one of the full-size expression."""
+    """Overwrite the caller's float64 matrix of <a_i, b_j> with the squared distances
+    ||a_i - b_j||^2 = (||a_i||^2 + ||b_j||^2) - 2 <a_i, b_j>, noise below 0 clamped
+    by `_clamp_sq`, and return it. The norm sums are formed one row block at a
+    time, each side broadcast as one number when its norms are one number
+    (exact batches with one spread); 2x is exact, so every entry is bit for bit
+    the one of the full-size expression."""
     nb = _shrink(norms_b)[None, :]
     for rows in _backend.row_blocks(*inners.shape):
         block = inners[rows]
         block *= 2.0
         np.subtract(_shrink(norms_a[rows])[:, None] + nb, block, out=block)
     return _clamp_sq(inners)
-
-
-def squared_distances(inners: np.ndarray, norms_a: np.ndarray, norms_b: np.ndarray) -> np.ndarray:
-    """Matrix of ||a_i - b_j||^2 = ||a_i||^2 + ||b_j||^2 - 2 <a_i, b_j> from the
-    inner products and both vectors of squared norms, noise below 0 clamped by
-    `_clamp_sq`; computed in one copy of the inner products, the inputs are unchanged."""
-    return _squared_distances_into(np.array(inners, dtype=np.float64), norms_a, norms_b)
-
-
-def squared_distance(e1, e2) -> float:
-    """||e1 - e2||^2 of two embeddings (batches of one), tiny negative values clamped to 0."""
-    return float(squared_distances(cross_inner(e1, e2), squared_norms(e1), squared_norms(e2))[0, 0])
-
-
-def rkhs_distance(e1, e2) -> float:
-    return math.sqrt(squared_distance(e1, e2))
 
 
 def concentration_bound(m: int, delta: float, kernel_sup: float) -> float:
@@ -366,16 +347,6 @@ def concentration_bound(m: int, delta: float, kernel_sup: float) -> float:
     return 2.0 * math.sqrt(kernel_sup * kernel_sup / m) + math.sqrt(
         2.0 * kernel_sup * math.log(1.0 / delta) / m
     )
-
-
-def gaussian_family_kme_inner(m, sigma: float, mp, sigma_p: float, k: BaseKernel) -> float:
-    """<mu_Q, mu_Q'> for Q = N(m, sigma^2 I), Q' = N(m', sigma_p^2 I).
-
-    Closed form (g = width^2, v = g + 2 sigma^2 + 2 sigma_p^2):
-    (g / v)^(d/2) * exp(-||m - m'||^2 / v). Reduces to the base kernel at
-    sigma = sigma_p = 0.
-    """
-    return inner(exact_gaussian_embedding(k, m, sigma), exact_gaussian_embedding(k, mp, sigma_p))
 
 
 def gaussian_kme_inner_matrix(k: BaseKernel, means: np.ndarray, spreads: np.ndarray) -> np.ndarray:

@@ -178,19 +178,20 @@ def noise_terms_one_t(meta, t, q, n_outer, n_inner, seed):
 
 
 def coverage_distances_one_by_one(kernel, mean, sigma, m, trials, seed):
-    """rkhs_distance(empirical, exact) for each coverage trial, one trial at a time.
+    """The RKHS distance of each coverage trial's empirical embedding to the exact one, one trial at a time.
 
     The per-trial loop the batched coverage campaign must reproduce bit for
-    bit: the same bag streams, one `rkhs_distance` call per bag.
+    bit: the same bag streams, one 1x1 distance per bag.
     """
-    from tsk import SampleSet, embed, exact_gaussian_embedding, rkhs_distance
+    from tsk import SampleSet, embed, exact_gaussian_embedding
+    from tsk.kme import _squared_distances_into, cross_inner, squared_norms
     from tsk.rng import normals, stream
 
     exact = exact_gaussian_embedding(kernel, mean, sigma)
     out = np.empty(trials)
     for r in range(trials):
-        pts = mean + sigma * normals(stream(seed, "coverage", m, r), (m, kernel.dim))
-        out[r] = rkhs_distance(embed(kernel, SampleSet(pts)), exact)
+        e = embed(kernel, SampleSet(mean + sigma * normals(stream(seed, "coverage", m, r), (m, kernel.dim))))
+        out[r] = math.sqrt(_squared_distances_into(cross_inner(e, exact), squared_norms(e), squared_norms(exact))[0, 0])
     return out
 
 

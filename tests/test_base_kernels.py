@@ -3,34 +3,40 @@ import math
 import numpy as np
 import pytest
 
-from tsk import BaseKernel, base_eval, sup_norm
+from tsk import BaseKernel, EmpiricalBatch, sup_norm
 from tsk.errors import InputError
+from tsk.kme import cross_inner, squared_norms
+
+
+def point_masses(k, points):
+    """Each point as a one-sample expansion of unit weight: their inner products are base-kernel values."""
+    points = np.asarray(points, dtype=np.float64)
+    return EmpiricalBatch(k, points, np.ones(len(points)), np.arange(len(points) + 1))
 
 
 def test_zero_distance_identity():
-    k = BaseKernel("gaussian", 1.0, 3)
-    x = np.array([0.3, -1.2, 4.0])
-    assert base_eval(k, x, x) == 1.0
-    assert base_eval(BaseKernel("laplacian", 0.7, 3), x, x) == 1.0
+    x = np.array([[0.3, -1.2, 4.0]])
+    assert squared_norms(point_masses(BaseKernel("gaussian", 1.0, 3), x))[0] == 1.0
+    assert squared_norms(point_masses(BaseKernel("laplacian", 0.7, 3), x))[0] == 1.0
 
 
 def test_gaussian_unit_distance():
     # exp(-||x-x'||^2 / w^2) at ||x-x'|| = 1, w = 1
     k = BaseKernel("gaussian", 1.0, 2)
-    val = base_eval(k, np.zeros(2), np.array([1.0, 0.0]))
+    val = cross_inner(point_masses(k, [[0.0, 0.0]]), point_masses(k, [[1.0, 0.0]]))[0, 0]
     assert val == pytest.approx(math.exp(-1.0), abs=1e-12)
 
 
 def test_gaussian_scaled_distance():
     # ||x-x'||^2 / w^2 = 4/4 = 1 gives the same value
     k = BaseKernel("gaussian", 2.0, 1)
-    val = base_eval(k, np.array([0.0]), np.array([2.0]))
+    val = cross_inner(point_masses(k, [[0.0]]), point_masses(k, [[2.0]]))[0, 0]
     assert val == pytest.approx(math.exp(-1.0), abs=1e-12)
 
 
 def test_laplacian_form():
     k = BaseKernel("laplacian", 2.0, 2)
-    val = base_eval(k, np.zeros(2), np.array([1.0, -1.0]))
+    val = cross_inner(point_masses(k, [[0.0, 0.0]]), point_masses(k, [[1.0, -1.0]]))[0, 0]
     assert val == pytest.approx(math.exp(-2.0 / 2.0), abs=1e-12)
 
 
@@ -46,16 +52,16 @@ def test_symmetry_bit_exact():
         d = int(rng.integers(1, 8))
         fam = "gaussian" if i % 2 == 0 else "laplacian"
         k = BaseKernel(fam, float(rng.uniform(0.2, 3.0)), d)
-        x, xp = rng.normal(size=d), rng.normal(size=d)
-        assert base_eval(k, x, xp) == base_eval(k, xp, x)
+        x, xp = point_masses(k, rng.normal(size=(1, d))), point_masses(k, rng.normal(size=(1, d)))
+        assert cross_inner(x, xp)[0, 0] == cross_inner(xp, x)[0, 0]
 
 
 @pytest.mark.parametrize("family", ["gaussian", "laplacian"])
 def test_gram_matrices_psd(family):
     rng = np.random.default_rng(7)
     k = BaseKernel(family, 1.0, 3)
-    pts = rng.normal(size=(20, 3))
-    gram = np.array([[base_eval(k, a, b) for b in pts] for a in pts])
+    pts = point_masses(k, rng.normal(size=(20, 3)))
+    gram = cross_inner(pts, pts)
     assert np.linalg.eigvalsh(gram)[0] >= -1e-8 * 20
 
 
@@ -67,19 +73,20 @@ def test_nonincreasing_along_rays(family):
         x = rng.normal(size=4)
         u = rng.normal(size=4)
         u /= np.linalg.norm(u)
-        vals = [base_eval(k, x, x + t * u) for t in (0.0, 0.5, 1.0, 2.0)]
+        vals = cross_inner(point_masses(k, [x]), point_masses(k, [x + t * u for t in (0.0, 0.5, 1.0, 2.0)]))[0]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
 def test_high_dimension_path_matches_fsum():
-    # d > 64 switches from cdist to numpy's pairwise summation of the squared differences
+    # cdist sums the 130 squared differences of each pair, as at every width
     rng = np.random.default_rng(11)
     d = 130
     k = BaseKernel("gaussian", 1.5, d)
     x, xp = rng.normal(size=d), rng.normal(size=d)
     expected = math.exp(-math.fsum((a - b) ** 2 for a, b in zip(x, xp)) / 1.5**2)
-    assert base_eval(k, x, xp) == pytest.approx(expected, rel=1e-14)
-    assert base_eval(k, x, xp) == base_eval(k, xp, x)
+    a, b = point_masses(k, [x]), point_masses(k, [xp])
+    assert cross_inner(a, b)[0, 0] == pytest.approx(expected, rel=1e-14)
+    assert cross_inner(a, b)[0, 0] == cross_inner(b, a)[0, 0]
 
 
 def test_input_validation():
@@ -89,9 +96,8 @@ def test_input_validation():
         BaseKernel("gaussian", 0.0, 2)
     with pytest.raises(InputError):
         BaseKernel("gaussian", 1.0, 0)
-    k = BaseKernel("gaussian", 1.0, 2)
     with pytest.raises(InputError):
-        base_eval(k, np.zeros(3), np.zeros(2))
+        point_masses(BaseKernel("gaussian", 1.0, 2), np.zeros((1, 3)))
 
 
 def test_config_roundtrip():

@@ -275,15 +275,26 @@ def test_misspelled_rates_field_exits_2(workdir, capsys, mutate, path):
     assert f"unknown field {path};" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "cmd, edit, path",
-    [
-        ("kme-coverage", lambda c: c.update(deltas=[0.1, 2.0]), "deltas"),
-        ("approx-error", lambda c: c["meta"].update(dim=3), "meta.dim"),
-        ("rates", lambda c: c.update(bayes_mc=0), "bayes_mc"),
-    ],
-    ids=["kme-coverage-deltas", "approx-error-meta.dim", "rates-bayes_mc"],
-)
+# ranges and checks across fields that the library made only after its first draw, or without naming the field
+LATE_CHECKS = [
+    ("kme-coverage", lambda c: c.update(deltas=[0.1, 2.0]), "deltas", "kme-coverage-deltas"),
+    ("approx-error", lambda c: c["meta"].update(dim=3), "meta.dim", "approx-error-meta.dim"),
+    ("rates", lambda c: c.update(bayes_mc=0), "bayes_mc", "rates-bayes_mc"),
+    ("noise-exponent", lambda c: c.update(n_outer=0), "n_outer", "noise-exponent-n_outer"),
+    ("noise-exponent", lambda c: c.update(t_grid=[2.0, 1.0]), "t_grid", "noise-exponent-2-point t_grid"),
+    ("noise-exponent", lambda c: c.update(covariance={"eigenvalues": [1.0, 0.5], "rotation_seed": 3}), "covariance.eigenvalues", "noise-exponent-2 eigenvalues"),
+    ("approx-error", lambda c: c.update(test_n=0), "test_n", "approx-error-test_n"),
+    ("approx-error", lambda c: c.update(big_n=1), "big_n", "approx-error-big_n"),
+    ("approx-error", lambda c: c.pop("base_kernel"), "base_kernel", "approx-error-kme without base_kernel"),
+    ("rates", lambda c: c.update(n_grid=[0, 8]), "n_grid", "rates-n_grid"),
+    ("rates", lambda c: c.update(n_grid=[]), "n_grid", "rates-empty n_grid"),
+    ("rates", lambda c: c.update(n_grid=[16, 8]), "n_grid", "rates-decreasing n_grid"),
+    ("kme-coverage", lambda c: c.update(sigma=-1.0), "sigma", "kme-coverage-sigma"),
+    ("kme-coverage", lambda c: c.update(mean=[0.0, 0.0, 0.0]), "mean", "kme-coverage-3-number mean"),
+]
+
+
+@pytest.mark.parametrize("cmd, edit, path", [pytest.param(*case[:3], id=case[3]) for case in LATE_CHECKS])
 def test_range_exits_2_at_load_before_any_draw(workdir, capsys, cmd, edit, path):
     with mock.patch("numpy.random.Philox", side_effect=AssertionError("a random stream was opened")):
         assert _run(workdir, cmd, _edited(cmd, edit)) == 2

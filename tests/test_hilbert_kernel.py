@@ -12,11 +12,10 @@ from tsk import (
     feature_distance,
     hk_eval,
     lipschitz_modulus,
-    rkhs_distance,
 )
 from tsk.errors import InputError, UnsupportedError
 from tsk.hilbert_kernel import HolderModulus
-from tsk.kme import exact_gaussian_embedding, inner
+from tsk.kme import _squared_distances_into, cross_inner, exact_gaussian_embedding, inner, squared_norms
 
 BASE = BaseKernel("gaussian", 1.0, 2)
 
@@ -76,7 +75,8 @@ class TestFeatureDistance:
     def test_at_width_scale(self):
         # embedding distance equal to the width gives sqrt(2 - 2 e^-1)
         e1, e2 = atom([0.0, 0.0]), atom([1.0, 0.0])
-        hk = HilbertKernel("gaussian", rkhs_distance(e1, e2))
+        d2 = _squared_distances_into(cross_inner(e1, e2), squared_norms(e1), squared_norms(e2))[0, 0]
+        hk = HilbertKernel("gaussian", math.sqrt(d2))
         assert feature_distance(hk, e1, e2) == pytest.approx(
             math.sqrt(2.0 - 2.0 * math.exp(-1.0)), abs=1e-12
         )
@@ -123,7 +123,8 @@ class TestModulus:
         mod = lipschitz_modulus(hk)
         for _ in range(100):
             e1, e2 = random_embeddings(rng, 2)
-            assert feature_distance(hk, e1, e2) <= mod(rkhs_distance(e1, e2)) + 1e-12
+            d2 = _squared_distances_into(cross_inner(e1, e2), squared_norms(e1), squared_norms(e2))[0, 0]
+            assert feature_distance(hk, e1, e2) <= mod(math.sqrt(d2)) + 1e-12
 
     def test_linear_unsupported(self):
         with pytest.raises(UnsupportedError):

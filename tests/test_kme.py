@@ -9,16 +9,15 @@ from tsk import (
     SampleSet,
     concentration_bound,
     embed,
+    embed_bags,
     exact_gaussian_embedding,
-    gaussian_family_kme_inner,
     inner,
-    rkhs_distance,
 )
 from scipy.spatial.distance import cdist
 
 from tsk._backend import _BLOCK_BUDGET, pair_sum, pair_sums, sqeuclidean
 from tsk.errors import InputError, NumericalConsistencyError, UnsupportedError
-from tsk.kme import gaussian_kme_inner_matrix, squared_distances
+from tsk.kme import ExactBatch, _squared_distances_into, cross_inner, gaussian_kme_inner_matrix, squared_norms
 
 from oracles import brute_pair_sum
 
@@ -94,23 +93,26 @@ class TestInner:
 class TestRkhsDistance:
     def test_identical(self):
         (a,) = atoms([0.3, 0.4])
-        assert rkhs_distance(a, a) == 0.0
+        assert _squared_distances_into(cross_inner(a, a), squared_norms(a), squared_norms(a))[0, 0] == 0.0
 
     def test_single_atoms_closed_form(self):
         a, b = atoms([0.0, 0.0], [1.0, 0.0])
-        assert rkhs_distance(a, b) == pytest.approx(math.sqrt(2.0 - 2.0 * math.exp(-1.0)), abs=1e-12)
+        d2 = _squared_distances_into(cross_inner(a, b), squared_norms(a), squared_norms(b))[0, 0]
+        assert math.sqrt(d2) == pytest.approx(math.sqrt(2.0 - 2.0 * math.exp(-1.0)), abs=1e-12)
 
     def test_triangle_inequality(self):
+        # every triple of 150 bags: dist[i, k] <= dist[i, j] + dist[j, k]
         rng = np.random.default_rng(21)
-        for _ in range(50):
-            e1, e2, e3 = (embed(K2, SampleSet(rng.normal(size=(4, 2)))) for _ in range(3))
-            assert rkhs_distance(e1, e3) <= rkhs_distance(e1, e2) + rkhs_distance(e2, e3) + 1e-9
+        embs = embed_bags(K2, [SampleSet(rng.normal(size=(4, 2))) for _ in range(150)])
+        norms = squared_norms(embs)
+        dist = np.sqrt(_squared_distances_into(cross_inner(embs, embs), norms, norms))
+        assert np.all(dist[:, None, :] <= dist[:, :, None] + dist[None, :, :] + 1e-9)
 
     def test_noise_clamped_but_corruption_raises(self):
         # ||a||^2 + ||b||^2 - 2 <a, b> with ||a||^2 below 0 by noise, then by corruption
-        assert squared_distances(np.zeros((1, 1)), np.array([-5e-11]), np.zeros(1))[0, 0] == 0.0
+        assert _squared_distances_into(np.zeros((1, 1)), np.array([-5e-11]), np.zeros(1))[0, 0] == 0.0
         with pytest.raises(NumericalConsistencyError):
-            squared_distances(np.zeros((1, 1)), np.array([-1e-9]), np.zeros(1))
+            _squared_distances_into(np.zeros((1, 1)), np.array([-1e-9]), np.zeros(1))
 
 
 class TestConcentrationBound:
@@ -136,20 +138,20 @@ class TestConcentrationBound:
 
 
 class TestGaussianFamilyKme:
-    def test_point_mass_reduces_to_base_eval(self):
+    """<mu_Q, mu_Q'> for Q = N(m, sigma^2 I), Q' = N(m', sigma_p^2 I): (g / v)^(d/2) exp(-||m - m'||^2 / v)."""
+
+    def test_point_mass_reduces_to_base_kernel(self):
         k = BaseKernel("gaussian", 1.3, 2)
         m, mp = np.array([0.1, 0.2]), np.array([1.0, -0.5])
         d2 = float(np.sum((m - mp) ** 2))
-        assert gaussian_family_kme_inner(m, 0.0, mp, 0.0, k) == pytest.approx(
+        assert cross_inner(ExactBatch(k, [m], [0.0]), ExactBatch(k, [mp], [0.0]))[0, 0] == pytest.approx(
             math.exp(-d2 / 1.3**2), abs=1e-12
         )
 
     def test_symmetry_in_arguments(self):
         k = BaseKernel("gaussian", 1.0, 3)
-        m, mp = np.array([0.0, 1.0, 2.0]), np.array([0.5, 0.5, 0.5])
-        assert gaussian_family_kme_inner(m, 0.3, mp, 0.7, k) == gaussian_family_kme_inner(
-            mp, 0.7, m, 0.3, k
-        )
+        a, b = ExactBatch(k, [[0.0, 1.0, 2.0]], [0.3]), ExactBatch(k, [[0.5, 0.5, 0.5]], [0.7])
+        assert cross_inner(a, b)[0, 0] == cross_inner(b, a)[0, 0]
 
     def test_monte_carlo_double_integral(self):
         # E k(x, y) for x ~ N(0, 0.25), y ~ N(1, 0.25) in d = 1, 1e7 pairs
@@ -160,25 +162,23 @@ class TestGaussianFamilyKme:
         y = rng.normal(1.0, 0.5, size=n)
         vals = np.exp(-((x - y) ** 2))
         est, se = vals.mean(), vals.std(ddof=1) / math.sqrt(n)
-        closed = gaussian_family_kme_inner(np.array([0.0]), 0.5, np.array([1.0]), 0.5, k)
+        closed = cross_inner(ExactBatch(k, [[0.0]], [0.5]), ExactBatch(k, [[1.0]], [0.5]))[0, 0]
         assert closed == pytest.approx(math.sqrt(0.5) * math.exp(-0.5), abs=1e-12)
         assert abs(closed - est) <= 3.0 * se
 
     def test_requires_gaussian_base(self):
         with pytest.raises(UnsupportedError):
-            gaussian_family_kme_inner(np.zeros(1), 0.1, np.ones(1), 0.1, BaseKernel("laplacian", 1.0, 1))
+            ExactBatch(BaseKernel("laplacian", 1.0, 1), np.zeros((1, 1)), [0.1])
 
     def test_matrix_matches_scalar(self):
         k = BaseKernel("gaussian", 0.9, 2)
         rng = np.random.default_rng(3)
         means = rng.normal(size=(5, 2))
         spreads = rng.uniform(0.0, 0.6, size=5)
-        mat = gaussian_kme_inner_matrix(k, means, spreads)
+        mat, batch = gaussian_kme_inner_matrix(k, means, spreads), ExactBatch(k, means, spreads)
         for i in range(5):
             for j in range(5):
-                assert mat[i, j] == pytest.approx(
-                    gaussian_family_kme_inner(means[i], spreads[i], means[j], spreads[j], k), rel=1e-12
-                )
+                assert mat[i, j] == cross_inner(batch.take([i]), batch.take([j]))[0, 0]
 
 
 class TestMixedAndProperties:
@@ -199,11 +199,9 @@ class TestMixedAndProperties:
         exact = exact_gaussian_embedding(K2, np.zeros(2), 0.5)
         medians = []
         for m in (10, 100, 1000):
-            dists = [
-                rkhs_distance(embed(K2, SampleSet(rng.normal(0.0, 0.5, size=(m, 2)))), exact)
-                for _ in range(100)
-            ]
-            medians.append(np.median(dists))
+            embs = embed_bags(K2, [SampleSet(rng.normal(0.0, 0.5, size=(m, 2))) for _ in range(100)])
+            d2 = _squared_distances_into(cross_inner(embs, exact), squared_norms(embs), squared_norms(exact))
+            medians.append(np.median(np.sqrt(d2)))
         assert medians[0] > medians[1] > medians[2]
 
     def test_blocked_sum_independent_of_row_block(self):
@@ -255,7 +253,7 @@ class TestPairSums:
         wx, wy = rng.uniform(0.1, 1.0, size=m), rng.uniform(0.1, 1.0, size=len(y))
         return x, wx, y, wy, np.concatenate(([0], np.cumsum(self.SEGMENTS)))
 
-    @pytest.mark.parametrize("d", [2, 70])  # 70 > 64 takes the broadcast distance branch
+    @pytest.mark.parametrize("d", [2, 70, 130])  # cdist computes the distances at every width
     @pytest.mark.parametrize("family", ["gaussian", "laplacian"])
     @pytest.mark.parametrize("m", [1, 60])
     def test_matches_brute_force(self, family, d, m):
@@ -265,7 +263,7 @@ class TestPairSums:
             want = [brute_pair_sum(x, wx, y[a:b], wy[a:b], family, width) for a, b in zip(offs, offs[1:])]
             np.testing.assert_allclose(got, want, rtol=1e-12)
 
-    @pytest.mark.parametrize("d", [2, 70])
+    @pytest.mark.parametrize("d", [2, 70, 130])
     @pytest.mark.parametrize("family", [0, 1], ids=["gaussian", "laplacian"])
     def test_independent_of_row_block_and_of_other_segments(self, family, d):
         x, wx, y, wy, offs = self.stacked(np.random.default_rng(43), 17, d)

@@ -5,11 +5,12 @@ float."""
 import numpy as np
 import pytest
 
-from tsk import BaseKernel, MetaDistribution, base_eval, delta_to_boundary, eta, sample_first_stage
-from tsk._backend import pair_sums
+from tsk import BaseKernel, HilbertKernel, MetaDistribution, delta_to_boundary, eta, hk_eval, sample_first_stage
+from tsk._backend import pair_sum, pair_sums
 from tsk.base_kernels import FAMILY_CODES
 from tsk.errors import InputError
-from tsk.kme import EmpiricalBatch, ExactBatch, cross_inner, squared_distance, squared_distances, squared_norms
+from tsk.hilbert_kernel import _hk_into
+from tsk.kme import EmpiricalBatch, ExactBatch, cross_inner, squared_norms
 from tsk.svm import clip, hinge, sgn, zero_one
 from tsk.synth import delta_batch, eta_batch
 
@@ -23,19 +24,19 @@ OVERLAP_MEANS = sample_first_stage(OVERLAP, 12, 6)[0]
 POINTS = 3.0 * RNG.normal(size=(12, 2))
 
 
-def _distance_case():
-    rng, base = np.random.default_rng(3), BaseKernel("gaussian", 0.9, 2)
+def _hk_eval_case():
+    rng, base, hk = np.random.default_rng(3), BaseKernel("gaussian", 0.9, 2), HilbertKernel("gaussian", 0.8)
     a = ExactBatch(base, rng.normal(size=(4, 2)), rng.uniform(0.0, 0.5, size=4))
     b = EmpiricalBatch(base, rng.normal(size=(6, 2)), rng.uniform(0.1, 1.0, size=6), np.cumsum([0, 1, 3, 2]))
-    batch = squared_distances(cross_inner(a, b), squared_norms(a), squared_norms(b)).ravel()
-    return (lambda i: squared_distance(a.take([i // len(b)]), b.take([i % len(b)]))), batch
+    batch = _hk_into(hk, cross_inner(a, b), squared_norms(a), squared_norms(b)).ravel()
+    return (lambda i: hk_eval(hk, a.take([i // len(b)]), b.take([i % len(b)]))), batch
 
 
-def _base_eval_case(family, dim):
-    rng, k = np.random.default_rng(dim), BaseKernel(family, 1.3, dim)
+def _pair_sum_case(family, dim):
+    rng, code = np.random.default_rng(dim), FAMILY_CODES[family]
     x, ys = rng.normal(size=dim), rng.normal(size=(7, dim))
-    row = pair_sums(x[None, :], [1.0], ys, np.ones(len(ys)), np.arange(len(ys) + 1), FAMILY_CODES[family], k.width)
-    return (lambda i: base_eval(k, x, ys[i])), row
+    row = pair_sums(x[None, :], [1.0], ys, np.ones(len(ys)), np.arange(len(ys) + 1), code, 1.3)
+    return (lambda i: pair_sum(x[None, :], [1.0], ys[i][None, :], [1.0], code, 1.3)), row
 
 
 CASES = {
@@ -46,10 +47,10 @@ CASES = {
     "eta hard_margin": lambda: ((lambda i: eta(HM, HM_MEANS[i])), eta_batch(HM, HM_MEANS)),
     "eta gaussian_overlap": lambda: ((lambda i: eta(OVERLAP, OVERLAP_MEANS[i])), eta_batch(OVERLAP, OVERLAP_MEANS)),
     "delta_to_boundary": lambda: ((lambda i: delta_to_boundary(HM, POINTS[i])), delta_batch(HM, POINTS)),
-    "squared_distance": _distance_case,
-    "base_eval gaussian": lambda: _base_eval_case("gaussian", 3),
-    "base_eval laplacian": lambda: _base_eval_case("laplacian", 3),
-    "base_eval gaussian d > 64": lambda: _base_eval_case("gaussian", 70),
+    "hk_eval": _hk_eval_case,
+    "pair_sum gaussian": lambda: _pair_sum_case("gaussian", 3),
+    "pair_sum laplacian": lambda: _pair_sum_case("laplacian", 3),
+    "pair_sum gaussian d = 130": lambda: _pair_sum_case("gaussian", 130),
 }
 
 
