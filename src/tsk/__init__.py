@@ -29,7 +29,6 @@ from .svm import (
     decision_value,
     hinge,
     kkt_residual,
-    predict,
     regularized_empirical_risk,
     train,
     zero_one,
@@ -46,6 +45,6 @@ from .whitenoise import (
     white_noise_isometry_check,
 )
 from .bounds import approx_error_estimate, consistency_check, fit_approx_exponent, make_schedule, oracle_rhs
-from .experiments import ExperimentConfig, estimate_risks, run_kme_coverage, run_rate_experiment
+from .experiments import ExperimentConfig, run_kme_coverage, run_rate_experiment
 
 __version__ = "0.1.0"

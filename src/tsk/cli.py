@@ -165,7 +165,7 @@ def _cmd_train(args) -> int:
     embs = embed_bags(cfg["base_kernel"], bags)
     model = train(build_gram(hk, embs), labels, lam, tol=cfg["tol"], max_sweeps=cfg["max_sweeps"], support=embs, hkernel=hk)
     # a model holds every support sample: written on one line, it goes through
-    # json's C encoder, which an indent would switch off (~4x slower)
+    # json's C encoder, which an indent would switch off (2.6x slower, see the README)
     _write_json(args.out, model_to_json(model), indent=None)
     status = "converged" if model.converged else "NOT converged"
     print(f"train: N={len(bags)} lambda={lam} kkt={model.kkt:.2e} {status} -> {args.out}")

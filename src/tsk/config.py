@@ -115,9 +115,9 @@ def _same_dim(meta, base_kernel, **values) -> dict:
 
 
 def _rates(n_grid, **values) -> dict:
-    """The values read, the N grid nonempty and strictly increasing, checked by `_same_dim`."""
-    if not n_grid or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
-        raise InputError(f"n_grid must be a nonempty, strictly increasing list, got {list(n_grid)}")
+    """The values read, the N grid strictly increasing, checked by `_same_dim`."""
+    if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
+        raise InputError(f"n_grid must be a strictly increasing list, got {list(n_grid)}")
     return _same_dim(n_grid=n_grid, **values)
 
 

@@ -39,9 +39,11 @@ def config_int(value, field: str, minimum: int | None = None) -> int:
 
 
 def config_ints(values, field: str, minimum: int | None = None) -> tuple:
-    """A JSON list of sizes or seeds, each checked by `config_int`."""
+    """A nonempty JSON list of sizes or seeds, each checked by `config_int`."""
     if not isinstance(values, (list, tuple)):
         raise InputError(f"{field} must be a list of integers, got {values!r}")
+    if not values:
+        raise InputError(f"{field} must not be empty")
     return tuple(config_int(v, field, minimum) for v in values)
 
 
@@ -63,7 +65,9 @@ def config_float(value, field: str, above: float | None = None, minimum: float |
 
 
 def config_floats(values, field: str, above: float | None = None, minimum: float | None = None, below: float | None = None) -> tuple:
-    """A JSON list of real numbers, each checked by `config_float`."""
+    """A nonempty JSON list of real numbers, each checked by `config_float`."""
     if not isinstance(values, (list, tuple)):
         raise InputError(f"{field} must be a list of numbers, got {values!r}")
+    if not values:
+        raise InputError(f"{field} must not be empty")
     return tuple(config_float(v, field, above, minimum, below) for v in values)

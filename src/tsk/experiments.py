@@ -23,14 +23,13 @@ from .errors import InputError, NumericalConsistencyError, config_int
 from .hilbert_kernel import HilbertKernel, lipschitz_modulus
 from .kme import SampleSet, _squared_distances_into, concentration_bound, cross_inner, embed_bags, exact_gaussian_embedding, squared_norms
 from .rng import mc_mean_se, normals, stream, subseed
-from .svm import SvmModel, build_gram, clip, decision_values, hinge, train, zero_one
+from .svm import build_gram, clip, decision_values, hinge, train, zero_one
 from .synth import MetaDistribution, bayes_risk, embed_inputs, sample_first_stage
 
 __all__ = [
     "ExperimentConfig",
     "RateRow",
     "RateReport",
-    "estimate_risks",
     "run_rate_experiment",
     "run_kme_coverage",
     "rate_report_csv",
@@ -111,18 +110,6 @@ def _eval_approx_model(model: dict, lam: float) -> float:
     if model["model"] == "power":
         return model["c"] * lam ** model["beta"]
     return 0.0
-
-
-def estimate_risks(model: SvmModel, meta: MetaDistribution, t: int, test_m_or_exact, seed: int, bayes_mc: int = 100_000):
-    """(0-1 risk, clipped hinge risk, 0-1 Bayes risk) on t fresh meta draws."""
-    if t < 1:
-        raise InputError("number of test draws must be >= 1")
-    means, labels = sample_first_stage(meta, t, subseed(seed, "risk-test"))
-    embs = embed_inputs(model.support.kernel, means, meta.bag_spread, test_m_or_exact, partial(subseed, seed, "risk-bag"))
-    vals = decision_values(model, embs)
-    risk01, hinge_clipped, _, _ = _risks_from_decisions(vals, labels, model.clip_bound)
-    bayes01, _ = bayes_risk(meta, bayes_mc, subseed(seed, "risk-bayes"))
-    return risk01, hinge_clipped, bayes01
 
 
 def _risks_from_decisions(vals: np.ndarray, labels: np.ndarray, clip_bound: float):

@@ -27,7 +27,7 @@ import numpy as np
 from . import _backend
 from .errors import InputError, NumericalConsistencyError, UnsupportedError
 from .hilbert_kernel import HilbertKernel, _hk_into
-from .kme import EmpiricalBatch, ExactBatch, SampleSet, cross_inner, embed, squared_norms, uniform_weights
+from .kme import EmpiricalBatch, ExactBatch, cross_inner, squared_norms, uniform_weights
 
 __all__ = [
     "GramMatrix",
@@ -40,7 +40,6 @@ __all__ = [
     "decision_value",
     "decision_values",
     "decision_values_path",
-    "predict",
     "regularized_empirical_risk",
     "kkt_residual",
     "build_gram",
@@ -360,13 +359,6 @@ def decision_values(model: SvmModel, targets) -> np.ndarray:
 def decision_value(model: SvmModel, e) -> float:
     """f(e) for one embedding (a batch of one)."""
     return float(decision_values(model, e)[0])
-
-
-def predict(model: SvmModel, s: SampleSet) -> int:
-    """sgn(clip(f(embed(s)))) with sgn(0) = +1; clipping never flips the sign."""
-    _require_support(model)
-    val = decision_value(model, embed(model.support.kernel, s))
-    return int(sgn(clip(val, model.clip_bound)))
 
 
 def regularized_empirical_risk(

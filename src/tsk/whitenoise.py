@@ -15,7 +15,7 @@ literal component extraction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -62,24 +62,9 @@ class CovarianceOperator:
         object.__setattr__(self, "eigenvalues", lam)
         object.__setattr__(self, "eigenvectors", vec)
 
-    @classmethod
-    def from_matrix(cls, q: np.ndarray) -> "CovarianceOperator":
-        q = np.asarray(q, dtype=np.float64)
-        if not np.allclose(q, q.T, atol=1e-12):
-            raise InputError("covariance matrix must be symmetric")
-        lam, vec = np.linalg.eigh(q)
-        op = cls(lam, vec)
-        if np.abs(op.matrix() - q).max() > 1e-10:
-            raise InputError("eigendecomposition failed to reconstruct the covariance")
-        return op
-
     @property
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
-
-    @property
-    def trace(self) -> float:
-        return float(self.eigenvalues.sum())
 
     def matrix(self) -> np.ndarray:
         return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.T
@@ -245,11 +230,16 @@ def smoothed_bayes_eval(
 
 @dataclass(frozen=True)
 class NoiseIntegrals:
-    t: float
-    i1: float
-    i1_se: float
-    i2: float
-    i2_se: float
+    """The integrals on a t grid: per-t estimates and standard errors, and the
+    per-outer-point terms they average, of shape (len(t), n_outer)."""
+
+    t: np.ndarray
+    i1: np.ndarray
+    i1_se: np.ndarray
+    i2: np.ndarray
+    i2_se: np.ndarray
+    terms1: np.ndarray
+    terms2: np.ndarray
 
 
 def geometric_noise_integrals(
@@ -259,29 +249,25 @@ def geometric_noise_integrals(
     n_outer: int,
     n_inner: int,
     seed: int,
-    return_terms: bool = False,
-):
-    """Nested MC estimates of the two localization integrals at scale t.
+) -> NoiseIntegrals:
+    """Nested MC estimates of the two localization integrals on a grid of scales t.
 
     I1 integrates (1 - 2 * [Gaussian mass of the delta-ball around x weighted
     by exp(-||x-y||^2/t)]) against the predictability |2 eta - 1| over the
     input law; I2 integrates the mass that N(x, Q) leaves near the origin at
     scale t. Outer draws x ~ P_X and the inner normal draws are functions of
-    (seed, outer index) only, so a t-grid shares all randomness and the
+    (seed, outer index) only, so the whole grid shares all randomness and the
     pointwise monotonicity in t is preserved exactly.
 
-    `t` is one positive float or a 1-D sequence of them. Each outer point
-    opens its inner stream and draws its normals once, and that one draw
-    serves every t, so the cost grows with n_outer * n_inner and not with
-    the grid length. A float returns one `NoiseIntegrals` (terms of shape
-    (n_outer,)); a sequence returns a list with one per t (terms of shape
-    (len(t), n_outer)). Every value equals that of a single-t call bit for
-    bit.
+    `t` is a nonempty 1-D sequence of positive scales. Each outer point opens
+    its inner stream and draws its normals once, and that one draw serves
+    every t, so the cost grows with n_outer * n_inner and not with the grid
+    length. Row j of the result equals that of the one-point grid [t[j]] bit
+    for bit.
     """
-    scalar = np.ndim(t) == 0
-    ts = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    ts = np.asarray(t, dtype=np.float64)
     if ts.ndim != 1 or ts.shape[0] < 1 or not np.all(ts > 0):
-        raise InputError(f"t must be > 0 (a float or a nonempty 1-D grid), got {t}")
+        raise InputError(f"t must be a nonempty 1-D grid of values > 0, got {t}")
     if n_outer < 1 or n_inner < 1:
         raise InputError("n_outer and n_inner must be >= 1")
     if q.dim != meta.dim:
@@ -307,14 +293,8 @@ def geometric_noise_integrals(
         shifted = z + x
         sq2 = np.einsum("ij,ij->i", shifted, shifted)
         t2[:, k] = np.mean(np.exp(-sq2 / col), axis=1) * weights[k]
-    results = [
-        NoiseIntegrals(float(tj), *mc_mean_se(t1[j]), *mc_mean_se(t2[j])) for j, tj in enumerate(ts)
-    ]
-    if scalar:
-        results, t1, t2 = results[0], t1[0], t2[0]
-    if return_terms:
-        return results, t1, t2
-    return results
+    i1, i1_se, i2, i2_se = np.array([(*mc_mean_se(row1), *mc_mean_se(row2)) for row1, row2 in zip(t1, t2)]).T
+    return NoiseIntegrals(ts, i1, i1_se, i2, i2_se, t1, t2)
 
 
 @dataclass(frozen=True)
@@ -413,23 +393,9 @@ def fit_geometric_noise(
     and one `geometric_noise_integrals` call serves the whole grid.
     """
     t = _check_fit_grid(t_grid, floor)
-    results = geometric_noise_integrals(meta, t, q, n_outer, n_inner, seed)
-    i1 = np.array([r.i1 for r in results])
-    i2 = np.array([r.i2 for r in results])
-    fit = fit_noise_exponent(t_grid, np.maximum(i1, i2), floor)
-    return NoiseExponentFit(
-        t_grid=fit.t_grid,
-        fit_values=fit.fit_values,
-        alpha_hat=fit.alpha_hat,
-        c_hat=fit.c_hat,
-        floor=fit.floor,
-        degenerate=fit.degenerate,
-        valid=fit.valid,
-        i1_values=tuple(i1),
-        i1_se=tuple(r.i1_se for r in results),
-        i2_values=tuple(i2),
-        i2_se=tuple(r.i2_se for r in results),
-    )
+    ints = geometric_noise_integrals(meta, t, q, n_outer, n_inner, seed)
+    fit = fit_noise_exponent(t_grid, np.maximum(ints.i1, ints.i2), floor)
+    return replace(fit, i1_values=tuple(ints.i1), i1_se=tuple(ints.i1_se), i2_values=tuple(ints.i2), i2_se=tuple(ints.i2_se))
 
 
 def _check_mc(n_mc: int):

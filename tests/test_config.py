@@ -291,6 +291,10 @@ LATE_CHECKS = [
     ("rates", lambda c: c.update(n_grid=[16, 8]), "n_grid", "rates-decreasing n_grid"),
     ("kme-coverage", lambda c: c.update(sigma=-1.0), "sigma", "kme-coverage-sigma"),
     ("kme-coverage", lambda c: c.update(mean=[0.0, 0.0, 0.0]), "mean", "kme-coverage-3-number mean"),
+    ("kme-coverage", lambda c: c.update(deltas=[]), "deltas", "kme-coverage-empty deltas"),
+    ("kme-coverage", lambda c: c.update(bag_sizes=[]), "bag_sizes", "kme-coverage-empty bag_sizes"),
+    ("approx-error", lambda c: c.update(lambda_grid=[]), "lambda_grid", "approx-error-empty lambda_grid"),
+    ("approx-error", lambda c: c.update(seeds=[]), "seeds", "approx-error-empty seeds"),
 ]
 
 
@@ -340,7 +344,7 @@ def _describe(convert) -> str:
     if func is config_rows:
         return "list of d rows of d numbers"
     text = {
-        config_int: "integer", config_ints: "list of integers", config_float: "number", config_floats: "list of numbers",
+        config_int: "integer", config_ints: "nonempty list of integers", config_float: "number", config_floats: "nonempty list of numbers",
         config_bool: "`true` or `false`", config_label: "-1 or +1", config_labels: "list of -1 or +1",
         config_samples: "nonempty matrix of numbers, rows of one width",
     }[func]

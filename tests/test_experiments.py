@@ -15,12 +15,11 @@ from tsk import (
     ExperimentConfig,
     HilbertKernel,
     MetaDistribution,
-    estimate_risks,
     run_kme_coverage,
     run_rate_experiment,
 )
 from tsk.errors import InputError
-from tsk.experiments import CSV_COLUMNS, _coverage_distances, rate_report_csv
+from tsk.experiments import CSV_COLUMNS, _coverage_distances, _risks_from_decisions, rate_report_csv
 from tsk.kme import ExactBatch
 from tsk.svm import SvmModel, build_gram, decision_values, train
 
@@ -65,6 +64,19 @@ def trained_separating_model(n=32, seed=3):
     return train(gram, labels, 0.1, support=embs, hkernel=HK)
 
 
+def risks_on_fresh_draws(model, t, test_embedding, seed, bayes_mc):
+    """(0-1 risk, clipped hinge risk, 0-1 Bayes risk) of a model on t fresh meta draws, as a rates row computes them."""
+    from functools import partial
+
+    from tsk.rng import subseed
+    from tsk.synth import bayes_risk, embed_inputs, sample_first_stage
+
+    means, labels = sample_first_stage(HM, t, subseed(seed, "risk-test"))
+    embs = embed_inputs(model.support.kernel, means, HM.bag_spread, test_embedding, partial(subseed, seed, "risk-bag"))
+    risk01, hinge_clipped, _, _ = _risks_from_decisions(decision_values(model, embs), labels, model.clip_bound)
+    return risk01, hinge_clipped, bayes_risk(HM, bayes_mc, subseed(seed, "risk-bayes"))[0]
+
+
 class TestEstimateRisks:
     def test_zero_model_near_half(self):
         # sgn(0) = +1 classifies everything +1; half the draws are -1
@@ -74,7 +86,7 @@ class TestEstimateRisks:
             support=model.support, hkernel=HK,
         )
         t = 2000
-        risk01, hinge_clipped, bayes = estimate_risks(m0, HM, t, "exact", 5, bayes_mc=2000)
+        risk01, hinge_clipped, bayes = risks_on_fresh_draws(m0, t, "exact", 5, bayes_mc=2000)
         se = math.sqrt(0.25 / t)
         assert abs(risk01 - 0.5) <= 3.0 * se
         assert hinge_clipped == pytest.approx(1.0, abs=1e-12)  # hinge(y, 0) = 1
@@ -82,13 +94,13 @@ class TestEstimateRisks:
 
     def test_separating_model_zero_risk(self):
         model = trained_separating_model()
-        risk01, hinge_clipped, bayes = estimate_risks(model, HM, 500, "exact", 7, bayes_mc=2000)
+        risk01, hinge_clipped, bayes = risks_on_fresh_draws(model, 500, "exact", 7, bayes_mc=2000)
         assert risk01 == 0.0
         assert bayes == 0.0
 
     def test_finite_test_bags_path(self):
         model = trained_separating_model()
-        risk01, _, _ = estimate_risks(model, HM, 100, 20, 9, bayes_mc=1000)
+        risk01, _, _ = risks_on_fresh_draws(model, 100, 20, 9, bayes_mc=1000)
         assert risk01 <= 0.05
 
     def test_clipped_hinge_never_larger(self):

@@ -20,7 +20,6 @@ from tsk import (
     embed,
     hinge,
     kkt_residual,
-    predict,
     regularized_empirical_risk,
     train,
     zero_one,
@@ -328,9 +327,10 @@ class TestDecisionAndPrediction:
         assert sgn(0.0) == 1.0
         for t in np.linspace(-3, 3, 25):
             assert sgn(clip(t, 1.0)) == sgn(t)
-        bag = SampleSet(np.array([[2.0, 0.0]]))
-        assert predict(self.model, bag) in (-1, 1)
-        assert predict(self.model, bag) == int(sgn(decision_value(self.model, embed(self.base, bag))))
+        val = decision_value(self.model, embed(self.base, SampleSet(np.array([[2.0, 0.0]]))))
+        label = sgn(clip(val, self.model.clip_bound))  # the label `tsk predict` writes
+        assert label in (-1, 1)
+        assert label == sgn(val)
 
     def test_clipped_risk_never_larger(self):
         rng = np.random.default_rng(6)
