@@ -10,7 +10,7 @@ learning-rate schedules, and Gaussian-measure feature-space identities.
 from ._backend import active_backend
 from .base_kernels import BaseKernel, sup_norm
 from .errors import InputError, NumericalConsistencyError, UnsupportedError
-from .hilbert_kernel import HilbertKernel, HolderModulus, feature_distance, hk_eval, lipschitz_modulus
+from .hilbert_kernel import HilbertKernel, HolderModulus, hk_eval, lipschitz_modulus
 from .kme import (
     EmpiricalBatch,
     ExactBatch,
@@ -28,20 +28,16 @@ from .svm import (
     clip,
     decision_value,
     hinge,
-    kkt_residual,
-    regularized_empirical_risk,
     train,
     zero_one,
 )
-from .synth import MetaDistribution, bayes_risk, delta_to_boundary, eta, sample_first_stage, sample_second_stage
+from .synth import MetaDistribution, bayes_risk, sample_first_stage, sample_second_stage
 from .whitenoise import (
     CovarianceOperator,
     characteristic_identity_check,
     feature_inner_mc,
     fit_noise_exponent,
     geometric_noise_integrals,
-    smoothed_bayes_eval,
-    white_noise,
     white_noise_isometry_check,
 )
 from .bounds import approx_error_estimate, consistency_check, fit_approx_exponent, make_schedule, oracle_rhs

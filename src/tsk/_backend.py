@@ -52,11 +52,11 @@ def row_blocks(n: int, row_size: int, rows: int | None = None) -> list:
     return [slice(lo, min(lo + rows, n)) for lo in range(0, max(n, 1), rows)]
 
 
-def _dist_block(Y: np.ndarray, X: np.ndarray, family: int, out: np.ndarray) -> np.ndarray:
-    """Squared euclidean (family 0) or cityblock (family 1) distances by `cdist`, written into out."""
+def _dist_block(Y: np.ndarray, X: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Squared euclidean distances by `cdist`, written into out."""
     from scipy.spatial.distance import cdist
 
-    return cdist(Y, X, "sqeuclidean" if family == 0 else "cityblock", out=out)
+    return cdist(Y, X, "sqeuclidean", out=out)
 
 
 def sqeuclidean(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -92,16 +92,15 @@ def weighted_row_sums(block: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.n
     return np.einsum("ij,j->i", block, w, out=out)
 
 
-def pair_sums(X, wx, Y, wy, offsets, family: int, width: float, row_block=None) -> np.ndarray:
-    """sum_ij wx_i wy_j k(x_i, y_j) of the left expansion (X, wx) against each
-    right expansion Y[offsets[s]:offsets[s + 1]], for family 0 = gaussian,
-    1 = laplacian; offsets run from 0 to len(Y) and every segment is nonempty.
+def pair_sums(X, wx, Y, wy, offsets, width: float, row_block=None) -> np.ndarray:
+    """sum_ij wx_i wy_j k(x_i, y_j) of the gaussian kernel of `width`, for the left
+    expansion (X, wx) against each right expansion Y[offsets[s]:offsets[s + 1]];
+    offsets run from 0 to len(Y) and every segment is nonempty.
 
     One kernel pass: the (right points x left atoms) block is built
     `row_block` whole right points at a time (by default `row_blocks`) into one reused buffer, scaled
-    in place by rate = -1/width^2 (gaussian) or -1/width (laplacian),
-    exponentiated in place, and each right point's row is weighted by wx and
-    summed by `weighted_row_sums`; the per-point values times wy are then
+    in place by rate = -1/width^2, exponentiated in place, and each right point's row is weighted by
+    wx and summed by `weighted_row_sums`; the per-point values times wy are then
     summed per segment. A value therefore depends only on (X, wx) and its own
     segment, never on the other segments, their order, `row_block` or the
     block budget.
@@ -115,11 +114,11 @@ def pair_sums(X, wx, Y, wy, offsets, family: int, width: float, row_block=None) 
     if m < 1 or offsets[0] != 0 or offsets[-1] != n or np.any(np.diff(offsets) < 1):
         raise ValueError("pair_sums needs a nonempty left expansion and nonempty segments covering Y")
     blocks = row_blocks(n, m, row_block)
-    rate = -1.0 / (width * width if family == 0 else width)
+    rate = -1.0 / (width * width)
     buf = np.empty((blocks[0].stop, m))
     v = np.empty(n)
     for rows in blocks:
-        block = _dist_block(Y[rows], X, family, buf[: rows.stop - rows.start])
+        block = _dist_block(Y[rows], X, buf[: rows.stop - rows.start])
         block *= rate
         np.exp(block, out=block)
         weighted_row_sums(block, wx, out=v[rows])
@@ -127,9 +126,9 @@ def pair_sums(X, wx, Y, wy, offsets, family: int, width: float, row_block=None) 
     return np.add.reduceat(v, offsets[:-1])
 
 
-def pair_sum(X, wx, Y, wy, family: int, width: float, row_block=None) -> float:
-    """sum_ij wx_i wy_j k(x_i, y_j) for family 0 = gaussian, 1 = laplacian."""
-    return float(pair_sums(X, wx, Y, wy, [0, len(Y)], family, width, row_block=row_block)[0])
+def pair_sum(X, wx, Y, wy, width: float, row_block=None) -> float:
+    """sum_ij wx_i wy_j k(x_i, y_j) of the gaussian kernel of `width`."""
+    return float(pair_sums(X, wx, Y, wy, [0, len(Y)], width, row_block=row_block)[0])
 
 
 def cd_sweep(K, y, alpha, f, box_c: float, coords) -> None:

@@ -1,7 +1,8 @@
-"""Kernels on the sampling space Z, the first embedding stage.
+"""The kernel on the sampling space Z, the first embedding stage.
 
-Both families are radial with k(x, x) = 1, so the sup-norm is 1 everywhere
-and the concentration bounds downstream simplify accordingly.
+The gaussian kernel, the one family of the paper's rates, is radial with
+k(x, x) = 1, so the sup-norm is 1 everywhere and the concentration bounds
+downstream simplify accordingly.
 """
 
 from __future__ import annotations
@@ -12,26 +13,21 @@ import numpy as np
 
 from .errors import InputError
 
-__all__ = ["BaseKernel", "sup_norm", "GAUSSIAN", "LAPLACIAN"]
+__all__ = ["BaseKernel", "sup_norm", "GAUSSIAN"]
 
 GAUSSIAN = "gaussian"
-LAPLACIAN = "laplacian"
-_FAMILIES = (GAUSSIAN, LAPLACIAN)
-
-# family codes of `_backend.pair_sums`
-FAMILY_CODES = {GAUSSIAN: 0, LAPLACIAN: 1}
 
 
 @dataclass(frozen=True)
 class BaseKernel:
-    """Radial kernel on R^d: gaussian exp(-||x-x'||^2/w^2), laplacian exp(-||x-x'||_1/w)."""
+    """The gaussian kernel exp(-||x-x'||^2/w^2) on R^d; `family` is always "gaussian"."""
 
     family: str
     width: float
     dim: int
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if self.family != GAUSSIAN:
             raise InputError(f"unknown base kernel family {self.family!r}")
         if not (self.width > 0):
             raise InputError(f"kernel width must be > 0, got {self.width}")
@@ -48,5 +44,5 @@ class BaseKernel:
 
 
 def sup_norm(k: BaseKernel) -> float:
-    """sup_x sqrt(k(x, x)); equals 1 for both families at any width."""
+    """sup_x sqrt(k(x, x)); equals 1 at any width."""
     return 1.0

@@ -84,17 +84,6 @@ class OracleRhs:
     def total(self) -> float:
         return self.approx + self.gap + self.estimation + self.confidence + self.shift + self.embedding
 
-    def to_json(self) -> dict:
-        return {
-            "approx": self.approx,
-            "gap": self.gap,
-            "estimation": self.estimation,
-            "confidence": self.confidence,
-            "shift": self.shift,
-            "embedding": self.embedding,
-            "total": self.total,
-        }
-
 
 def oracle_rhs(terms: OracleTerms) -> OracleRhs:
     """The six additive terms of the excess-risk bound, reported separately.
@@ -271,18 +260,6 @@ class Schedule:
     bag_sizes: tuple
     gamma: tuple | None
     params: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        out = {
-            "kind": self.kind,
-            "n_grid": list(self.n_grid),
-            "lambda": list(self.lam),
-            "bag_sizes": list(self.bag_sizes),
-            "params": dict(self.params),
-        }
-        if self.gamma is not None:
-            out["gamma"] = list(self.gamma)
-        return out
 
 
 def make_schedule(kind: str, n_grid, alpha: float, beta: float | None = None, mu: float | None = None) -> Schedule:

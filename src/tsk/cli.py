@@ -2,9 +2,10 @@
 
 Subcommands: rates, kme-coverage, whitenoise-verify, noise-exponent,
 approx-error, train, predict. Exit codes: 0 success, 2 input error
-(including an output path that cannot be written, found before any
-computation), 3 internal numerical-consistency error or a rate sweep in
-which no row succeeded. All outputs are pure functions of (config, seed).
+(including an output path that cannot be written, or that names an input
+file or the other output, found before any computation), 3 internal
+numerical-consistency error or a rate sweep in which no row succeeded. All
+outputs are pure functions of (config, seed).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .bounds import approx_error_summary
 from .config import COMMANDS, read
-from .errors import InputError, NumericalConsistencyError, config_float, config_int
+from .errors import InputError, NumericalConsistencyError, config_float, config_int, shown
 from .experiments import ExperimentConfig, rate_report_csv, run_kme_coverage, run_rate_experiment
 from .kme import embed_bags
 from .rng import normals, stream
@@ -51,7 +52,7 @@ def _load_json(path: str) -> dict:
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(data, dict):
-        raise InputError(f"{path} must be a JSON object, got {data!r}")
+        raise InputError(f"{path} must be a JSON object, got {shown(data)}")
     return data
 
 
@@ -65,6 +66,18 @@ def _check_writable(path: str):
     p = Path(path)
     if p.is_dir() or not p.parent.is_dir() or not os.access(p.parent, os.W_OK | os.X_OK):
         raise InputError(f"cannot write output {path}: not a file in an existing, writable directory")
+
+
+def _check_outputs(args):
+    """Each output path (--out, --summary) can be written and names neither an input file nor the other output."""
+    given = {flag: path for flag in ("config", "model", "data", "summary", "out") if (path := vars(args).get(flag)) is not None}
+    resolved = {flag: Path(path).resolve() for flag, path in given.items()}
+    for out in ("out", "summary"):
+        if out in given:
+            _check_writable(given[out])
+            clash = next((flag for flag in resolved if flag != out and resolved[flag] == resolved[out]), None)
+            if clash is not None:
+                raise InputError(f"--{out} and --{clash} name the same file {given[out]}; an output may not replace an input or the other output")
 
 
 def _write_output(path: str, text: str):
@@ -247,9 +260,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        for path in (vars(args).get("out"), vars(args).get("summary")):
-            if path is not None:
-                _check_writable(path)
+        _check_outputs(args)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,9 +12,9 @@ from itertools import chain
 
 import numpy as np
 
-from .base_kernels import FAMILY_CODES, BaseKernel
-from .errors import InputError, config_float, config_floats, config_int, config_ints
-from .hilbert_kernel import H_GAUSSIAN, H_LINEAR, HilbertKernel
+from .base_kernels import GAUSSIAN, BaseKernel
+from .errors import InputError, config_float, config_floats, config_int, config_ints, shown
+from .hilbert_kernel import HilbertKernel
 from .kme import EmpiricalBatch, ExactBatch, SampleSet, uniform_weights
 from .rng import normals, stream
 from .svm import SvmModel
@@ -35,7 +35,7 @@ class Section(dict):
 def config_choice(value, field: str, options) -> str:
     """One of the named options, as a string."""
     if not isinstance(value, str) or value not in options:
-        raise InputError(f"{field} must be one of {', '.join(map(repr, options))}, got {value!r}")
+        raise InputError(f"{field} must be one of {', '.join(map(repr, options))}, got {shown(value)}")
     return value
 
 
@@ -44,29 +44,24 @@ def config_size_or_exact(value, field: str):
     return value if value == "exact" else config_int(value, field, minimum=1)
 
 
-def config_rows(values, field: str):
-    """Rows of numbers, each checked by `config_floats`; the shape is checked where the matrix is built."""
-    return [config_floats(row, field) for row in values] if isinstance(values, list) else values
-
-
 def config_bool(value, field: str) -> bool:
     """true or false."""
     if not isinstance(value, bool):
-        raise InputError(f"{field} must be true or false, got {value!r}")
+        raise InputError(f"{field} must be true or false, got {shown(value)}")
     return value
 
 
 def config_label(value, field: str) -> int:
     """A class label, -1 or +1: an integral float such as 1.0 is read as 1, a boolean is refused."""
     if isinstance(value, bool) or value not in (-1, 1):
-        raise InputError(f"{field} must be -1 or +1, got {value!r}")
+        raise InputError(f"{field} must be -1 or +1, got {shown(value)}")
     return int(value)
 
 
 def config_labels(values, field: str) -> tuple:
     """A JSON list of class labels, each checked by `config_label`."""
     if not isinstance(values, (list, tuple)):
-        raise InputError(f"{field} must be a list of -1 and +1, got {values!r}")
+        raise InputError(f"{field} must be a list of -1 and +1, got {shown(values)}")
     return tuple(config_label(v, field) for v in values)
 
 
@@ -87,20 +82,17 @@ def config_records(values, field: str, table):
     """A nonempty JSON list of objects, record i read by `table` as field[i]. A tuple of tables holds
     the kinds of record, one kind per list: the first whose first field record 0 gives, else the first."""
     if not isinstance(values, list) or not values:
-        raise InputError(f"{field} must be a nonempty list of objects, got {values!r}")
+        raise InputError(f"{field} must be a nonempty list of objects, got {shown(values)}")
     if isinstance(table, tuple):
         table = next((kind for kind in table if isinstance(values[0], dict) and next(iter(kind)) in values[0]), table[0])
     return [read(table, record, f"{field}[{i}]") for i, record in enumerate(values)]
 
 
-def _covariance(eigenvalues, eigenvectors, rotation_seed) -> CovarianceOperator:
-    """The spectrum in the given eigenvectors, else in a rotation drawn from `rotation_seed`, else in the axes."""
+def _covariance(eigenvalues, rotation_seed) -> CovarianceOperator:
+    """The spectrum in a rotation drawn from `rotation_seed`, else in the axes."""
     d = len(eigenvalues)
-    if eigenvectors is not None and (not isinstance(eigenvectors, list) or [len(row) for row in eigenvectors] != [d] * d):
-        raise InputError(f"covariance.eigenvectors must be a list of {d} rows of {d} numbers, got {eigenvectors!r}")
-    if eigenvectors is None:
-        eigenvectors = np.eye(d) if rotation_seed is None else np.linalg.qr(normals(stream(rotation_seed, "covariance-rotation"), (d, d)))[0]
-    return CovarianceOperator(np.asarray(eigenvalues), np.asarray(eigenvectors))
+    eigenvectors = np.eye(d) if rotation_seed is None else np.linalg.qr(normals(stream(rotation_seed, "covariance-rotation"), (d, d)))[0]
+    return CovarianceOperator(np.asarray(eigenvalues), eigenvectors)
 
 
 def _one_of(options):
@@ -117,7 +109,7 @@ def _same_dim(meta, base_kernel, **values) -> dict:
 def _rates(n_grid, **values) -> dict:
     """The values read, the N grid strictly increasing, checked by `_same_dim`."""
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
-        raise InputError(f"n_grid must be a strictly increasing list, got {list(n_grid)}")
+        raise InputError(f"n_grid must be a strictly increasing list, got {shown(list(n_grid))}")
     return _same_dim(n_grid=n_grid, **values)
 
 
@@ -181,8 +173,8 @@ def _dataset(bags):
 REAL = (config_float, REQUIRED)
 SIZE, SEED = partial(config_int, minimum=1), partial(config_int, minimum=0)
 POSITIVE, NONNEGATIVE = partial(config_float, above=0.0), partial(config_float, minimum=0.0)
-BASE_KERNEL = Section({"family": (_one_of(tuple(FAMILY_CODES)), REQUIRED), "width": REAL, "dim": (SIZE, REQUIRED)}, BaseKernel)
-HILBERT_KERNEL = Section({"family": (_one_of((H_GAUSSIAN, H_LINEAR)), REQUIRED), "width": (config_float, None)}, HilbertKernel)
+BASE_KERNEL = Section({"family": (_one_of((GAUSSIAN,)), REQUIRED), "width": REAL, "dim": (SIZE, REQUIRED)}, BaseKernel)
+HILBERT_KERNEL = Section({"family": (_one_of((GAUSSIAN,)), REQUIRED), "width": REAL}, HilbertKernel)
 META = Section({
     "family": (_one_of((HARD_MARGIN, GAUSSIAN_OVERLAP)), REQUIRED), "dim": (SIZE, REQUIRED),
     "c": REAL, "s": REAL, "sigma": REAL, "p_plus": REAL, "r": (config_float, 0.0),
@@ -195,7 +187,7 @@ APPROX_ERROR = Section({
     "model": (_one_of({"zero": (), "constant": ("value",), "power": ("c", "beta")}), "zero"),
     "value": (NONNEGATIVE, REQUIRED), "c": (NONNEGATIVE, REQUIRED), "beta": REAL,
 })
-COVARIANCE = Section({"eigenvalues": (config_floats, REQUIRED), ("eigenvectors", "rotation_seed"): ((config_rows, SEED), None)}, _covariance)
+COVARIANCE = Section({"eigenvalues": (config_floats, REQUIRED), "rotation_seed": (SEED, None)}, _covariance)
 
 COMMANDS = {
     "rates": Section({
@@ -248,7 +240,7 @@ def read(table: Section, cfg, path: str = ""):
     type or out of range, a missing field, an unknown key or two alternatives
     given together raise InputError naming the field's path under `path`."""
     if not isinstance(cfg, dict):
-        raise InputError(f"{path or table.name} must be a JSON object, got {cfg!r}")
+        raise InputError(f"{path or table.name} must be a JSON object, got {shown(cfg)}")
     dotted = (lambda key: f"{path}.{key}") if path else str
     values, dropped = {}, set()
     for keys, (converters, default) in table.items():

@@ -24,6 +24,13 @@ class NumericalConsistencyError(RuntimeError):
     """
 
 
+def shown(value) -> str:
+    """repr(value) for an error message, cut to its first 80 characters when longer, so that a
+    whole dataset or model given where one field belongs does not flood stderr."""
+    text = repr(value)
+    return text if len(text) <= 80 else f"{text[:80]}... ({len(text)} characters)"
+
+
 def config_int(value, field: str, minimum: int | None = None) -> int:
     """A size or seed read from a config: an int or an integral float, at least `minimum`.
 
@@ -32,16 +39,16 @@ def config_int(value, field: str, minimum: int | None = None) -> int:
     """
     integral = isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
     if isinstance(value, bool) or not integral:
-        raise InputError(f"{field} must be an integer, got {value!r}")
+        raise InputError(f"{field} must be an integer, got {shown(value)}")
     if minimum is not None and value < minimum:
-        raise InputError(f"{field} must be >= {minimum}, got {value!r}")
+        raise InputError(f"{field} must be >= {minimum}, got {shown(value)}")
     return int(value)
 
 
 def config_ints(values, field: str, minimum: int | None = None) -> tuple:
     """A nonempty JSON list of sizes or seeds, each checked by `config_int`."""
     if not isinstance(values, (list, tuple)):
-        raise InputError(f"{field} must be a list of integers, got {values!r}")
+        raise InputError(f"{field} must be a list of integers, got {shown(values)}")
     if not values:
         raise InputError(f"{field} must not be empty")
     return tuple(config_int(v, field, minimum) for v in values)
@@ -54,20 +61,20 @@ def config_float(value, field: str, above: float | None = None, minimum: float |
     rather than failing later with a traceback.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise InputError(f"{field} must be a finite number, got {value!r}")
+        raise InputError(f"{field} must be a finite number, got {shown(value)}")
     if above is not None and not value > above:
-        raise InputError(f"{field} must be > {above}, got {value!r}")
+        raise InputError(f"{field} must be > {above}, got {shown(value)}")
     if minimum is not None and value < minimum:
-        raise InputError(f"{field} must be >= {minimum}, got {value!r}")
+        raise InputError(f"{field} must be >= {minimum}, got {shown(value)}")
     if below is not None and not value < below:
-        raise InputError(f"{field} must be < {below}, got {value!r}")
+        raise InputError(f"{field} must be < {below}, got {shown(value)}")
     return float(value)
 
 
 def config_floats(values, field: str, above: float | None = None, minimum: float | None = None, below: float | None = None) -> tuple:
     """A nonempty JSON list of real numbers, each checked by `config_float`."""
     if not isinstance(values, (list, tuple)):
-        raise InputError(f"{field} must be a list of numbers, got {values!r}")
+        raise InputError(f"{field} must be a list of numbers, got {shown(values)}")
     if not values:
         raise InputError(f"{field} must not be empty")
     return tuple(config_float(v, field, above, minimum, below) for v in values)

@@ -1,11 +1,11 @@
-"""Second-level kernels acting on embedding-space elements.
+"""The second-level kernel acting on embedding-space elements.
 
-The gaussian family is the Hilbert-space Gaussian kernel evaluated on RKHS
-distances; linear is the plain inner product, kept as a baseline. Both are
+It is the Hilbert-space Gaussian kernel exp(-||e - e'||^2 / width^2)
+evaluated on RKHS distances, the one family of the paper's rates. It is
 computed only by `_hk_into`, from first-level inner products and squared
-norms, in the buffer of inner products it is given. The gaussian kernel's
-feature map is Lipschitz with an explicit power-law modulus, which the bound
-evaluators consume.
+norms, in the buffer of inner products it is given. Its feature map is
+Lipschitz with an explicit power-law modulus, which the bound evaluators
+consume.
 """
 
 from __future__ import annotations
@@ -15,29 +15,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, UnsupportedError
+from .base_kernels import GAUSSIAN
+from .errors import InputError
 from .kme import _squared_distances_into, cross_inner, squared_norms
 
-__all__ = ["HilbertKernel", "HolderModulus", "hk_eval", "feature_distance", "lipschitz_modulus"]
-
-H_GAUSSIAN = "gaussian"
-H_LINEAR = "linear"
+__all__ = ["HilbertKernel", "HolderModulus", "hk_eval", "lipschitz_modulus"]
 
 
 @dataclass(frozen=True)
 class HilbertKernel:
-    family: str
-    width: float | None = None  # length scale in embedding-space norm units
+    family: str  # always "gaussian"
+    width: float  # length scale in embedding-space norm units
 
     def __post_init__(self):
-        if self.family not in (H_GAUSSIAN, H_LINEAR):
+        if self.family != GAUSSIAN:
             raise InputError(f"unknown second-level kernel family {self.family!r}")
-        if self.family == H_GAUSSIAN:
-            if self.width is None or not (self.width > 0):
-                raise InputError(f"gaussian second-level kernel needs width > 0, got {self.width}")
+        if self.width is None or not (self.width > 0):
+            raise InputError(f"gaussian second-level kernel needs width > 0, got {self.width}")
 
     def to_config(self) -> dict:
-        return {"family": self.family} | ({} if self.width is None else {"width": float(self.width)})
+        return {"family": self.family, "width": float(self.width)}
 
     @classmethod
     def from_config(cls, cfg: dict) -> "HilbertKernel":
@@ -68,26 +65,16 @@ class HolderModulus:
 
 
 def _hk_into(hk: HilbertKernel, inners: np.ndarray, norms_a: np.ndarray, norms_b: np.ndarray) -> np.ndarray:
-    """Second-level values from <a_i, b_j>, ||a_i||^2 and ||b_j||^2, computed in the caller's
-    float64 matrix of inner products, which it overwrites and returns: one buffer per kernel
-    block. gaussian: exp(-d2 / width^2) with d2 the clamped squared distances of
-    `kme._squared_distances_into`; linear: the inner products themselves."""
-    if hk.family == H_LINEAR:
-        return inners
+    """Second-level values exp(-d2 / width^2) from <a_i, b_j>, ||a_i||^2 and ||b_j||^2, with d2
+    the clamped squared distances of `kme._squared_distances_into`, computed in the caller's
+    float64 matrix of inner products, which it overwrites and returns: one buffer per kernel block."""
     d2 = _squared_distances_into(inners, norms_a, norms_b)
     return np.exp(np.divide(d2, -(hk.width**2), out=d2), out=d2)
 
 
 def hk_eval(hk: HilbertKernel, e1, e2) -> float:
-    """k(e1, e2) for batches of one: exp(-||e1-e2||^2 / width^2) for gaussian, <e1, e2> for linear."""
+    """k(e1, e2) = exp(-||e1-e2||^2 / width^2) for batches of one."""
     return float(_hk_into(hk, cross_inner(e1, e2), squared_norms(e1), squared_norms(e2))[0, 0])
-
-
-def feature_distance(hk: HilbertKernel, e1, e2) -> float:
-    """||phi(e1) - phi(e2)|| in the second-level RKHS; gaussian only, <= sqrt(2)."""
-    if hk.family != H_GAUSSIAN:
-        raise UnsupportedError("feature distance is defined for the gaussian family only")
-    return math.sqrt(max(2.0 - 2.0 * hk_eval(hk, e1, e2), 0.0))
 
 
 def lipschitz_modulus(hk: HilbertKernel) -> HolderModulus:
@@ -95,6 +82,4 @@ def lipschitz_modulus(hk: HilbertKernel) -> HolderModulus:
 
     sqrt(2 - 2 exp(-s^2/w^2)) <= (sqrt(2)/w) * s, from 1 - e^-u <= u.
     """
-    if hk.family != H_GAUSSIAN:
-        raise UnsupportedError("the power-law modulus is defined for the gaussian family only")
     return HolderModulus(coefficient=math.sqrt(2.0) / hk.width, exponent=1.0)

@@ -21,8 +21,8 @@ from functools import cached_property
 import numpy as np
 
 from . import _backend
-from .base_kernels import FAMILY_CODES, GAUSSIAN, BaseKernel
-from .errors import InputError, NumericalConsistencyError, UnsupportedError
+from .base_kernels import BaseKernel
+from .errors import InputError, NumericalConsistencyError
 
 __all__ = [
     "SampleSet",
@@ -75,8 +75,6 @@ class ExactBatch:
     spreads: np.ndarray
 
     def __post_init__(self):
-        if self.kernel.family != GAUSSIAN:
-            raise UnsupportedError("exact KMEs are available only for the gaussian base kernel")
         means = np.ascontiguousarray(self.means, dtype=np.float64)
         spreads = np.ascontiguousarray(self.spreads, dtype=np.float64)
         if means.ndim != 2 or means.shape[1] != self.kernel.dim or not np.all(np.isfinite(means)):
@@ -138,11 +136,10 @@ class EmpiricalBatch:
 
     @cached_property
     def _norms(self) -> np.ndarray:
-        code = FAMILY_CODES[self.kernel.family]
         out = np.empty(len(self))
         for i in range(len(self)):
             x, w = self.expansion(i)
-            out[i] = _backend.pair_sums(x, w, x, w, [0, len(w)], code, self.kernel.width)[0]
+            out[i] = _backend.pair_sums(x, w, x, w, [0, len(w)], self.kernel.width)[0]
         return out
 
 
@@ -245,17 +242,14 @@ def _expansions_inner(k: BaseKernel, a: EmpiricalBatch, b: EmpiricalBatch, same:
     """<a_i, b_j> from one `_backend.pair_sums` pass per expansion of a against
     the stacked points of b; when b is a, row i covers only the columns j >= i
     and is mirrored."""
-    code = FAMILY_CODES[k.family]
     out = np.empty((len(a), len(b)))
     for i in range(len(a)):
         x, w = a.expansion(i)
         if same:
             lo = b.offsets[i]
-            out[i, i:] = out[i:, i] = _backend.pair_sums(
-                x, w, b.points[lo:], b.weights[lo:], b.offsets[i:] - lo, code, k.width
-            )
+            out[i, i:] = out[i:, i] = _backend.pair_sums(x, w, b.points[lo:], b.weights[lo:], b.offsets[i:] - lo, k.width)
         else:
-            out[i] = _backend.pair_sums(x, w, b.points, b.weights, b.offsets, code, k.width)
+            out[i] = _backend.pair_sums(x, w, b.points, b.weights, b.offsets, k.width)
     return out
 
 
@@ -368,8 +362,6 @@ def gaussian_kme_cross_inner(
     side taking part as one number when its spreads are all that number, so
     the distances are the only full-size array.
     """
-    if k.family != GAUSSIAN:
-        raise UnsupportedError("closed-form KME inner products require the gaussian base kernel")
     d2 = _backend.sqeuclidean(means_a, means_b)
     sa2 = np.asarray(spreads_a, dtype=np.float64) ** 2
     sb2 = _shrink(np.asarray(spreads_b, dtype=np.float64) ** 2)[None, :]

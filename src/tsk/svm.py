@@ -40,15 +40,10 @@ __all__ = [
     "decision_value",
     "decision_values",
     "decision_values_path",
-    "regularized_empirical_risk",
-    "kkt_residual",
     "build_gram",
     "model_to_json",
     "model_from_json",
 ]
-
-DIAG_FLOOR = 1e-12  # linear-kernel coordinates below this norm are inert
-
 
 def _float_or_array(a: np.ndarray):
     return float(a) if a.ndim == 0 else a
@@ -120,29 +115,11 @@ class SvmModel:
     hkernel: HilbertKernel | None = None
 
 
-def _margins(gram: GramMatrix, labels: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    return gram.entries @ (alpha * labels)
-
-
-def _kkt_violations(g: np.ndarray, alpha: np.ndarray, box_c: float, active: np.ndarray) -> np.ndarray:
-    """|projected gradient| of the dual per coordinate; 0 on inert coordinates."""
+def _kkt_violations(g: np.ndarray, alpha: np.ndarray, box_c: float) -> np.ndarray:
+    """|projected gradient| of the dual per coordinate."""
     viol = np.abs(g)
     viol = np.where(alpha <= 0.0, np.maximum(g, 0.0), viol)
-    viol = np.where(alpha >= box_c, np.maximum(-g, 0.0), viol)
-    return np.where(active, viol, 0.0)
-
-
-def kkt_residual(model: SvmModel, gram: GramMatrix, labels) -> float:
-    """Max projected-gradient magnitude of the dual objective onto [0, C].
-
-    Coordinates with K_ii <= 1e-12 are inert under the linear kernel (zero-norm
-    atoms) and are excluded, matching the solver.
-    """
-    labels = _as_labels(labels, gram.size)
-    alpha = np.asarray(model.dual_coefs, dtype=np.float64)
-    g = 1.0 - labels * _margins(gram, labels, alpha)
-    active = np.diag(gram.entries) > DIAG_FLOOR
-    return float(_kkt_violations(g, alpha, model.box_c, active).max(initial=0.0))
+    return np.where(alpha >= box_c, np.maximum(-g, 0.0), viol)
 
 
 def _as_labels(labels, n: int) -> np.ndarray:
@@ -269,23 +246,24 @@ def train(
     k = gram.entries
     if not np.all(np.isfinite(k)):
         raise InputError("Gram matrix contains non-finite entries")
+    if not np.all(np.diag(k) > 0.0):
+        raise InputError("Gram matrix has a diagonal entry <= 0; a second-level Gram has a unit diagonal")
 
     box_c = 1.0 / (2.0 * lam * n)
     alpha = np.zeros(n)
     f = np.zeros(n)
-    active = np.diag(k) > DIAG_FLOOR
     scale = 2.0 * lam
 
     objective_path = []
-    viol = _kkt_violations(1.0 - y * f, alpha, box_c, active)
+    viol = _kkt_violations(1.0 - y * f, alpha, box_c)
     residual = math.inf
     sweeps = 0
     converged = False
     for sweeps in range(1, max_sweeps + 1):
         _backend.cd_sweep(k, y, alpha, f, box_c, np.flatnonzero(viol > tol).tolist())
-        _newton_step(k, y, alpha, f, box_c, active & (alpha > 0.0) & (alpha < box_c))
+        _newton_step(k, y, alpha, f, box_c, (alpha > 0.0) & (alpha < box_c))
         objective_path.append(scale * (alpha.sum() - 0.5 * np.dot(alpha * y, f)))
-        viol = _kkt_violations(1.0 - y * f, alpha, box_c, active)
+        viol = _kkt_violations(1.0 - y * f, alpha, box_c)
         residual = float(viol.max(initial=0.0))
         if residual <= tol:
             converged = True
@@ -359,24 +337,6 @@ def decision_values(model: SvmModel, targets) -> np.ndarray:
 def decision_value(model: SvmModel, e) -> float:
     """f(e) for one embedding (a batch of one)."""
     return float(decision_values(model, e)[0])
-
-
-def regularized_empirical_risk(
-    model: SvmModel, gram: GramMatrix, labels, lam: float, loss: str = "hinge", clipped: bool = False
-) -> float:
-    """(1/N) sum loss(y_n, [clip] f(x_n)) + lambda ||f||^2 on the training Gram."""
-    y = _as_labels(labels, gram.size)
-    alpha = np.asarray(model.dual_coefs, dtype=np.float64)
-    f = _margins(gram, y, alpha)
-    norm_sq = float(np.dot(alpha * y, f))
-    vals = clip(f, model.clip_bound) if clipped else f
-    if loss == "hinge":
-        emp = float(np.mean(hinge(y, vals)))
-    elif loss == "zero_one":
-        emp = float(np.mean(zero_one(y, vals)))
-    else:
-        raise InputError(f"unknown loss {loss!r}")
-    return emp + lam * norm_sq
 
 
 def build_gram(hk: HilbertKernel, batch) -> GramMatrix:

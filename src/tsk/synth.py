@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, UnsupportedError
+from .errors import InputError
 from .kme import ExactBatch, SampleSet, embed_bags
 from .rng import mc_mean_se, normals, stream
 
@@ -28,9 +28,9 @@ __all__ = [
     "sample_first_stage",
     "sample_second_stage",
     "embed_inputs",
-    "eta",
+    "eta_batch",
     "bayes_risk",
-    "delta_to_boundary",
+    "delta_batch",
     "bags_to_json",
     "bags_from_json",
 ]
@@ -135,19 +135,6 @@ def embed_inputs(kernel, means, spread: float, size, bag_seed):
     return embed_bags(kernel, [sample_second_stage((m, spread), int(size), bag_seed(i)) for i, m in enumerate(means)])
 
 
-def eta(meta: MetaDistribution, q_params) -> float:
-    """Conditional probability of label +1 given the input's mean: `eta_batch`
-    on one row, after checking that a hard_margin mean lies in a class support."""
-    m = np.asarray(q_params[0] if isinstance(q_params, tuple) else q_params, dtype=np.float64)
-    if m.shape != (meta.dim,):
-        raise InputError(f"mean must have shape ({meta.dim},), got {m.shape}")
-    if meta.family == HARD_MARGIN:
-        c = meta.center_offset * _axis(meta)
-        if min(np.linalg.norm(m - c), np.linalg.norm(m + c)) > meta.center_spread + 1e-12:
-            raise InputError("mean lies outside both hard_margin class supports")
-    return float(eta_batch(meta, m[None, :])[0])
-
-
 def eta_batch(meta: MetaDistribution, means: np.ndarray) -> np.ndarray:
     """Conditional probability of label +1 for each row of means (no support
     check: a hard_margin mean counts by the sign of its first coordinate)."""
@@ -178,22 +165,10 @@ def bayes_risk(meta: MetaDistribution, mc_draws: int, seed: int):
     return mc_mean_se(np.minimum(e, 1.0 - e))
 
 
-def delta_to_boundary(meta: MetaDistribution, x) -> float:
-    """Distance to the opposite decision class for the hard_margin geometry.
-
-    The boundary is the hyperplane <e1, x> = 0; the hyperplane distance is
-    truncated at the distance to the opposite class support ball.
-    """
-    if meta.family != HARD_MARGIN:
-        raise UnsupportedError("delta_to_boundary is defined for hard_margin only")
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (meta.dim,):
-        raise InputError(f"point must have shape ({meta.dim},), got {x.shape}")
-    return float(delta_batch(meta, x[None, :])[0])
-
-
 def delta_batch(meta: MetaDistribution, x: np.ndarray) -> np.ndarray:
-    """Row-wise `delta_to_boundary`; |<e1, x>| outside the hard_margin geometry."""
+    """Distance of each row of x to the opposite decision class: for the hard_margin geometry
+    the distance to the hyperplane <e1, x> = 0, truncated at the distance to the opposite
+    class support ball; |<e1, x>| outside it."""
     x = np.asarray(x, dtype=np.float64)
     if meta.family != HARD_MARGIN:
         return np.abs(x[:, 0])

@@ -3,10 +3,10 @@
 R^d stands in for the separable Hilbert space: a covariance operator with
 strictly positive spectrum makes Q^{1/2} invertible, so the white noise
 mapping W_h(z) = <Q^{-1/2} h, z> is exact rather than a density-argument
-limit. On top of it sit Monte Carlo checks of the characteristic identity,
-the feature-space construction for the Hilbert-space Gaussian kernel, the
-smoothed Bayes hypothesis, and the geometric-noise localization integrals
-with a power-law exponent fit.
+limit. On top of it sit Monte Carlo checks of the white-noise isometry, the
+characteristic identity and the feature-space construction for the
+Hilbert-space Gaussian kernel, and the geometric-noise localization
+integrals with a power-law exponent fit.
 
 Complex quantities are carried explicitly; every "real part" below is a
 literal component extraction.
@@ -27,12 +27,10 @@ __all__ = [
     "CovarianceOperator",
     "VerificationReport",
     "NoiseExponentFit",
-    "white_noise",
     "white_noise_isometry_check",
     "characteristic_identity_check",
     "feature_inner_mc",
     "canonical_surjection_eval",
-    "smoothed_bayes_eval",
     "geometric_noise_integrals",
     "fit_noise_exponent",
     "fit_geometric_noise",
@@ -65,9 +63,6 @@ class CovarianceOperator:
     @property
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
-
-    def matrix(self) -> np.ndarray:
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.T
 
     def sqrt_matrix(self) -> np.ndarray:
         return (self.eigenvectors * np.sqrt(self.eigenvalues)) @ self.eigenvectors.T
@@ -115,14 +110,6 @@ class VerificationReport:
         }
         out.update(self.extras)
         return out
-
-
-def white_noise(h, z, q: CovarianceOperator) -> float:
-    """W_h(z) = <Q^{-1/2} h, z>."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (q.dim,):
-        raise InputError(f"z must have shape ({q.dim},), got {z.shape}")
-    return float(q.wn_coeff(h) @ z)
 
 
 def white_noise_isometry_check(h1, h2, q: CovarianceOperator, n_mc: int, seed: int) -> VerificationReport:
@@ -197,35 +184,6 @@ def canonical_surjection_eval(g, x, gamma: float, q: CovarianceOperator, n_mc: i
     lam = math.sqrt(2.0) / gamma
     vals = np.real(np.exp(-1j * lam * w) * np.asarray(g(z)))
     return mc_mean_se(vals)
-
-
-def smoothed_bayes_eval(
-    meta: MetaDistribution,
-    x,
-    gamma: float,
-    q: CovarianceOperator,
-    n_mc: int,
-    seed: int,
-    labeler=None,
-) -> VerificationReport:
-    """Gaussian smoothing of the Bayes classifier of a hard-margin geometry.
-
-    fhat(x) = E_{y ~ N(0,Q)}[ f*(y) exp(-||x-y||^2 / gamma^2) ] with f*(y) the
-    halfspace sign (+1 iff <e1, y> >= 0); pass `labeler` (batch of points ->
-    values in [-1, 1]) to smooth a different target. The raw estimate is
-    reported; a to [-1, 1] clamped copy rides along in the extras.
-    """
-    _check_mc(n_mc)
-    gen = stream(seed, "smoothed-bayes")
-    x = np.asarray(x, dtype=np.float64)
-    y = q.sample(gen, n_mc)
-    fstar = np.where(y[:, 0] >= 0.0, 1.0, -1.0) if labeler is None else np.asarray(labeler(y))
-    diff = y - x
-    weights = np.exp(-np.einsum("ij,ij->i", diff, diff) / gamma**2)
-    raw, se = mc_mean_se(fstar * weights)
-    clamped = min(1.0, max(-1.0, raw))
-    within = abs(raw) <= 1.0 + 4.0 * se
-    return VerificationReport(raw, se, clamped, within, extras={"clamped": clamped})
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,12 @@
 
 Everything here deliberately avoids the library's own computational paths:
 brute-force double sums, projected gradient ascent on the dual, randomized
-grid search on the primal, and closed-form Gaussian integrals. The one
-exception is `tabulated_kme_cross_inner`, the earlier form of the library's
-closed-form cross inner products, kept as the reference its replacement
-must equal bit for bit.
+grid search on the primal, the dual's KKT residual and the regularized risk
+written out in numpy, and closed-form Gaussian integrals. The exceptions are
+`feature_distance`, which reads the second-level kernel through
+`hk_eval`, and `tabulated_kme_cross_inner`, the earlier form of the
+library's closed-form cross inner products, kept as the reference its
+replacement must equal bit for bit.
 """
 
 import math
@@ -15,18 +17,13 @@ import numpy as np
 from tsk import _backend
 
 
-def brute_pair_sum(x, wx, y, wy, family, width):
-    """Direct O(m n d) double sum with math.fsum accumulation."""
+def brute_pair_sum(x, wx, y, wy, width):
+    """Direct O(m n d) double sum of the gaussian kernel with math.fsum accumulation."""
     total = []
     for i in range(len(x)):
         for j in range(len(y)):
-            if family == "gaussian":
-                d = math.fsum((a - b) ** 2 for a, b in zip(x[i], y[j]))
-                k = math.exp(-d / width**2)
-            else:
-                d = math.fsum(abs(a - b) for a, b in zip(x[i], y[j]))
-                k = math.exp(-d / width)
-            total.append(wx[i] * wy[j] * k)
+            d = math.fsum((a - b) ** 2 for a, b in zip(x[i], y[j]))
+            total.append(wx[i] * wy[j] * math.exp(-d / width**2))
     return math.fsum(total)
 
 
@@ -88,6 +85,42 @@ def pgd_dual_objectives(instances, iters=10**6, gap_tol=1e-10):
     return out, gaps.tolist()
 
 
+def kkt_residual(model, gram, labels) -> float:
+    """Max over the coordinates of the dual's projected gradient onto the box [0, C], one
+    coordinate at a time: the gradient g_i = 1 - y_i f(x_i), f = K (alpha * y), counts
+    where alpha_i is inside the box, only its positive part at alpha_i = 0 and only its
+    negative part at alpha_i = C."""
+    y = np.asarray(labels, dtype=np.float64)
+    alpha = np.asarray(model.dual_coefs, dtype=np.float64)
+    g = 1.0 - y * (gram.entries @ (alpha * y))
+    worst = 0.0
+    for a, gi in zip(alpha.tolist(), g.tolist()):
+        worst = max(worst, max(gi, 0.0) if a <= 0.0 else max(-gi, 0.0) if a >= model.box_c else abs(gi))
+    return worst
+
+
+def regularized_empirical_risk(model, gram, labels, lam, clipped=False) -> float:
+    """(1/N) sum_n hinge(y_n, f(x_n)) + lam ||f||^2 on the training Gram, f = K (alpha * y),
+    f first clipped to [-clip_bound, clip_bound] when `clipped`."""
+    y = np.asarray(labels, dtype=np.float64)
+    coef = np.asarray(model.dual_coefs, dtype=np.float64) * y
+    f = gram.entries @ coef
+    vals = np.clip(f, -model.clip_bound, model.clip_bound) if clipped else f
+    return float(np.mean(np.maximum(0.0, 1.0 - y * vals))) + lam * float(np.dot(coef, f))
+
+
+def feature_distance(hk, e1, e2) -> float:
+    """||phi(e1) - phi(e2)|| in the second-level RKHS, sqrt(2 - 2 k(e1, e2)) <= sqrt(2)."""
+    from tsk import hk_eval
+
+    return math.sqrt(max(2.0 - 2.0 * hk_eval(hk, e1, e2), 0.0))
+
+
+def covariance_matrix(q):
+    """The matrix V diag(eigenvalues) V' of a covariance operator."""
+    return (q.eigenvectors * q.eigenvalues) @ q.eigenvectors.T
+
+
 def primal_grid_min(k, y, lam, pts=17, max_rounds=200, seed=0, restarts=3):
     """Grid search over span coefficients, randomized mesh orientation.
 
@@ -128,19 +161,14 @@ def _grid_once(k, y, lam, pts, max_rounds, seed):
     return best
 
 
-def gaussian_weight_integral(x, t, eigenvalues, eigenvectors):
-    """E_{y ~ N(0, Q)}[exp(-||x - y||^2 / t)] in closed form.
+def i2_inner_closed_form(x, t, eigenvalues, eigenvectors):
+    """E_{y ~ N(x, Q)}[exp(-||y||^2 / t)] in closed form.
 
     Per eigen-coordinate: (1 + 2 l_i/t)^(-1/2) exp(-x_i^2 / (t + 2 l_i)).
     """
     xi = eigenvectors.T @ np.asarray(x, dtype=np.float64)
     scale = np.prod((1.0 + 2.0 * eigenvalues / t) ** -0.5)
     return float(scale * np.exp(-np.sum(xi**2 / (t + 2.0 * eigenvalues))))
-
-
-def i2_inner_closed_form(x, t, eigenvalues, eigenvectors):
-    """E_{y ~ N(x, Q)}[exp(-||y||^2 / t)]; same form as the weight integral."""
-    return gaussian_weight_integral(x, t, eigenvalues, eigenvectors)
 
 
 def loglog_lsq_slope(xs, ys):

@@ -17,8 +17,6 @@ from tsk import (
     GramMatrix,
     HilbertKernel,
     MetaDistribution,
-    kkt_residual,
-    regularized_empirical_risk,
     run_kme_coverage,
     run_rate_experiment,
     train,
@@ -36,7 +34,7 @@ from tsk.whitenoise import (
     white_noise_isometry_check,
 )
 
-from oracles import pgd_dual_objectives, primal_grid_min, primal_objective, rand_psd
+from oracles import kkt_residual, pgd_dual_objectives, primal_grid_min, primal_objective, rand_psd, regularized_empirical_risk
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -112,8 +110,10 @@ def test_criterion_03_analytic_fixtures():
     g2 = GramMatrix(np.eye(2))
     m2 = train(g2, [1, -1], 0.25)
     r2 = regularized_empirical_risk(m2, g2, [1, -1], 0.25)
-    ok = abs(r1 - 0.75) <= 1e-10 and abs(r2 - 0.5) <= 1e-10
-    report("c03 analytic-fixtures", ok, f"N=1 risk {r1!r}, N=2 risk {r2!r}")
+    # the residual each solve reports, against the oracle's formula
+    kkt_gap = max(abs(m1.kkt - kkt_residual(m1, g1, [1])), abs(m2.kkt - kkt_residual(m2, g2, [1, -1])))
+    ok = abs(r1 - 0.75) <= 1e-10 and abs(r2 - 0.5) <= 1e-10 and kkt_gap <= 1e-12
+    report("c03 analytic-fixtures", ok, f"N=1 risk {r1!r}, N=2 risk {r2!r}, |reported kkt - oracle kkt| {kkt_gap:.1e}")
 
 
 def test_criterion_04_clippability():

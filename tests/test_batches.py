@@ -11,7 +11,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from tsk import BaseKernel, HilbertKernel
-from tsk.errors import InputError, UnsupportedError
+from tsk.errors import InputError
 from tsk.kme import EmpiricalBatch, ExactBatch, PointBatch, cross_inner, squared_norms
 from tsk.svm import SvmModel, build_gram, decision_values
 
@@ -19,7 +19,7 @@ BASE = BaseKernel("gaussian", 0.9, 3)
 SIZES = (1, 4, 2, 9, 1, 6, 3)
 KINDS = ("exact", "empirical", "point")
 PAIRS = (("exact", "exact"), ("empirical", "empirical"), ("point", "point"), ("exact", "empirical"), ("empirical", "exact"))
-HKERNELS = (HilbertKernel("gaussian", 1.3), HilbertKernel("linear"))
+HKERNELS = (HilbertKernel("gaussian", 1.3),)
 
 
 def make(kind, seed, n=len(SIZES)):
@@ -84,8 +84,7 @@ def test_gram_diagonal_equals_squared_norms(kind, hk):
     a, _ = make(kind, 6)
     norms = squared_norms(a)
     assert np.array_equal(np.diag(cross_inner(a, a)), norms)
-    diag = np.diag(build_gram(hk, a).entries)
-    assert np.array_equal(diag, np.ones(len(a)) if hk.family == "gaussian" else norms)
+    assert np.array_equal(np.diag(build_gram(hk, a).entries), np.ones(len(a)))
     assert squared_norms(a) is norms  # computed once per batch
 
 
@@ -105,10 +104,9 @@ def test_take_equals_the_subset_built_directly(kind, idx):
 
 @pytest.mark.parametrize("hk", HKERNELS, ids=lambda hk: hk.family)
 def test_point_geometry_matches_the_distance_formula(hk):
-    # the identity embedding: the gaussian Gram is exp(-|x - x'|^2 / w^2), the linear one x . x'
+    # the identity embedding: the Gram is exp(-|x - x'|^2 / w^2)
     a, _ = make("point", 9)
-    x = a.points
-    want = np.exp(-cdist(x, x, "sqeuclidean") / hk.width**2) if hk.family == "gaussian" else x @ x.T
+    want = np.exp(-cdist(a.points, a.points, "sqeuclidean") / hk.width**2)
     np.testing.assert_allclose(build_gram(hk, a).entries, want, rtol=1e-12, atol=1e-14)
 
 
@@ -142,7 +140,7 @@ def test_constructor_rejects_invalid_arrays(name):
 
 
 def test_exact_batch_needs_the_gaussian_base_kernel():
-    with pytest.raises(UnsupportedError):
+    with pytest.raises(InputError):
         ExactBatch(BaseKernel("laplacian", 1.0, 3), [[0.0, 0.0, 0.0]], [0.1])
 
 

@@ -1,6 +1,10 @@
 import hashlib
 import json
 import math
+import os
+import shlex
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -122,7 +126,6 @@ def test_train_non_integer_max_sweeps_exits_2(tmp_path, capsys):
     assert "must be an integer" in capsys.readouterr().err
 
 
-COV_EIGENVALUES = {"eigenvalues": [1.0, 0.8, 0.6, 0.4, 0.2]}
 NOT_FINITE_NUMBERS = [
     ("rates", SMOKE_RATES, {"schedule": {"kind": "thm55", "alpha": "x", "mu": 0.25}}, "must be a finite number"),
     ("rates", SMOKE_RATES, {"row_time_cap_s": 0}, "must be > 0"),
@@ -134,10 +137,6 @@ NOT_FINITE_NUMBERS = [
     ("noise-exponent", NOISE_EXPONENT, {"t_grid": [True, 1, 0.5, 0.25]}, "t_grid must be a finite number"),
     ("noise-exponent", NOISE_EXPONENT, {"floor": "1e-12"}, "floor must be a finite number"),
     ("noise-exponent", NOISE_EXPONENT, {"covariance": {"eigenvalues": ["1", "0.5", "0.5", "0.5", "0.5"]}}, "eigenvalues must be a finite number"),
-    ("noise-exponent", NOISE_EXPONENT, {"covariance": COV_EIGENVALUES | {"eigenvectors": [[str(v) for v in row] for row in np.eye(5)]}}, "eigenvectors must be a finite number"),
-    ("noise-exponent", NOISE_EXPONENT, {"covariance": COV_EIGENVALUES | {"eigenvectors": [[bool(v) for v in row] for row in np.eye(5)]}}, "eigenvectors must be a finite number"),
-    ("noise-exponent", NOISE_EXPONENT, {"covariance": COV_EIGENVALUES | {"eigenvectors": [[math.nan] * 5] + np.eye(5)[1:].tolist()}}, "eigenvectors must be a finite number"),
-    ("noise-exponent", NOISE_EXPONENT, {"covariance": COV_EIGENVALUES | {"eigenvectors": ["1 0 0 0 0"] + np.eye(5)[1:].tolist()}}, "eigenvectors must be a list of numbers"),
 ]
 
 
@@ -160,9 +159,9 @@ NESTED_FIELDS = [
     ("meta", "dim", 2.7, "must be an integer"),
     (None, "approx_error", {"model": "constant", "value": -0.1}, "approx_error.value must be >= 0"),
     (None, "approx_error", {"model": "power", "c": -1.0, "beta": 0.5}, "approx_error.c must be >= 0"),
-    # every row would fail on these, so they are rejected at load
+    # every row would fail on this, so it is rejected at load
     (None, "tau", 0.5, "tau must be >= 1"),
-    (None, "hilbert_kernel", {"family": "linear"}, "defined for the gaussian family only"),
+    (None, "hilbert_kernel", {"family": "linear"}, "hilbert_kernel.family must be one of 'gaussian'"),
     ("meta", "dim", 3, "meta dim 3 does not match base_kernel dim 2"),
 ]
 
@@ -193,9 +192,6 @@ WRONG_JSON_TYPES = [
     ("rates", None, [SMOKE_RATES], "must be a JSON object"),
     ("train", None, [TRAIN], "must be a JSON object"),
     ("kme-coverage", None, [KME_COVERAGE], "must be a JSON object"),
-    ("noise-exponent", NOISE_EXPONENT, {"covariance": COV_EIGENVALUES | {"eigenvectors": 5}}, "eigenvectors must be a list of 5 rows of 5 numbers"),
-    ("noise-exponent", NOISE_EXPONENT, {"covariance": COV_EIGENVALUES | {"eigenvectors": np.eye(5)[:, :4].tolist()}}, "eigenvectors must be a list of 5 rows"),
-    ("noise-exponent", NOISE_EXPONENT, {"covariance": COV_EIGENVALUES | {"eigenvectors": [[1.0]] + np.eye(5)[1:].tolist()}}, "eigenvectors must be a list of 5 rows"),
 ]
 
 
@@ -517,3 +513,86 @@ class TestTrainPredict:
         code = main(["train", "--config", str(CONFIGS / "train_example.json"), "--data", str(tmp_path / "no.json"), "--out", str(tmp_path / "m.json")])
         assert code == 2
         assert "no.json" in capsys.readouterr().err
+
+
+# an output path that names an input file or the other output: the run would replace that file
+CLASHING_OUTPUTS = [
+    ("train", ["--config", "cfg.json", "--data", "bags.json", "--out", "bags.json"], ("--out", "--data")),
+    ("train", ["--config", "cfg.json", "--data", "bags.json", "--out", "./cfg.json"], ("--out", "--config")),
+    ("predict", ["--model", "model.json", "--data", "bags.json", "--out", "model.json"], ("--out", "--model")),
+    ("predict", ["--model", "model.json", "--data", "bags.json", "--out", "sub/../bags.json"], ("--out", "--data")),
+    ("rates", ["--config", "rates.json", "--out", "r", "--summary", "r"], ("--out", "--summary")),
+    ("rates", ["--config", "rates.json", "--out", "r.csv", "--summary", "rates.json"], ("--summary", "--config")),
+]
+
+
+@pytest.mark.parametrize("cmd, args, flags", CLASHING_OUTPUTS)
+def test_output_naming_an_input_or_the_other_output_exits_2_before_computing(tmp_path, monkeypatch, capsys, cmd, args, flags):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    write_dataset(tmp_path / "bags.json")
+    (tmp_path / "cfg.json").write_text((CONFIGS / "train_example.json").read_text())
+    (tmp_path / "rates.json").write_text(json.dumps(SMOKE_RATES))
+    assert main(["train", "--config", "cfg.json", "--data", "bags.json", "--out", "model.json"]) == 0
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+    with mock.patch(f"tsk.cli._cmd_{cmd}") as run:
+        assert main([cmd, *args]) == 2
+    run.assert_not_called()
+    err = capsys.readouterr().err
+    assert all(flag in err for flag in flags)
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()} == before
+
+
+class TestBoundedMessages:
+    """A whole file given where one field belongs is named in a short message, not repeated."""
+
+    def test_dataset_given_as_the_model(self, tmp_path, capsys):
+        data = tmp_path / "bags.json"
+        write_dataset(data, n=60, m=50)
+        assert data.stat().st_size > 100_000
+        assert main(["predict", "--model", str(data), "--data", str(data), "--out", str(tmp_path / "p.json")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 300 and f"{data} must be a JSON object" in err
+
+    def test_support_given_as_an_object(self, tmp_path, capsys):
+        data, model_path = tmp_path / "bags.json", tmp_path / "model.json"
+        write_dataset(data, n=60, m=50)
+        assert main(["train", "--config", str(CONFIGS / "train_example.json"), "--data", str(data), "--out", str(model_path)]) == 0
+        model = json.loads(model_path.read_text())
+        model_path.write_text(json.dumps(model | {"support": dict(enumerate(model["support"]))}))
+        assert model_path.stat().st_size > 100_000
+        assert main(["predict", "--model", str(model_path), "--data", str(data), "--out", str(tmp_path / "p.json")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 300 and "support must be a nonempty list of objects" in err
+
+    def test_short_values_are_shown_whole(self):
+        from tsk.errors import shown
+
+        assert shown([1, 2]) == "[1, 2]" and shown("x" * 78) == repr("x" * 78)
+        assert shown("x" * 79).startswith(repr("x" * 79)[:80] + "...")
+
+
+README = CONFIGS.parent / "README.md"
+
+
+def readme_commands(prefix: str) -> list:
+    """The README's command lines that start with `prefix`, split as a shell would."""
+    return [shlex.split(line) for line in README.read_text().splitlines() if line.startswith(prefix)]
+
+
+class TestReadmeExample:
+    def test_dataset_command_writes_the_checked_in_file(self):
+        ((python, *argv, redirect, target),) = readme_commands('python -c "')
+        assert (python, redirect, target) == ("python", ">", "configs/bags_example.json")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(CONFIGS.parent / "src"), os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, *argv], cwd=CONFIGS.parent, env=env, capture_output=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == (CONFIGS / target.split("/")[1]).read_bytes()
+
+    def test_train_and_predict_commands_run(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        ((_, *train_args),), ((_, *predict_args),) = readme_commands("tsk train "), readme_commands("tsk predict ")
+        for args in (train_args, predict_args):
+            assert main([str(CONFIGS.parent / a) if a.startswith("configs/") else a for a in args]) == 0
+        preds = json.loads((tmp_path / "preds.json").read_text())
+        assert len(preds["predictions"]) == 40 and preds["accuracy"] == 1.0

@@ -9,13 +9,14 @@ from tsk import (
     HilbertKernel,
     SampleSet,
     embed,
-    feature_distance,
     hk_eval,
     lipschitz_modulus,
 )
-from tsk.errors import InputError, UnsupportedError
+from tsk.errors import InputError
 from tsk.hilbert_kernel import HolderModulus
-from tsk.kme import _squared_distances_into, cross_inner, exact_gaussian_embedding, inner, squared_norms
+from tsk.kme import _squared_distances_into, cross_inner, exact_gaussian_embedding, squared_norms
+
+from oracles import feature_distance
 
 BASE = BaseKernel("gaussian", 1.0, 2)
 
@@ -52,11 +53,6 @@ class TestEval:
         vals = [hk_eval(HilbertKernel("gaussian", w), e1, e2) for w in (0.5, 1.0, 2.0, 8.0, 64.0)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
         assert vals[-1] == pytest.approx(1.0, abs=1e-3)
-
-    def test_linear_is_inner(self):
-        hk = HilbertKernel("linear")
-        e1, e2 = atom([0.0, 0.0]), atom([1.0, 0.0])
-        assert hk_eval(hk, e1, e2) == inner(e1, e2)
 
     def test_gram_psd(self):
         rng = np.random.default_rng(13)
@@ -96,10 +92,6 @@ class TestFeatureDistance:
             d13 = feature_distance(hk, e1, e3)
             assert d13 <= feature_distance(hk, e1, e2) + feature_distance(hk, e2, e3) + 1e-9
 
-    def test_linear_unsupported(self):
-        with pytest.raises(UnsupportedError):
-            feature_distance(HilbertKernel("linear"), atom([0, 0]), atom([1, 1]))
-
 
 class TestModulus:
     def test_gaussian_coefficients(self):
@@ -126,10 +118,6 @@ class TestModulus:
             d2 = _squared_distances_into(cross_inner(e1, e2), squared_norms(e1), squared_norms(e2))[0, 0]
             assert feature_distance(hk, e1, e2) <= mod(math.sqrt(d2)) + 1e-12
 
-    def test_linear_unsupported(self):
-        with pytest.raises(UnsupportedError):
-            lipschitz_modulus(HilbertKernel("linear"))
-
     def test_modulus_validation(self):
         with pytest.raises(InputError):
             HolderModulus(1.0, 0.0)
@@ -144,10 +132,11 @@ class TestModulus:
 
 def test_kernel_validation():
     with pytest.raises(InputError):
-        HilbertKernel("gaussian")
+        HilbertKernel("gaussian", None)
     with pytest.raises(InputError):
         HilbertKernel("gaussian", 0.0)
-    with pytest.raises(InputError):
-        HilbertKernel("poly", 1.0)
+    for family in ("poly", "linear"):
+        with pytest.raises(InputError):
+            HilbertKernel(family, 1.0)
     hk = HilbertKernel("gaussian", 0.4)
     assert HilbertKernel.from_config(hk.to_config()) == hk

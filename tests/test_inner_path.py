@@ -1,9 +1,9 @@
 """The single inner-product path behind every Gram, decision value and distance.
 
 Inputs are exact or empirical batches, or the mixed pair of an empirical
-support with exact decision targets, under the gaussian and the linear
-second-level kernels; the oracle recomputes every value from brute-force
-pair sums and the written-out closed form.
+support with exact decision targets, under the gaussian second-level
+kernel; the oracle recomputes every value from brute-force pair sums and the
+written-out closed form.
 """
 
 import math
@@ -24,7 +24,7 @@ KINDS = ("exact", "empirical", "mixed")
 # pair of a rate sweep with empirical training bags and exact test inputs
 SUPPORT_KIND = {"exact": "exact", "empirical": "empirical", "mixed": "empirical"}
 TARGET_KIND = {"exact": "exact", "empirical": "empirical", "mixed": "exact"}
-HKERNELS = (HilbertKernel("gaussian", 1.0), HilbertKernel("linear"))
+HKERNELS = (HilbertKernel("gaussian", 1.0),)
 
 
 def make_embeddings(kind, n, seed):
@@ -57,7 +57,7 @@ def _atoms(e):
 
 def oracle_inner(e1, e2):
     if isinstance(e1, EmpiricalBatch) and isinstance(e2, EmpiricalBatch):
-        return brute_pair_sum(e1.points, e1.weights, e2.points, e2.weights, "gaussian", BASE.width)
+        return brute_pair_sum(e1.points, e1.weights, e2.points, e2.weights, BASE.width)
     # closed form (g / v)^(d/2) exp(-|m - m'|^2 / v), v = g + 2 s^2 + 2 s'^2, per pair of atoms
     g = BASE.width**2
     terms = []
@@ -70,8 +70,6 @@ def oracle_inner(e1, e2):
 
 
 def oracle_kernel(hk, e1, e2):
-    if hk.family == "linear":
-        return oracle_inner(e1, e2)
     d2 = oracle_inner(e1, e1) + oracle_inner(e2, e2) - 2.0 * oracle_inner(e1, e2)
     return math.exp(-d2 / hk.width**2)
 
@@ -92,11 +90,7 @@ class TestSinglePath:
     def test_gram_symmetric_with_exact_diagonal(self, kind, hk):
         embs, gram, _ = self.fit(kind, hk)
         assert np.array_equal(gram.entries, gram.entries.T)
-        diag = np.diag(gram.entries)
-        if hk.family == "gaussian":
-            assert np.all(diag == 1.0)
-        else:
-            assert np.array_equal(diag, squared_norms(embs))
+        assert np.all(np.diag(gram.entries) == 1.0)
         norms = squared_norms(embs)
         assert np.all(np.diag(_squared_distances_into(cross_inner(embs, embs), norms, norms)) == 0.0)
 

@@ -16,7 +16,7 @@ from tsk import (
 from scipy.spatial.distance import cdist
 
 from tsk._backend import _BLOCK_BUDGET, pair_sum, pair_sums, sqeuclidean
-from tsk.errors import InputError, NumericalConsistencyError, UnsupportedError
+from tsk.errors import InputError, NumericalConsistencyError
 from tsk.kme import ExactBatch, _squared_distances_into, cross_inner, gaussian_kme_inner_matrix, squared_norms
 
 from oracles import brute_pair_sum
@@ -82,12 +82,11 @@ class TestInner:
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(9)
-        for fam in ("gaussian", "laplacian"):
-            k = BaseKernel(fam, 0.8, 3)
-            p1, p2 = rng.normal(size=(4, 3)), rng.normal(size=(6, 3))
-            w1, w2 = rng.normal(size=4), rng.normal(size=6)
-            got = inner(EmpiricalBatch(k, p1, w1, [0, 4]), EmpiricalBatch(k, p2, w2, [0, 6]))
-            assert got == pytest.approx(brute_pair_sum(p1, w1, p2, w2, fam, 0.8), rel=1e-12)
+        k = BaseKernel("gaussian", 0.8, 3)
+        p1, p2 = rng.normal(size=(4, 3)), rng.normal(size=(6, 3))
+        w1, w2 = rng.normal(size=4), rng.normal(size=6)
+        got = inner(EmpiricalBatch(k, p1, w1, [0, 4]), EmpiricalBatch(k, p2, w2, [0, 6]))
+        assert got == pytest.approx(brute_pair_sum(p1, w1, p2, w2, 0.8), rel=1e-12)
 
 
 class TestRkhsDistance:
@@ -167,7 +166,7 @@ class TestGaussianFamilyKme:
         assert abs(closed - est) <= 3.0 * se
 
     def test_requires_gaussian_base(self):
-        with pytest.raises(UnsupportedError):
+        with pytest.raises(InputError):
             ExactBatch(BaseKernel("laplacian", 1.0, 1), np.zeros((1, 1)), [0.1])
 
     def test_matrix_matches_scalar(self):
@@ -208,7 +207,7 @@ class TestMixedAndProperties:
         rng = np.random.default_rng(31)
         x, y = rng.normal(size=(37, 2)), rng.normal(size=(53, 2))
         wx, wy = rng.normal(size=37), rng.normal(size=53)
-        vals = {pair_sum(x, wx, y, wy, 0, 1.0, row_block=rb) for rb in (1, 5, 17, None)}
+        vals = {pair_sum(x, wx, y, wy, 1.0, row_block=rb) for rb in (1, 5, 17, None)}
         assert len(vals) == 1
 
 
@@ -254,29 +253,29 @@ class TestPairSums:
         return x, wx, y, wy, np.concatenate(([0], np.cumsum(self.SEGMENTS)))
 
     @pytest.mark.parametrize("d", [2, 70, 130])  # cdist computes the distances at every width
-    @pytest.mark.parametrize("family", ["gaussian", "laplacian"])
+    @pytest.mark.parametrize("family", ["gaussian"])  # the one base-kernel family
     @pytest.mark.parametrize("m", [1, 60])
     def test_matches_brute_force(self, family, d, m):
         x, wx, y, wy, offs = self.stacked(np.random.default_rng(41), m, d)
         for width in (0.05, 0.9, 20.0):  # kernel values from ~1e-170 up to ~1
-            got = pair_sums(x, wx, y, wy, offs, 0 if family == "gaussian" else 1, width)
-            want = [brute_pair_sum(x, wx, y[a:b], wy[a:b], family, width) for a, b in zip(offs, offs[1:])]
+            got = pair_sums(x, wx, y, wy, offs, width)
+            want = [brute_pair_sum(x, wx, y[a:b], wy[a:b], width) for a, b in zip(offs, offs[1:])]
             np.testing.assert_allclose(got, want, rtol=1e-12)
 
     @pytest.mark.parametrize("d", [2, 70, 130])
-    @pytest.mark.parametrize("family", [0, 1], ids=["gaussian", "laplacian"])
+    @pytest.mark.parametrize("family", ["gaussian"])  # the one base-kernel family
     def test_independent_of_row_block_and_of_other_segments(self, family, d):
         x, wx, y, wy, offs = self.stacked(np.random.default_rng(43), 17, d)
-        runs = [pair_sums(x, wx, y, wy, offs, family, 1.1, row_block=rb) for rb in (1, 5, 17, None)]
+        runs = [pair_sums(x, wx, y, wy, offs, 1.1, row_block=rb) for rb in (1, 5, 17, None)]
         assert all(np.array_equal(r, runs[0]) for r in runs)
         for s, (a, b) in enumerate(zip(offs, offs[1:])):
-            assert pair_sums(x, wx, y[a:b], wy[a:b], [0, b - a], family, 1.1)[0] == runs[0][s]
+            assert pair_sums(x, wx, y[a:b], wy[a:b], [0, b - a], 1.1)[0] == runs[0][s]
 
     def test_pair_sum_is_the_one_segment_call(self):
         x, wx, y, wy, _ = self.stacked(np.random.default_rng(47), 9, 2)
-        assert pair_sum(x, wx, y, wy, 1, 0.7) == pair_sums(x, wx, y, wy, [0, len(y)], 1, 0.7)[0]
+        assert pair_sum(x, wx, y, wy, 0.7) == pair_sums(x, wx, y, wy, [0, len(y)], 0.7)[0]
 
     def test_empty_segment_rejected(self):
         x, wx, y, wy, _ = self.stacked(np.random.default_rng(53), 3, 2)
         with pytest.raises(ValueError):
-            pair_sums(x, wx, y, wy, [0, 5, 5, len(y)], 0, 1.0)
+            pair_sums(x, wx, y, wy, [0, 5, 5, len(y)], 1.0)

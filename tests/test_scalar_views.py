@@ -5,23 +5,16 @@ float."""
 import numpy as np
 import pytest
 
-from tsk import BaseKernel, HilbertKernel, MetaDistribution, delta_to_boundary, eta, hk_eval, sample_first_stage
+from tsk import BaseKernel, HilbertKernel, hk_eval
 from tsk._backend import pair_sum, pair_sums
-from tsk.base_kernels import FAMILY_CODES
 from tsk.errors import InputError
 from tsk.hilbert_kernel import _hk_into
 from tsk.kme import EmpiricalBatch, ExactBatch, cross_inner, squared_norms
 from tsk.svm import clip, hinge, sgn, zero_one
-from tsk.synth import delta_batch, eta_batch
 
 RNG = np.random.default_rng(17)
 T = np.concatenate([[-2.0, -1.0, -0.0, 0.0, 1.0, 2.0], RNG.normal(scale=1.5, size=10)])
 Y = np.where(RNG.random(T.size) < 0.5, -1, 1)
-HM = MetaDistribution("hard_margin", 2, 2.0, 0.25, 0.5, 0.5, margin=1.0)
-OVERLAP = MetaDistribution("gaussian_overlap", 3, 1.0, 0.8, 0.0, 0.3)
-HM_MEANS = sample_first_stage(HM, 12, 5)[0]
-OVERLAP_MEANS = sample_first_stage(OVERLAP, 12, 6)[0]
-POINTS = 3.0 * RNG.normal(size=(12, 2))
 
 
 def _hk_eval_case():
@@ -32,11 +25,11 @@ def _hk_eval_case():
     return (lambda i: hk_eval(hk, a.take([i // len(b)]), b.take([i % len(b)]))), batch
 
 
-def _pair_sum_case(family, dim):
-    rng, code = np.random.default_rng(dim), FAMILY_CODES[family]
+def _pair_sum_case(dim):
+    rng = np.random.default_rng(dim)
     x, ys = rng.normal(size=dim), rng.normal(size=(7, dim))
-    row = pair_sums(x[None, :], [1.0], ys, np.ones(len(ys)), np.arange(len(ys) + 1), code, 1.3)
-    return (lambda i: pair_sum(x[None, :], [1.0], ys[i][None, :], [1.0], code, 1.3)), row
+    row = pair_sums(x[None, :], [1.0], ys, np.ones(len(ys)), np.arange(len(ys) + 1), 1.3)
+    return (lambda i: pair_sum(x[None, :], [1.0], ys[i][None, :], [1.0], 1.3)), row
 
 
 CASES = {
@@ -44,13 +37,9 @@ CASES = {
     "zero_one": lambda: ((lambda i: zero_one(Y[i], T[i])), zero_one(Y, T)),
     "clip": lambda: ((lambda i: clip(T[i], 0.7)), clip(T, 0.7)),
     "sgn": lambda: ((lambda i: sgn(T[i])), sgn(T)),
-    "eta hard_margin": lambda: ((lambda i: eta(HM, HM_MEANS[i])), eta_batch(HM, HM_MEANS)),
-    "eta gaussian_overlap": lambda: ((lambda i: eta(OVERLAP, OVERLAP_MEANS[i])), eta_batch(OVERLAP, OVERLAP_MEANS)),
-    "delta_to_boundary": lambda: ((lambda i: delta_to_boundary(HM, POINTS[i])), delta_batch(HM, POINTS)),
     "hk_eval": _hk_eval_case,
-    "pair_sum gaussian": lambda: _pair_sum_case("gaussian", 3),
-    "pair_sum laplacian": lambda: _pair_sum_case("laplacian", 3),
-    "pair_sum gaussian d = 130": lambda: _pair_sum_case("gaussian", 130),
+    "pair_sum gaussian": lambda: _pair_sum_case(3),
+    "pair_sum gaussian d = 130": lambda: _pair_sum_case(130),
 }
 
 

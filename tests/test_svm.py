@@ -19,8 +19,6 @@ from tsk import (
     decision_value,
     embed,
     hinge,
-    kkt_residual,
-    regularized_empirical_risk,
     train,
     zero_one,
 )
@@ -29,7 +27,7 @@ from tsk.kme import EmpiricalBatch, ExactBatch, embed_bags
 import tsk.svm as svm_module
 from tsk.svm import SvmModel, _box_path_max, _newton_step, decision_values, model_from_json, model_to_json, sgn
 
-from oracles import pgd_dual_objectives, primal_grid_min, rand_psd
+from oracles import kkt_residual, pgd_dual_objectives, primal_grid_min, rand_psd, regularized_empirical_risk
 
 
 class TestLosses:
@@ -128,7 +126,7 @@ class TestSolverProperties:
             assert all(a >= b - 1e-8 for a, b in zip(norms, norms[1:]))
 
     def test_kkt_residual_alpha_zero(self):
-        # gradient of sum(a) at a = 0 is 1 in every active coordinate
+        # gradient of sum(a) at a = 0 is 1 in every coordinate
         gram = GramMatrix(np.eye(3))
         model = SvmModel(np.zeros(3), np.array([1.0, -1.0, 1.0]), 0.1, 1.0, 1.0, True, 0.0, 0, 0.0, 0.0)
         assert kkt_residual(model, gram, [1, -1, 1]) == 1.0
@@ -157,19 +155,18 @@ class TestSolverProperties:
         assert model.converged
         assert kkt_residual(model, gram, [1, 1, -1]) <= 1e-8
 
-    def test_linear_kernel_zero_norm_atom_skipped(self):
-        # an all-zero expansion has K_ii = 0 under the linear kernel
-        k = np.array([[1.0, 0.0, 0.5], [0.0, 0.0, 0.0], [0.5, 0.0, 2.0]])
-        gram = GramMatrix(k)
-        model = train(gram, [1, -1, -1], 0.1)
-        assert model.converged
-        assert model.dual_coefs[1] == 0.0
-
     def test_nonfinite_gram_rejected(self):
         k = np.eye(2)
         k[0, 1] = k[1, 0] = np.nan
         with pytest.raises(InputError):
             train(GramMatrix(k), [1, -1], 0.1)
+
+    @pytest.mark.parametrize("entry", [0.0, -0.5])
+    def test_nonpositive_diagonal_rejected(self, entry):
+        # a second-level Gram has a unit diagonal, and a coordinate pass divides by K_ii
+        k = np.array([[1.0, 0.0, 0.5], [0.0, entry, 0.0], [0.5, 0.0, 2.0]])
+        with pytest.raises(InputError, match="diagonal"):
+            train(GramMatrix(k), [1, -1, -1], 0.1)
 
     def test_nonconvergence_flagged_not_raised(self):
         # one coordinate pass and Newton step cannot find this active set

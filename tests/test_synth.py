@@ -10,13 +10,11 @@ from hypothesis import strategies as st
 from tsk import (
     MetaDistribution,
     bayes_risk,
-    delta_to_boundary,
-    eta,
     sample_first_stage,
     sample_second_stage,
 )
-from tsk.errors import InputError, UnsupportedError
-from tsk.synth import bags_from_json, bags_to_json, eta_batch
+from tsk.errors import InputError
+from tsk.synth import bags_from_json, bags_to_json, delta_batch, eta_batch
 
 HM = MetaDistribution("hard_margin", 2, 2.0, 0.25, 0.5, 0.5, margin=1.0)
 OVERLAP_1D = MetaDistribution("gaussian_overlap", 1, 1.0, 1.0, 0.0, 0.5)
@@ -54,8 +52,7 @@ class TestFirstStage:
 
     def test_eta_equals_label_indicator(self):
         means, labels = sample_first_stage(HM, 200, 9)
-        for m, y in zip(means, labels):
-            assert eta(HM, m) == (1 + y) / 2
+        assert np.array_equal(eta_batch(HM, means), (1 + labels) / 2)
 
 
 class TestSecondStage:
@@ -83,21 +80,18 @@ class TestSecondStage:
 class TestEta:
     def test_overlap_posterior_value(self):
         # posterior ratio of normal densities: eta = 1/(1 + exp(-2 c m / s^2))
-        assert eta(OVERLAP_1D, np.array([1.0])) == pytest.approx(1.0 / (1.0 + math.exp(-2.0)), abs=1e-12)
+        assert eta_batch(OVERLAP_1D, [[1.0]])[0] == pytest.approx(1.0 / (1.0 + math.exp(-2.0)), abs=1e-12)
 
     def test_symmetric_midpoint(self):
         meta = MetaDistribution("gaussian_overlap", 3, 1.5, 0.8, 0.0, 0.5)
-        assert eta(meta, np.array([0.0, 2.0, -1.0])) == pytest.approx(0.5, abs=1e-12)
+        assert eta_batch(meta, [[0.0, 2.0, -1.0]])[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_hard_margin_support_indicator(self):
-        assert eta(HM, np.array([2.0, 0.1])) == 1.0
-        assert eta(HM, np.array([-2.1, 0.0])) == 0.0
-        with pytest.raises(InputError):
-            eta(HM, np.array([0.0, 0.0]))
+        assert eta_batch(HM, [[2.0, 0.1], [-2.1, 0.0]]).tolist() == [1.0, 0.0]
 
     def test_prior_shifts_posterior(self):
         skew = MetaDistribution("gaussian_overlap", 1, 1.0, 1.0, 0.0, 0.9)
-        assert eta(skew, np.array([0.0])) == pytest.approx(0.9, abs=1e-12)
+        assert eta_batch(skew, [[0.0]])[0] == pytest.approx(0.9, abs=1e-12)
 
 
 class TestBayesRisk:
@@ -134,26 +128,24 @@ class TestBayesRisk:
 
 class TestDelta:
     def test_on_hyperplane(self):
-        assert delta_to_boundary(HM, np.array([0.0, 3.0])) == 0.0
+        assert delta_batch(HM, [[0.0, 3.0]])[0] == 0.0
 
     def test_at_class_center(self):
-        assert delta_to_boundary(HM, np.array([2.0, 0.0])) == pytest.approx(2.0)
+        assert delta_batch(HM, [[2.0, 0.0]])[0] == pytest.approx(2.0)
 
     def test_at_least_margin_on_supports(self):
         means, _ = sample_first_stage(HM, 300, 13)
-        for m in means:
-            assert delta_to_boundary(HM, m) >= HM.margin - 1e-12
+        assert np.all(delta_batch(HM, means) >= HM.margin - 1e-12)
 
     def test_truncation_by_opposite_ball(self):
         # a point far out along e1: the hyperplane is farther than the ball
         meta = MetaDistribution("hard_margin", 2, 1.0, 0.9, 0.5, 0.5, margin=0.1)
         x = np.array([5.0, 0.0])
         to_ball = np.linalg.norm(x - np.array([-1.0, 0.0])) - 0.9
-        assert delta_to_boundary(meta, x) == pytest.approx(min(5.0, to_ball))
+        assert delta_batch(meta, x[None, :])[0] == pytest.approx(min(5.0, to_ball))
 
-    def test_overlap_unsupported(self):
-        with pytest.raises(UnsupportedError):
-            delta_to_boundary(OVERLAP_1D, np.array([1.0]))
+    def test_overlap_is_the_hyperplane_distance(self):
+        assert delta_batch(OVERLAP_1D, [[-1.5], [0.5]]).tolist() == [1.5, 0.5]
 
 
 class TestValidationAndIo:

@@ -11,15 +11,13 @@ from tsk import (
     feature_inner_mc,
     fit_noise_exponent,
     geometric_noise_integrals,
-    smoothed_bayes_eval,
-    white_noise,
     white_noise_isometry_check,
 )
 from tsk.errors import InputError
 from tsk.rng import normals, stream
 from tsk.whitenoise import canonical_surjection_eval, fit_geometric_noise, random_covariance
 
-from oracles import gaussian_weight_integral, i2_inner_closed_form, loglog_lsq_slope, noise_terms_one_t
+from oracles import covariance_matrix, i2_inner_closed_form, loglog_lsq_slope, noise_terms_one_t
 
 Q_DIAG = CovarianceOperator(np.array([1.0, 0.5]), np.eye(2))
 HM5 = MetaDistribution("hard_margin", 5, 2.0, 0.25, 0.0, 0.5, margin=1.0)
@@ -35,28 +33,29 @@ class TestCovarianceOperator:
 
     def test_matrix_roundtrip_through_constructor(self):
         q = random_covariance(4, 123)
-        q2 = CovarianceOperator(*np.linalg.eigh(q.matrix()))
-        assert np.abs(q2.matrix() - q.matrix()).max() <= 1e-10
+        q2 = CovarianceOperator(*np.linalg.eigh(covariance_matrix(q)))
+        assert np.abs(covariance_matrix(q2) - covariance_matrix(q)).max() <= 1e-10
 
     def test_sample_covariance(self):
         q = random_covariance(3, 7)
         z = q.sample(stream(5, "cov-test"), 200_000)
         emp = z.T @ z / z.shape[0]
-        assert np.abs(emp - q.matrix()).max() <= 0.05
+        assert np.abs(emp - covariance_matrix(q)).max() <= 0.05
 
 
 class TestWhiteNoise:
+    # W_h(z) = <Q^{-1/2} h, z>
     def test_zero_vector(self):
-        assert white_noise(np.zeros(2), np.array([1.0, -3.0]), Q_DIAG) == 0.0
+        assert Q_DIAG.wn_coeff(np.zeros(2)) @ np.array([1.0, -3.0]) == 0.0
 
     def test_identity_covariance_is_plain_inner(self):
         q = CovarianceOperator(np.ones(3), np.eye(3))
         h, z = np.array([1.0, 2.0, -1.0]), np.array([0.5, 0.5, 2.0])
-        assert white_noise(h, z, q) == pytest.approx(float(h @ z), abs=1e-12)
+        assert q.wn_coeff(h) @ z == pytest.approx(float(h @ z), abs=1e-12)
 
     def test_diagonal_rescaling(self):
         # Q^{-1/2} h = (1, sqrt(2)) for h = (1, 1), Q = diag(1, 1/2)
-        val = white_noise(np.array([1.0, 1.0]), np.array([1.0, 1.0]), Q_DIAG)
+        val = Q_DIAG.wn_coeff(np.array([1.0, 1.0])) @ np.array([1.0, 1.0])
         assert val == pytest.approx(1.0 + math.sqrt(2.0), abs=1e-12)
 
     def test_isometry_orthogonal_vectors(self):
@@ -141,35 +140,6 @@ class TestCanonicalSurjection:
         e1, _ = canonical_surjection_eval(g, x, 1.0, Q_DIAG, 5000, 21)
         e2, _ = canonical_surjection_eval(lambda z: 4.0 * g(z), x, 1.0, Q_DIAG, 5000, 21)
         assert e2 == 4.0 * e1
-
-
-class TestSmoothedBayes:
-    def test_positive_deep_in_plus_region(self):
-        r = smoothed_bayes_eval(HM5, np.array([2.0, 0, 0, 0, 0]), 1.0, Q5, 20_000, 2)
-        assert r.estimate > 0.0
-
-    def test_constant_label_matches_closed_form(self):
-        # f* == 1 turns the smoothing into a pure Gaussian weight integral
-        x = np.array([0.5, -0.5, 1.0, 0.0, 0.25])
-        r = smoothed_bayes_eval(HM5, x, 1.2, Q5, 200_000, 3, labeler=lambda y: np.ones(len(y)))
-        target = gaussian_weight_integral(x, 1.2**2, Q5.eigenvalues, Q5.eigenvectors)
-        assert abs(r.estimate - target) <= 4.0 * r.std_error
-
-    def test_antisymmetry_under_reflection(self):
-        x = np.array([0.8, 0.3, -0.2, 0.1, 0.4])
-        xr = x.copy()
-        xr[0] = -xr[0]
-        r1 = smoothed_bayes_eval(HM5, x, 1.0, Q5, 150_000, 4)
-        r2 = smoothed_bayes_eval(HM5, xr, 1.0, Q5, 150_000, 5)
-        assert abs(r1.estimate + r2.estimate) <= 4.0 * math.hypot(r1.std_error, r2.std_error)
-
-    def test_bounded_magnitude(self):
-        rng = np.random.default_rng(6)
-        for i in range(10):
-            x = rng.normal(size=5)
-            r = smoothed_bayes_eval(HM5, x, 0.8, Q5, 20_000, 100 + i)
-            assert abs(r.estimate) <= 1.0 + 4.0 * r.std_error
-            assert -1.0 <= r.extras["clamped"] <= 1.0
 
 
 class TestGeometricNoise:
