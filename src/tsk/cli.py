@@ -161,9 +161,8 @@ def _cmd_noise_exponent(args) -> int:
 
 def _cmd_approx_error(args) -> int:
     cfg = read(COMMANDS["approx-error"], _load_config(args))
-    seeds = cfg["seeds"] if cfg["seed"] is None else (cfg["seed"],)
     summary = approx_error_summary(
-        cfg["meta"], cfg["hilbert_kernel"], cfg["lambda_grid"], cfg["big_n"], cfg["embedding"], seeds,
+        cfg["meta"], cfg["hilbert_kernel"], cfg["lambda_grid"], cfg["big_n"], cfg["embedding"], cfg["seeds"],
         base_kernel=cfg["base_kernel"], input_space=cfg["input_space"], test_n=cfg["test_n"],
     )
     _write_json(args.out, summary)

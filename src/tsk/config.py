@@ -2,8 +2,7 @@
 
 A table maps each field of a JSON object to a row (converter, default); the
 converter checks the value and names the field by its path, a `Section`
-converter reads a nested object and `config_records` a list of them. A row keyed
-by a tuple holds alternatives, of which at most one may be given. A `config_choice`
+converter reads a nested object and `config_records` a list of them. A `config_choice`
 whose options map to field names is a tag: it admits those fields only when it selects them.
 """
 
@@ -15,8 +14,7 @@ import numpy as np
 from .base_kernels import GAUSSIAN, BaseKernel
 from .errors import InputError, config_float, config_floats, config_int, config_ints, shown
 from .hilbert_kernel import HilbertKernel
-from .kme import EmpiricalBatch, ExactBatch, SampleSet, uniform_weights
-from .rng import normals, stream
+from .kme import EmpiricalBatch, SampleSet, uniform_weights
 from .svm import SvmModel
 from .synth import GAUSSIAN_OVERLAP, HARD_MARGIN, MetaDistribution
 from .whitenoise import CovarianceOperator
@@ -79,20 +77,10 @@ def config_samples(value, field: str) -> np.ndarray:
 
 
 def config_records(values, field: str, table):
-    """A nonempty JSON list of objects, record i read by `table` as field[i]. A tuple of tables holds
-    the kinds of record, one kind per list: the first whose first field record 0 gives, else the first."""
+    """A nonempty JSON list of objects, record i read by `table` as field[i]."""
     if not isinstance(values, list) or not values:
         raise InputError(f"{field} must be a nonempty list of objects, got {shown(values)}")
-    if isinstance(table, tuple):
-        table = next((kind for kind in table if isinstance(values[0], dict) and next(iter(kind)) in values[0]), table[0])
     return [read(table, record, f"{field}[{i}]") for i, record in enumerate(values)]
-
-
-def _covariance(eigenvalues, rotation_seed) -> CovarianceOperator:
-    """The spectrum in a rotation drawn from `rotation_seed`, else in the axes."""
-    d = len(eigenvalues)
-    eigenvectors = np.eye(d) if rotation_seed is None else np.linalg.qr(normals(stream(rotation_seed, "covariance-rotation"), (d, d)))[0]
-    return CovarianceOperator(np.asarray(eigenvalues), eigenvectors)
 
 
 def _one_of(options):
@@ -121,13 +109,13 @@ def _approx_error(input_space, **values) -> dict:
 
 
 def _noise_exponent(meta, covariance, t_grid, **values) -> dict:
-    """The values read, the covariance on meta.dim eigenvalues built only then, and a t grid of
-    at least 3 points, the fewest a power law is fitted to."""
-    if len(covariance["eigenvalues"]) != meta.dim:
-        raise InputError(f"covariance.eigenvalues must hold meta.dim = {meta.dim} numbers, got {len(covariance['eigenvalues'])}")
+    """The values read, a covariance on meta.dim eigenvalues, and a t grid of at least 3 points,
+    the fewest a power law is fitted to."""
+    if covariance.dim != meta.dim:
+        raise InputError(f"covariance.eigenvalues must hold meta.dim = {meta.dim} numbers, got {covariance.dim}")
     if len(t_grid) < 3:
         raise InputError(f"t_grid must hold at least 3 points, got {len(t_grid)}")
-    return values | {"meta": meta, "covariance": COVARIANCE.build(**covariance), "t_grid": t_grid}
+    return values | {"meta": meta, "covariance": covariance, "t_grid": t_grid}
 
 
 def _kme_coverage(base_kernel, mean, **values) -> dict:
@@ -138,24 +126,18 @@ def _kme_coverage(base_kernel, mean, **values) -> dict:
 
 
 def _model(lam, support, base_kernel, hilbert_kernel, dual_coefs, labels, clip_bound, converged, kkt_residual, norm_sq) -> SvmModel:
-    """The model of a model file: one coefficient and one label per support record, every record of
-    the base kernel's dimension, and a bag's weights, when given, one per sample (else 1/m)."""
+    """The model of a model file: one coefficient and one label per support bag, every bag of the
+    base kernel's dimension and embedded with the uniform weights 1/m."""
     n, dim = len(support), base_kernel.dim
     for key, values in (("dual_coefs", dual_coefs), ("labels", labels)):
         if len(values) != n:
             raise InputError(f"{key} must hold one value per support record ({n}), got {len(values)}")
-    key = "samples" if "samples" in support[0] else "mean"
-    for i, record in enumerate(support):
-        if np.shape(record[key])[-1] != dim:
-            raise InputError(f"support[{i}].{key} must have base_kernel.dim = {dim} columns, got {np.shape(record[key])[-1]}")
-        if record.get("weights") is not None and len(record["weights"]) != len(record["samples"]):
-            raise InputError(f"support[{i}].weights must hold one number per sample ({len(record['samples'])}), got {len(record['weights'])}")
-    if key == "mean":
-        batch = ExactBatch(base_kernel, [r["mean"] for r in support], [r["spread"] for r in support])
-    else:
-        points = [r["samples"] for r in support]
-        weights = [uniform_weights(len(p)) if r["weights"] is None else np.array(r["weights"]) for p, r in zip(points, support)]
-        batch = EmpiricalBatch(base_kernel, np.concatenate(points), np.concatenate(weights), np.cumsum([0] + [len(p) for p in points]))
+    points = [record["samples"] for record in support]
+    for i, bag in enumerate(points):
+        if bag.shape[1] != dim:
+            raise InputError(f"support[{i}].samples must have base_kernel.dim = {dim} columns, got {bag.shape[1]}")
+    weights = np.concatenate([uniform_weights(len(bag)) for bag in points])
+    batch = EmpiricalBatch(base_kernel, np.concatenate(points), weights, np.cumsum([0] + [len(bag) for bag in points]))
     return SvmModel(
         dual_coefs=np.array(dual_coefs), labels=np.array(labels, dtype=np.float64), lam=lam, box_c=1.0 / (2.0 * lam * n), clip_bound=clip_bound,
         converged=converged, kkt=kkt_residual, sweeps=0, objective=0.0, norm_sq=norm_sq, support=batch, hkernel=hilbert_kernel,
@@ -173,11 +155,11 @@ def _dataset(bags):
 REAL = (config_float, REQUIRED)
 SIZE, SEED = partial(config_int, minimum=1), partial(config_int, minimum=0)
 POSITIVE, NONNEGATIVE = partial(config_float, above=0.0), partial(config_float, minimum=0.0)
-BASE_KERNEL = Section({"family": (_one_of((GAUSSIAN,)), REQUIRED), "width": REAL, "dim": (SIZE, REQUIRED)}, BaseKernel)
-HILBERT_KERNEL = Section({"family": (_one_of((GAUSSIAN,)), REQUIRED), "width": REAL}, HilbertKernel)
+BASE_KERNEL = Section({"family": (_one_of((GAUSSIAN,)), REQUIRED), "width": (POSITIVE, REQUIRED), "dim": (SIZE, REQUIRED)}, BaseKernel)
+HILBERT_KERNEL = Section({"family": (_one_of((GAUSSIAN,)), REQUIRED), "width": (POSITIVE, REQUIRED)}, HilbertKernel)
 META = Section({
     "family": (_one_of((HARD_MARGIN, GAUSSIAN_OVERLAP)), REQUIRED), "dim": (SIZE, REQUIRED),
-    "c": REAL, "s": REAL, "sigma": REAL, "p_plus": REAL, "r": (config_float, 0.0),
+    "c": (POSITIVE, REQUIRED), "s": (NONNEGATIVE, REQUIRED), "sigma": (NONNEGATIVE, REQUIRED), "p_plus": REAL, "r": (config_float, 0.0),
 }, lambda family, dim, c, s, sigma, p_plus, r: MetaDistribution(family, dim, c, s, sigma, p_plus, r))
 # the kind of a schedule, and the model of an approximation error, each with the fields it admits
 SCHEDULE = Section({
@@ -187,7 +169,7 @@ APPROX_ERROR = Section({
     "model": (_one_of({"zero": (), "constant": ("value",), "power": ("c", "beta")}), "zero"),
     "value": (NONNEGATIVE, REQUIRED), "c": (NONNEGATIVE, REQUIRED), "beta": REAL,
 })
-COVARIANCE = Section({"eigenvalues": (config_floats, REQUIRED), "rotation_seed": (SEED, None)}, _covariance)
+COVARIANCE = Section({"eigenvalues": (config_floats, REQUIRED)}, lambda eigenvalues: CovarianceOperator(np.asarray(eigenvalues), np.eye(len(eigenvalues))))
 
 COMMANDS = {
     "rates": Section({
@@ -196,17 +178,15 @@ COMMANDS = {
         "n_grid": (partial(config_ints, minimum=2), REQUIRED), "replicates": (SIZE, REQUIRED), "test_bags": (SIZE, REQUIRED), "bayes_mc": (SIZE, 100_000),
         "test_embedding": (config_size_or_exact, "exact"), "train_embedding": (_one_of(("empirical", "exact")), "empirical"),
         "seed": (SEED, REQUIRED), "universal_c": (POSITIVE, 100.0), "tau": (partial(config_float, minimum=1.0), 1.0),
-        "row_time_cap_s": (POSITIVE, 300.0),
     }, _rates),
     "approx-error": Section({
         "meta": (META, REQUIRED), "hilbert_kernel": (HILBERT_KERNEL, REQUIRED), "base_kernel": (BASE_KERNEL, None),
         "lambda_grid": (partial(config_floats, above=0.0), REQUIRED), "big_n": (partial(config_int, minimum=2), REQUIRED), "test_n": (SIZE, None),
         "embedding": (config_size_or_exact, "exact"), "input_space": (_one_of(("kme", "mean")), "kme"),
-        ("seeds", "seed"): ((partial(config_ints, minimum=0), SEED), (0,)),
+        "seeds": (partial(config_ints, minimum=0), (0,)),
     }, _approx_error),
-    # the covariance is read as its fields, so that meta.dim is checked before a rotation is drawn
     "noise-exponent": Section({
-        "meta": (META, REQUIRED), "covariance": (Section(COVARIANCE), REQUIRED), "t_grid": (partial(config_floats, above=0.0), REQUIRED),
+        "meta": (META, REQUIRED), "covariance": (COVARIANCE, REQUIRED), "t_grid": (partial(config_floats, above=0.0), REQUIRED),
         "n_outer": (SIZE, REQUIRED), "n_inner": (SIZE, REQUIRED), "seed": (SEED, REQUIRED), "floor": (POSITIVE, 1e-12),
     }, _noise_exponent),
     "kme-coverage": Section({
@@ -221,15 +201,14 @@ COMMANDS = {
 }
 
 # the model file (`svm.model_to_json`) and the dataset file, the JSON array `bags` (`synth.bags_to_json`)
-SUPPORT_BAG = Section({"samples": (config_samples, REQUIRED), "weights": (config_floats, None)})
-SUPPORT_MEAN = Section({"mean": (config_floats, REQUIRED), "spread": (NONNEGATIVE, REQUIRED)})
+SUPPORT_BAG = Section({"samples": (config_samples, REQUIRED)})
 BAG = Section({"label": (config_label, REQUIRED), "samples": (config_samples, REQUIRED)})
 FILES = {
     "model": Section({
         "lambda": (POSITIVE, REQUIRED), "clip_bound": (POSITIVE, REQUIRED), "dual_coefs": (partial(config_floats, minimum=0.0), REQUIRED),
         "labels": (config_labels, REQUIRED), "base_kernel": (BASE_KERNEL, REQUIRED), "hilbert_kernel": (HILBERT_KERNEL, REQUIRED),
         "converged": (config_bool, REQUIRED), "kkt_residual": (NONNEGATIVE, REQUIRED), "norm_sq": REAL,
-        "support": (partial(config_records, table=(SUPPORT_BAG, SUPPORT_MEAN)), REQUIRED),
+        "support": (partial(config_records, table=SUPPORT_BAG), REQUIRED),
     }, lambda **values: _model(values.pop("lambda"), **values), "the model"),
     "dataset": Section({"bags": (partial(config_records, table=BAG), REQUIRED)}, _dataset),
 }
@@ -237,29 +216,24 @@ FILES = {
 
 def read(table: Section, cfg, path: str = ""):
     """The value of the JSON object `cfg` under `table`. A field of the wrong
-    type or out of range, a missing field, an unknown key or two alternatives
-    given together raise InputError naming the field's path under `path`."""
+    type or out of range, a missing field or an unknown key raise InputError
+    naming the field's path under `path`."""
     if not isinstance(cfg, dict):
         raise InputError(f"{path or table.name} must be a JSON object, got {shown(cfg)}")
     dotted = (lambda key: f"{path}.{key}") if path else str
     values, dropped = {}, set()
-    for keys, (converters, default) in table.items():
-        keys, converters = (keys, converters) if isinstance(keys, tuple) else ((keys,), (converters,))
-        given = [key for key in keys if key in cfg]
-        if len(given) > 1:
-            raise InputError(f"give {' or '.join(map(dotted, keys))}, not both")
-        for key, convert in zip(keys, converters):
-            if key in dropped:
-                continue
-            if key in cfg:
-                values[key] = read(convert, cfg[key], dotted(key)) if isinstance(convert, Section) else convert(cfg[key], dotted(key))
-            elif default is REQUIRED:
-                raise InputError(f"missing field {dotted(key)}")
-            else:
-                values[key] = None if given or key != keys[0] else default
-            tag = getattr(convert, "keywords", {}).get("options")
-            if isinstance(tag, dict):  # the fields of the kinds not selected are not fields here
-                dropped.update(field for kind, fields in tag.items() if kind != values[key] for field in fields)
+    for key, (convert, default) in table.items():
+        if key in dropped:
+            continue
+        if key in cfg:
+            values[key] = read(convert, cfg[key], dotted(key)) if isinstance(convert, Section) else convert(cfg[key], dotted(key))
+        elif default is REQUIRED:
+            raise InputError(f"missing field {dotted(key)}")
+        else:
+            values[key] = default
+        tag = getattr(convert, "keywords", {}).get("options")
+        if isinstance(tag, dict):  # the fields of the kinds not selected are not fields here
+            dropped.update(field for kind, fields in tag.items() if kind != values[key] for field in fields)
     unknown = sorted(set(cfg) - set(values))
     if unknown:
         raise InputError(f"unknown field {', '.join(map(dotted, unknown))}; {path or table.name} takes {', '.join(values)}")

@@ -72,7 +72,6 @@ class ExperimentConfig:
     tau: float = 1.0
     approx_error_model: dict = field(default_factory=lambda: {"model": "zero"})
     bayes_mc: int = 100_000
-    row_time_cap_s: float = 300.0
 
     def schedule(self) -> Schedule:
         return make_schedule(self.schedule_kind, self.n_grid, self.alpha, beta=self.beta, mu=self.mu)
@@ -164,10 +163,6 @@ class RateReport:
         return out
 
 
-class _RowTimeout(Exception):
-    pass
-
-
 class _Unconverged(Exception):
     pass
 
@@ -175,21 +170,14 @@ class _Unconverged(Exception):
 def _compute_row(cfg: ExperimentConfig, n: int, m_n: int, lam_n: float, gamma_n: float, rep: int, bayes01: float) -> RateRow:
     seed_r = cfg.seed + 10**6 * rep
     start = time.perf_counter()
-
-    def checkpoint():
-        if time.perf_counter() - start > cfg.row_time_cap_s:
-            raise _RowTimeout(f"row exceeded {cfg.row_time_cap_s}s")
-
     base = dict(n=n, m_n=m_n, lambda_n=lam_n, gamma_n=gamma_n, replicate=rep, seed=seed_r)
     try:
         means, labels = sample_first_stage(cfg.meta, n, subseed(seed_r, "first", n))
         exact = cfg.train_embedding == "exact" or cfg.meta.bag_spread == 0.0
         embs = embed_inputs(cfg.base_kernel, means, cfg.meta.bag_spread, "exact" if exact else m_n, partial(subseed, seed_r, "bag", n))
-        checkpoint()
         hk = cfg.hkernel if gamma_n is None else cfg.hkernel.with_width(gamma_n)
         gram = build_gram(hk, embs)
-        model = train(gram, labels, lam_n, support=embs, hkernel=hk, deadline=start + cfg.row_time_cap_s)
-        checkpoint()
+        model = train(gram, labels, lam_n, support=embs, hkernel=hk)
         if not model.converged:
             raise _Unconverged(f"dual solve stopped after {model.sweeps} iterations with KKT residual {model.kkt:.3e}")
         test_means, test_labels = sample_first_stage(cfg.meta, cfg.test_bags, subseed(seed_r, "test", n))
@@ -197,7 +185,6 @@ def _compute_row(cfg: ExperimentConfig, n: int, m_n: int, lam_n: float, gamma_n:
         test_embs = embed_inputs(cfg.base_kernel, test_means, cfg.meta.bag_spread, cfg.test_embedding, test_bag_seed)
         vals = decision_values(model, test_embs)
         risk01, hinge_clipped, se01, se_hinge = _risks_from_decisions(vals, test_labels, model.clip_bound)
-        checkpoint()
 
         approx = _eval_approx_model(cfg.approx_error_model, lam_n)
         terms = OracleTerms(
@@ -228,7 +215,7 @@ def _compute_row(cfg: ExperimentConfig, n: int, m_n: int, lam_n: float, gamma_n:
             se_hinge=se_hinge,
         )
     # failed rows are recorded, the sweep continues; anything else is a bug
-    except (_RowTimeout, _Unconverged, NumericalConsistencyError, InputError) as exc:
+    except (_Unconverged, NumericalConsistencyError, InputError) as exc:
         wall = time.perf_counter() - start
         return RateRow(**base, wall_seconds=wall, error=f"{type(exc).__name__}: {exc}")
 
@@ -340,21 +327,16 @@ def _coverage_distances(kernel: BaseKernel, mean, sigma: float, m: int, trials: 
     return np.sqrt(_squared_distances_into(cross_inner(emps, exact), squared_norms(emps), squared_norms(exact))[:, 0])
 
 
-_CONFIG_SEED = object()  # run_kme_coverage's default seed: the config's own
-
-
-def run_kme_coverage(params: dict, seed=_CONFIG_SEED) -> dict:
+def run_kme_coverage(params: dict) -> dict:
     """Empirical violation rates of the embedding concentration bound.
 
     Bags come from N(mean, sigma^2 I); the exact embedding is the closed-form
     oracle, and a violation is an empirical embedding whose RKHS distance to
-    it exceeds the bound at the requested confidence. `seed`, when given,
-    replaces the config's.
+    it exceeds the bound at the requested confidence.
     """
     cfg = read(COMMANDS["kme-coverage"], params)
-    kernel, sigma, trials = cfg["base_kernel"], cfg["sigma"], cfg["trials"]
+    kernel, sigma, trials, seed = cfg["base_kernel"], cfg["sigma"], cfg["trials"], cfg["seed"]
     mean = np.zeros(kernel.dim) if cfg["mean"] is None else np.asarray(cfg["mean"])
-    seed = cfg["seed"] if seed is _CONFIG_SEED else config_int(seed, "seed", minimum=0)
     results = []
     for m in cfg["bag_sizes"]:
         dists = _coverage_distances(kernel, mean, sigma, m, trials, seed)

@@ -19,7 +19,6 @@ in the one buffer `cross_inner` returns.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +26,7 @@ import numpy as np
 from . import _backend
 from .errors import InputError, NumericalConsistencyError, UnsupportedError
 from .hilbert_kernel import HilbertKernel, _hk_into
-from .kme import EmpiricalBatch, ExactBatch, cross_inner, squared_norms, uniform_weights
+from .kme import EmpiricalBatch, cross_inner, squared_norms, uniform_weights
 
 __all__ = [
     "GramMatrix",
@@ -223,7 +222,6 @@ def train(
     support=None,
     hkernel: HilbertKernel | None = None,
     clip_bound: float = 1.0,
-    deadline: float | None = None,
 ) -> SvmModel:
     """Solve the dual by coordinate passes and Newton steps on the free set.
 
@@ -231,11 +229,10 @@ def train(
     the coordinates whose projected gradient exceeds tol, in index order,
     then one exact Newton step on the free coordinates {0 < alpha_i < C}
     (`_newton_step`), accepted only when it raises the dual. It stops when
-    the projected-gradient (KKT) residual is <= tol, after max_sweeps outer
-    iterations, or at the first check past `deadline` (a `time.perf_counter`
-    value), made between iterations. Returns a model whose KKT residual is
-    <= tol, or one flagged converged=False carrying the residual reached;
-    `sweeps` counts the outer iterations.
+    the projected-gradient (KKT) residual is <= tol, or after max_sweeps outer
+    iterations. Returns a model whose KKT residual is <= tol, or one flagged
+    converged=False carrying the residual reached; `sweeps` counts the outer
+    iterations.
     """
     n = gram.size
     y = _as_labels(labels, n)
@@ -267,8 +264,6 @@ def train(
         residual = float(viol.max(initial=0.0))
         if residual <= tol:
             converged = True
-            break
-        if deadline is not None and time.perf_counter() > deadline:
             break
 
     norm_sq = float(np.dot(alpha * y, f))
@@ -354,21 +349,20 @@ def build_gram(hk: HilbertKernel, batch) -> GramMatrix:
 
 
 def model_to_json(model: SvmModel) -> dict:
-    """Persistable form: coefficients, kernels, and raw support data.
+    """Persistable form: coefficients, kernels, and the support as raw sample bags.
 
-    Empirical support embeddings are stored as their raw sample bags so
-    prediction re-embeds from samples, with their weights only when these
-    are not the uniform 1/m restored on load; exact Gaussian embeddings store
-    their (mean, spread) parameters.
+    A model file holds what `tsk train` fits: the uniform-weight empirical
+    embeddings of sample bags, which prediction re-embeds from the samples
+    with the weights 1/m. Any other support (exact or point embeddings, or
+    bags of other weights) raises UnsupportedError.
     """
     _require_support(model)
     sup = model.support
-    if isinstance(sup, EmpiricalBatch):
-        support = [_bag_record(*sup.expansion(i)) for i in range(len(sup))]
-    elif isinstance(sup, ExactBatch):
-        support = [{"mean": m.tolist(), "spread": float(s)} for m, s in zip(sup.means, sup.spreads)]
-    else:
-        raise UnsupportedError("point-geometry models have no bag representation to persist")
+    if not isinstance(sup, EmpiricalBatch):
+        raise UnsupportedError(f"a model file holds sample bags; {type(sup).__name__} support has none to write")
+    bags = [sup.expansion(i) for i in range(len(sup))]
+    if not all(np.array_equal(weights, uniform_weights(len(weights))) for _, weights in bags):
+        raise UnsupportedError("a model file holds bags of uniform weights 1/m; this support is weighted otherwise")
     return {
         "lambda": model.lam,
         "clip_bound": model.clip_bound,
@@ -379,15 +373,8 @@ def model_to_json(model: SvmModel) -> dict:
         "converged": model.converged,
         "kkt_residual": model.kkt,
         "norm_sq": model.norm_sq,
-    } | {"support": support}
-
-
-def _bag_record(points: np.ndarray, weights: np.ndarray) -> dict:
-    """A support bag's record; its weights are left out when they are the uniform 1/m."""
-    record = {"samples": points.tolist()}
-    if not np.array_equal(weights, uniform_weights(len(weights))):
-        record["weights"] = weights.tolist()
-    return record
+        "support": [{"samples": points.tolist()} for points, _ in bags],
+    }
 
 
 def model_from_json(data: dict) -> SvmModel:

@@ -55,7 +55,7 @@ RATE_FIRST_MEDIAN_FIXTURE = 0.089
 
 def test_criterion_01_kme_concentration_coverage():
     params = json.loads((CONFIGS / "kme_coverage.json").read_text())
-    rep = run_kme_coverage(params, seed=params["seed"])
+    rep = run_kme_coverage(params)
     worst = max(r["violation_rate"] - r["delta"] for r in rep["results"])
     ok = all(r["violation_rate"] < r["delta"] for r in rep["results"])
     rates = {(r["bag_size"], r["delta"]): r["violation_rate"] for r in rep["results"]}

@@ -13,18 +13,21 @@ import pytest
 
 from tsk import BaseKernel, HilbertKernel
 from tsk.cli import main
-from tsk.errors import InputError, NumericalConsistencyError
+from tsk.errors import InputError, NumericalConsistencyError, UnsupportedError
 from tsk.experiments import ExperimentConfig, run_rate_experiment
-from tsk.kme import ExactBatch
-from tsk.svm import build_gram, model_to_json, train
+from tsk.kme import ExactBatch, embed_bags
+from tsk.svm import build_gram, decision_values, model_to_json, sgn, train
 from tsk.synth import MetaDistribution, bags_to_json, sample_first_stage, sample_second_stage
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-# The sha256 pins in this file hold on one machine and one numpy/scipy build.
-# They pass with numpy 2.4.6, scipy 1.17.1 and Python 3.11.7 on an x86-64 CPU
-# whose numpy dispatch reaches AVX512_SPR. With NPY_DISABLE_CPU_FEATURES=
-# "AVX512_SPR AVX512_ICL X86_V4" numpy's exp/log/power kernels change last bits,
-# and this pin and APPROX_ERROR_EXACT_SHA256 fail; RATES_EXACT_SHA256 holds.
+# The sha256 pins in this file hold on one machine, one numpy/scipy build and one
+# OpenBLAS kernel. They pass with numpy 2.4.6, scipy 1.17.1 and Python 3.11.7 on
+# an x86-64 CPU whose numpy dispatch reaches AVX512_SPR and whose OpenBLAS core is
+# SkylakeX (`OPENBLAS_VERBOSE=2 python -c "import numpy"` prints the core). With
+# NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4" numpy's exp/log/power
+# kernels change last bits, and this pin and APPROX_ERROR_EXACT_SHA256 fail while
+# RATES_EXACT_SHA256 holds. With OPENBLAS_CORETYPE=Haswell (an AVX2 kernel) all
+# three fail: this pin, TestExactOutputsPinned::test_rates and ::test_approx_error.
 NOISE_FIT_SHA256 = "e7cda79f3b0c5542b601244564468f069f7c44758a46e8dc2a5f459d881cb9ba"
 
 SMOKE_RATES = {
@@ -69,10 +72,11 @@ class TestRates:
 
     def test_no_row_succeeding_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(SMOKE_RATES | {"row_time_cap_s": 1e-6}))
+        cfg.write_text(json.dumps(SMOKE_RATES))
         out = tmp_path / "o.csv"
-        assert main(["rates", "--config", str(cfg), "--out", str(out)]) == 3
-        assert "RowTimeout" in capsys.readouterr().err
+        with mock.patch("tsk.experiments.build_gram", side_effect=NumericalConsistencyError("injected")):
+            assert main(["rates", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "NumericalConsistencyError: injected" in capsys.readouterr().err
         row = dict(zip(*(line.split(",") for line in out.read_text().splitlines())))
         assert row["oracle_violated"] == "nan"
 
@@ -105,7 +109,7 @@ NON_INTEGER_SIZES = [
     ("approx-error", json.loads((CONFIGS / "approx_error_hard_margin.json").read_text()), {"test_n": "80"}),
     ("approx-error", json.loads((CONFIGS / "approx_error_hard_margin.json").read_text()), {"embedding": 2.5}),
     ("approx-error", json.loads((CONFIGS / "approx_error_hard_margin.json").read_text()), {"embedding": "x"}),
-    ("noise-exponent", NOISE_EXPONENT, {"covariance": {"eigenvalues": [1.0, 0.8, 0.6, 0.4, 0.2], "rotation_seed": 3.7}}),
+    ("noise-exponent", NOISE_EXPONENT, {"seed": 3.7}),
 ]
 
 
@@ -118,6 +122,14 @@ def test_non_integer_size_exits_2(tmp_path, capsys, cmd, base, fields):
     assert "must be an integer" in err and any(name in err for name in fields)
 
 
+def test_train_nonpositive_width_exits_2_naming_it(tmp_path, capsys):
+    data, cfg = tmp_path / "bags.json", tmp_path / "cfg.json"
+    write_dataset(data)
+    cfg.write_text(json.dumps(json.loads((CONFIGS / "train_example.json").read_text()) | {"hilbert_kernel": {"family": "gaussian", "width": -1}}))
+    assert main(["train", "--config", str(cfg), "--data", str(data), "--out", str(tmp_path / "m.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: hilbert_kernel.width must be > 0")
+
+
 def test_train_non_integer_max_sweeps_exits_2(tmp_path, capsys):
     data, cfg = tmp_path / "bags.json", tmp_path / "cfg.json"
     write_dataset(data)
@@ -128,7 +140,7 @@ def test_train_non_integer_max_sweeps_exits_2(tmp_path, capsys):
 
 NOT_FINITE_NUMBERS = [
     ("rates", SMOKE_RATES, {"schedule": {"kind": "thm55", "alpha": "x", "mu": 0.25}}, "must be a finite number"),
-    ("rates", SMOKE_RATES, {"row_time_cap_s": 0}, "must be > 0"),
+    ("rates", SMOKE_RATES, {"universal_c": 0}, "must be > 0"),
     ("kme-coverage", KME_COVERAGE, {"sigma": "wide"}, "must be a finite number"),
     ("approx-error", json.loads((CONFIGS / "approx_error_hard_margin.json").read_text()), {"lambda_grid": ["a", 0.1]}, "must be a finite number"),
     ("approx-error", json.loads((CONFIGS / "approx_error_hard_margin.json").read_text()), {"lambda_grid": [0.0, 0.1]}, "must be > 0"),
@@ -358,11 +370,12 @@ class TestNoiseExponent:
         assert self._run_with(tmp_path, t_grid=[2, math.inf, 0.5]) == 2
 
 
-# sha256 of the outputs on a small exact-embedding config, recorded before
-# embeddings were carried as batches (the environment is noted at NOISE_FIT_SHA256)
+# sha256 of the outputs on a small exact-embedding config: the csv recorded before
+# embeddings were carried as batches, the summary since its config echo lost
+# row_time_cap_s (the environment is noted at NOISE_FIT_SHA256)
 RATES_EXACT_SHA256 = {
     "csv": "a958edd8c9fa1f770e8fb65a90ea7a3f2ee3120eefec7bc04796a91a4f64298d",
-    "summary": "1047ef40508432f413846fa4cf71020b9e8b0442b7fd9b8ce7ef2e4c6504c64b",
+    "summary": "130716e4cb5546e12aa2cabd225f91cbecb3282cbdb5b8d90d6861bcd38b448d",
 }
 APPROX_ERROR_EXACT_SHA256 = "5fafc4afbcb529abecde6d7d9ff09b3d9d3e4dcb179964617184bd3f9fb9980d"
 
@@ -472,42 +485,48 @@ class TestTrainPredict:
         assert code == 2
         assert "label" in capsys.readouterr().err
 
-    def _exact_model(self, tmp_path):
-        """A model JSON trained on exact Gaussian embeddings, and a dataset to predict."""
-        means, labels = sample_first_stage(MetaDistribution("hard_margin", 2, 2.0, 0.25, 0.5, 0.5, margin=1.0), 6, 3)
-        support = ExactBatch(BaseKernel("gaussian", 1.0, 2), means, np.full(6, 0.5))
-        hk = HilbertKernel("gaussian", 1.0)
-        model = model_to_json(train(build_gram(hk, support), labels, 0.1, support=support, hkernel=hk))
-        data = tmp_path / "bags.json"
+    def _predict_exit(self, tmp_path, edit):
+        """Exit code of `tsk predict` on the model that `tsk train` writes, its support list edited by `edit`."""
+        data, model_path = tmp_path / "bags.json", tmp_path / "model.json"
         write_dataset(data)
-        return model, data
+        main(["train", "--config", str(CONFIGS / "train_example.json"), "--data", str(data), "--out", str(model_path)])
+        model = json.loads(model_path.read_text())
+        edit(model["support"])
+        model_path.write_text(json.dumps(model))
+        return main(["predict", "--model", str(model_path), "--data", str(data), "--out", str(tmp_path / "p.json")])
 
-    def _predict_exit(self, tmp_path, model, data):
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps(model))
-        return main(["predict", "--model", str(path), "--data", str(data), "--out", str(tmp_path / "p.json")])
+    def test_exact_support_predicts(self, tmp_path, capsys):
+        # a model on exact Gaussian embeddings predicts in memory, as the rates experiment's exact rows do,
+        # but a model file holds sample bags only: it is not written, and (mean, spread) records are refused
+        means, labels = sample_first_stage(MetaDistribution("hard_margin", 2, 2.0, 0.25, 0.5, 0.5, margin=1.0), 6, 3)
+        base, hk = BaseKernel("gaussian", 1.0, 2), HilbertKernel("gaussian", 1.0)
+        support = ExactBatch(base, means, np.full(6, 0.5))
+        model = train(build_gram(hk, support), labels, 0.1, support=support, hkernel=hk)
+        bags = [sample_second_stage((mean, 0.5), 40, 50 + i) for i, mean in enumerate(means)]
+        assert np.array_equal(sgn(decision_values(model, embed_bags(base, bags))), labels)
+        with pytest.raises(UnsupportedError, match="ExactBatch"):
+            model_to_json(model)
+        records = [{"mean": mean.tolist(), "spread": 0.5} for mean in means]
+        assert self._predict_exit(tmp_path, lambda sup: sup.__setitem__(slice(None), records)) == 2
+        assert "missing field support[0].samples" in capsys.readouterr().err
 
-    def test_exact_support_predicts(self, tmp_path):
-        model, data = self._exact_model(tmp_path)
-        assert self._predict_exit(tmp_path, model, data) == 0
+    def test_bag_weights_in_support_exit_2(self, tmp_path, capsys):
+        # a model file holds bags of weights 1/m, which it does not write out
+        assert self._predict_exit(tmp_path, lambda sup: sup[0].update(weights=[1.0 / len(sup[0]["samples"])] * len(sup[0]["samples"]))) == 2
+        assert "unknown field support[0].weights" in capsys.readouterr().err
 
     def test_nan_spread_in_support_exits_2(self, tmp_path, capsys):
-        model, data = self._exact_model(tmp_path)
-        model["support"][2]["spread"] = math.nan
-        assert self._predict_exit(tmp_path, model, data) == 2
-        assert "spread must be a finite number" in capsys.readouterr().err
+        assert self._predict_exit(tmp_path, lambda sup: sup.__setitem__(2, {"mean": [0.0, 0.0], "spread": math.nan})) == 2
+        assert "missing field support[2].samples" in capsys.readouterr().err
 
     def test_nan_mean_in_support_exits_2(self, tmp_path, capsys):
-        model, data = self._exact_model(tmp_path)
-        model["support"][0]["mean"][1] = math.nan
-        assert self._predict_exit(tmp_path, model, data) == 2
-        assert "mean must be a finite number" in capsys.readouterr().err
+        assert self._predict_exit(tmp_path, lambda sup: sup.__setitem__(0, {"mean": [0.0, math.nan], "spread": 0.5})) == 2
+        assert "missing field support[0].samples" in capsys.readouterr().err
 
     def test_support_mixing_means_and_bags_exits_2(self, tmp_path, capsys):
-        model, data = self._exact_model(tmp_path)
-        model["support"][1] = {"samples": [[0.0, 0.0], [1.0, 1.0]]}
-        assert self._predict_exit(tmp_path, model, data) == 2
-        assert "missing field support[1].mean" in capsys.readouterr().err  # support[0] sets the kind of every record
+        # a (mean, spread) record among bags is refused as a bag without samples, wherever it stands
+        assert self._predict_exit(tmp_path, lambda sup: sup.__setitem__(1, {"mean": [0.0, 0.0], "spread": 0.5})) == 2
+        assert "missing field support[1].samples" in capsys.readouterr().err
 
     def test_missing_data_file(self, tmp_path, capsys):
         code = main(["train", "--config", str(CONFIGS / "train_example.json"), "--data", str(tmp_path / "no.json"), "--out", str(tmp_path / "m.json")])

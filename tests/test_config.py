@@ -5,18 +5,18 @@ files' through `tsk predict` and `tsk train`) is corrupted in each way that
 applies to its converter: missing (when required), a value of the wrong JSON
 type, out of range (when the row has a bound), NaN and infinity, a boolean and a
 numeric string. Every object, list records included, also gets an unknown key,
-every row of alternatives gets both of them, and every tag gets a field of a kind
-it did not select. Each case must exit 2, naming the field's path in the
-error's first clause.
+and every tag gets a field of a kind it did not select. The fields that earlier
+formats took (`REMOVED`) get the same corruptions. Each case must exit 2, naming
+the field's path in the error's first clause.
 """
 
 import json
 import math
 import re
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
-import numpy as np
 import pytest
 
 from tsk.cli import main
@@ -25,7 +25,7 @@ from tsk.config import (
     config_size_or_exact, read,
 )
 from tsk.errors import InputError, config_float, config_floats, config_int, config_ints
-from tsk.kme import ExactBatch, embed_bags
+from tsk.kme import embed_bags
 from tsk.svm import build_gram, model_to_json, train
 from tsk.synth import MetaDistribution, bags_from_json, bags_to_json, sample_first_stage, sample_second_stage
 
@@ -36,7 +36,7 @@ def _config(name, **fields):
     return json.loads((ROOT / "configs" / name).read_text()) | fields
 
 
-_RATES = _config("rates_smoke_empirical.json", row_time_cap_s=300.0)
+_RATES = _config("rates_smoke_empirical.json")
 _APPROX = _config("approx_error_hard_margin.json", big_n=10, test_n=10, seeds=[1])
 _NOISE = _config("noise_exponent_r5.json", n_outer=20, n_inner=20)
 # valid inputs of each table (a command's configs, model files, a dataset) that, between them, give every field
@@ -46,8 +46,8 @@ BASES = {
         _RATES | {"approx_error": {"model": "constant", "value": 0.01}},
         _RATES | {"approx_error": {"model": "power", "c": 0.1, "beta": 0.5}, "schedule": {"kind": "thm45", "alpha": 1.0, "beta": 0.5}},
     ],
-    "approx-error": [_APPROX, {k: v for k, v in _APPROX.items() if k != "seeds"} | {"seed": 3}],
-    "noise-exponent": [_NOISE | {"covariance": _NOISE["covariance"] | {"rotation_seed": 3}}],
+    "approx-error": [_APPROX],
+    "noise-exponent": [_NOISE],
     "kme-coverage": [_config("kme_coverage.json", trials=10)],
     "train": [_config("train_example.json")],
 }
@@ -61,20 +61,29 @@ def _dataset(n, seed):
     return json.loads(bags_to_json([sample_second_stage((m, 0.5), 4, seed + 10 + i) for i, m in enumerate(means)], labels))
 
 
-def _model_files():
-    """A model file of sample bags, one of them with its weights written out, and one of exact (mean, spread) support."""
+def _model_file():
+    """The model file that `tsk train` writes for the bags of `_dataset(6, 1)`."""
     base, hk, lam = _TRAIN["base_kernel"], _TRAIN["hilbert_kernel"], _TRAIN["lambda"]
     bags, labels = bags_from_json(json.dumps(_dataset(6, 1)))
-    means, mean_labels = sample_first_stage(_META, 6, 3)
-    supports = [(embed_bags(base, bags), labels), (ExactBatch(base, means, np.full(6, 0.5)), mean_labels)]
-    models = [model_to_json(train(build_gram(hk, support), y, lam, support=support, hkernel=hk)) for support, y in supports]
-    models[0]["support"][1]["weights"] = [0.25] * 4
-    return models
+    support = embed_bags(base, bags)
+    return model_to_json(train(build_gram(hk, support), labels, lam, support=support, hkernel=hk))
 
 
-BASES |= {"model": _model_files(), "dataset": [{"bags": _dataset(6, 1)}]}
+BASES |= {"model": [_model_file()], "dataset": [{"bags": _dataset(6, 1)}]}
 TABLES = COMMANDS | FILES
 MISSING = object()
+# fields that earlier formats took, each with the converter it had and a value it read: that value,
+# and every corruption the fuzz gave the field, now exit 2 naming it as a field its table does not list
+REMOVED = {
+    "rates": {("row_time_cap_s",): (partial(config_float, above=0.0), 300.0)},
+    "approx-error": {("seed",): (partial(config_int, minimum=0), 3)},
+    "noise-exponent": {("covariance", "rotation_seed"): (partial(config_int, minimum=0), 3)},
+    "model": {
+        ("support", 1, "weights"): (config_floats, [0.25] * 4),
+        ("support", 1, "mean"): (config_floats, [0.0, 0.0]),
+        ("support", 1, "spread"): (partial(config_float, minimum=0.0), 0.5),
+    },
+}
 
 
 def _dotted(path) -> str:
@@ -82,37 +91,25 @@ def _dotted(path) -> str:
     return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" if i else key for i, key in enumerate(path))
 
 
-def _rows(table):
-    """(key, converter, default, alternatives) of each field of `table`, alternatives split."""
-    for keys, (converters, default) in table.items():
-        if isinstance(keys, tuple):
-            for i, (key, convert) in enumerate(zip(keys, converters)):
-                yield key, convert, default if i == 0 else None, keys
-        else:
-            yield keys, converters, default, ()
-
-
 def _nested(convert, path):
-    """(path, table) of each object inside a field: a section, or record 1 of each kind of a list of records."""
+    """(path, table) of the object inside a field, if any: a section, or record 1 of a list of records."""
     if isinstance(convert, Section):
         yield path, convert
     elif getattr(convert, "func", None) is config_records:
-        kinds = convert.keywords["table"]
-        for kind in kinds if isinstance(kinds, tuple) else (kinds,):
-            yield path + (1,), kind
+        yield path + (1,), convert.keywords["table"]
 
 
 def _fields(table, path=()):
-    """(path tuple, converter, default, alternatives) of every field, nested objects included."""
-    for key, convert, default, alternatives in _rows(table):
-        yield path + (key,), convert, default, alternatives
+    """(path tuple, converter, default) of every field, nested objects included."""
+    for key, (convert, default) in table.items():
+        yield path + (key,), convert, default
         for inner, section in _nested(convert, path + (key,)):
             yield from _fields(section, inner)
 
 
 def _sections(table, path=()):
     yield path, table
-    for key, convert, _, _ in _rows(table):
+    for key, (convert, _) in table.items():
         for inner, section in _nested(convert, path + (key,)):
             yield from _sections(section, inner)
 
@@ -174,23 +171,22 @@ def _set(cfg, path, value):
 
 def _cases():
     for cmd, table in TABLES.items():
-        for path, convert, default, alternatives in _fields(table):
+        for path, convert, default in _fields(table):
             base = _base(cmd, path)
             for name, value in _corruptions(convert, default).items():
                 if cmd == "dataset" and path == ("bags",) and name == "missing":
                     continue  # the dataset file is the list itself
                 yield pytest.param(cmd, _set(base, path, value), _dotted(path), id=f"{cmd}-{_dotted(path)}-{name}")
-            if alternatives and path[-1] == alternatives[0]:
-                other = [_lookup(cfg, path[:-1] + (alternatives[1],)) for cfg in BASES[cmd]]
-                both = _set(base, path[:-1] + (alternatives[1],), next(v for v in other if v is not MISSING))
-                yield pytest.param(cmd, both, _dotted(path), id=f"{cmd}-{_dotted(path)}-both alternatives")
+        for path, (convert, valid) in REMOVED.get(cmd, {}).items():
+            for name, value in ({"given": valid} | _corruptions(convert, None)).items():
+                yield pytest.param(cmd, _set(BASES[cmd][0], path, value), _dotted(path), id=f"{cmd}-{_dotted(path)}-{name}")
         for path, section in _sections(table):
             if cmd == "dataset" and not path:
                 continue
             dotted = _dotted(path + ("zz_unknown",))
             base = _base(cmd, path + (next(iter(section)),))
             yield pytest.param(cmd, _set(base, path + ("zz_unknown",), 1), dotted, id=f"{cmd}-{dotted}")
-            for key, convert, _, _ in _rows(section):
+            for key, (convert, _) in section.items():
                 options = getattr(convert, "keywords", {}).get("options")
                 if not isinstance(options, dict):
                     continue
@@ -278,7 +274,7 @@ LATE_CHECKS = [
     ("rates", lambda c: c.update(bayes_mc=0), "bayes_mc", "rates-bayes_mc"),
     ("noise-exponent", lambda c: c.update(n_outer=0), "n_outer", "noise-exponent-n_outer"),
     ("noise-exponent", lambda c: c.update(t_grid=[2.0, 1.0]), "t_grid", "noise-exponent-2-point t_grid"),
-    ("noise-exponent", lambda c: c.update(covariance={"eigenvalues": [1.0, 0.5], "rotation_seed": 3}), "covariance.eigenvalues", "noise-exponent-2 eigenvalues"),
+    ("noise-exponent", lambda c: c.update(covariance={"eigenvalues": [1.0, 0.5]}), "covariance.eigenvalues", "noise-exponent-2 eigenvalues"),
     ("approx-error", lambda c: c.update(test_n=0), "test_n", "approx-error-test_n"),
     ("approx-error", lambda c: c.update(big_n=1), "big_n", "approx-error-big_n"),
     ("approx-error", lambda c: c.pop("base_kernel"), "base_kernel", "approx-error-kme without base_kernel"),
@@ -353,14 +349,14 @@ def _describe(convert) -> str:
 
 def _readme_rows(table):
     tags = {}
-    for key, convert, _, _ in _rows(table):
+    for key, (convert, _) in table.items():
         options = getattr(convert, "keywords", {}).get("options")
         if isinstance(options, dict):
             for kind, fields in options.items():
                 for field in fields:
                     tags.setdefault(field, []).append(f'`{key}` `"{kind}"`')
-    for key, convert, default, alternatives in _rows(table):
-        value = _describe(convert) + "".join(f"; not with `{other}`" for other in alternatives if other != key)
+    for key, (convert, default) in table.items():
+        value = _describe(convert)
         if key in tags:
             default = f"required with {' or '.join(tags[key])}"
         else:
@@ -369,16 +365,11 @@ def _readme_rows(table):
 
 
 def _titled_sections(tables):
-    """(title, table) of each object nested in `tables`: a section by its key, a record by its list's,
-    with its first field where the list holds records of more than one kind."""
-    sections = [(path, section) for table in tables.values() for path, section in _sections(table) if path]
-    for path, section in sections:
-        if not isinstance(path[-1], int):
-            yield f"`{path[-1]}`", section
-        elif sum(other == path for other, _ in sections) > 1:
-            yield f"`{path[-2]}[i]` with `{next(iter(section))}`", section
-        else:
-            yield f"`{path[-2]}[i]`", section
+    """(title, table) of each object nested in `tables`: a section by its key, a record by its list's."""
+    for table in tables.values():
+        for path, section in _sections(table):
+            if path:
+                yield (f"`{path[-2]}[i]`" if isinstance(path[-1], int) else f"`{path[-1]}`"), section
 
 
 def expected_readme_tables(tables, skip=()) -> str:

@@ -1,4 +1,4 @@
-"""Every function of `src/tsk` and every config choice is run by a shipped program, or listed with a reason.
+"""Every function of `src/tsk`, every config choice and every input field is run or given by a shipped program, or listed with a reason.
 
 A shipped program is a `tsk` subcommand run on a file in `configs/` (and
 `whitenoise-verify`, which takes flags only; `train` and `predict` run on the
@@ -10,7 +10,11 @@ reduced sizes that take the same branches. The functions that never run must be 
 lists: an unlisted function that stops running fails, and so does a listed one
 that starts. Every option of a `config_choice` row, and both forms of a
 `config_size_or_exact` row, must be taken by a file in `configs/` or be listed
-in `UNTAKEN`.
+in `UNTAKEN`. Every field of every table of `tsk.config` (each command's, and
+the model and dataset files') must be given by a file in `configs/` or by the
+model that `tsk train` writes from `configs/train_example.json` and
+`configs/bags_example.json`, be admitted only by options on `UNTAKEN`, or be
+listed in `UNGIVEN`.
 """
 
 import ast
@@ -57,6 +61,9 @@ UNTAKEN = {
     ("approx-error.embedding", "an integer"): "training bags of the two-stage learning curve of ROADMAP item 4",
     ("approx-error.input_space", "mean"): "the identity embedding of acceptance test c07",
 }
+
+# field path (command or file, then dotted keys, a list's records as `[i]`) -> why no shipped file gives it
+UNGIVEN = {}
 
 
 def _reduced(name: str, **fields) -> dict:
@@ -155,14 +162,13 @@ def _choices(table, path):
     """(field, option) of every `config_choice` option and `config_size_or_exact` form in a table."""
     from tsk.config import Section, config_size_or_exact
 
-    for keys, (converters, _) in table.items():
-        for key, convert in zip(*((keys, converters) if isinstance(keys, tuple) else ((keys,), (converters,)))):
-            if isinstance(convert, Section):
-                yield from _choices(convert, f"{path}.{key}")
-            elif convert is config_size_or_exact:
-                yield from ((_key(f"{path}.{key}"), form) for form in ("exact", "an integer"))
-            elif "options" in getattr(convert, "keywords", {}):
-                yield from ((_key(f"{path}.{key}"), option) for option in convert.keywords["options"])
+    for key, (convert, _) in table.items():
+        if isinstance(convert, Section):
+            yield from _choices(convert, f"{path}.{key}")
+        elif convert is config_size_or_exact:
+            yield from ((_key(f"{path}.{key}"), form) for form in ("exact", "an integer"))
+        elif "options" in getattr(convert, "keywords", {}):
+            yield from ((_key(f"{path}.{key}"), option) for option in convert.keywords["options"])
 
 
 def _taken(cfg, path):
@@ -202,3 +208,54 @@ def test_every_config_choice_is_taken_by_a_shipped_config_or_listed():
     assert sorted(choices - taken - set(UNTAKEN)) == [], "config choices that no file in configs/ takes, not listed"
     assert sorted(set(UNTAKEN) & taken) == [], "listed config choices that a file in configs/ now takes: take them off the list"
     assert set(UNTAKEN) <= choices, "listed config choices that no table offers"
+
+
+def _field_paths(table, path):
+    """(path, options) of every field of a table and of the objects nested in it, a list's records as
+    `[i]`; options holds the (tag, option) pairs that admit the field when a tag admits it, else none."""
+    from tsk.config import Section, config_records
+
+    tags = {}
+    for key, (convert, _) in table.items():
+        options = getattr(convert, "keywords", {}).get("options")
+        for option, fields in options.items() if isinstance(options, dict) else ():
+            for field in fields:
+                tags.setdefault(field, set()).add((_key(f"{path}.{key}"), option))
+    for key, (convert, _) in table.items():
+        yield f"{path}.{key}", frozenset(tags.get(key, ()))
+        if isinstance(convert, Section):
+            yield from _field_paths(convert, f"{path}.{key}")
+        elif getattr(convert, "func", None) is config_records:
+            yield from _field_paths(convert.keywords["table"], f"{path}.{key}[i]")
+
+
+def _given(value, path):
+    """The path of every key in a JSON value, a list's objects as `[i]`."""
+    if isinstance(value, dict):
+        for key, inner in value.items():
+            yield f"{path}.{key}"
+            yield from _given(inner, f"{path}.{key}")
+    elif isinstance(value, list) and value and all(isinstance(inner, dict) for inner in value):
+        for inner in value:
+            yield from _given(inner, f"{path}[i]")
+
+
+def test_every_field_is_given_by_a_shipped_file_or_listed(tmp_path):
+    from tsk.cli import main
+    from tsk.config import COMMANDS, FILES
+
+    given = set()
+    for path in sorted(CONFIGS.glob("*.json")):
+        cfg = json.loads(path.read_text())
+        if isinstance(cfg, list):  # a dataset file is the list `bags` itself
+            given |= set(_given({"bags": cfg}, "dataset"))
+        elif _command(cfg) is not None:
+            given |= set(_given(cfg, _command(cfg)))
+    model = tmp_path / "model.json"
+    assert main(["train", "--config", str(CONFIGS / "train_example.json"), "--data", DATASET, "--out", str(model)]) == 0
+    given |= set(_given(json.loads(model.read_text()), "model"))
+    fields = {path: options for name, table in (COMMANDS | FILES).items() for path, options in _field_paths(table, name)}
+    untaken = {path for path, options in fields.items() if options and options <= set(UNTAKEN)}
+    assert sorted(set(fields) - given - untaken - set(UNGIVEN)) == [], "fields that no shipped file gives, not listed"
+    assert sorted(set(UNGIVEN) & (given | untaken)) == [], "listed fields that a shipped file now gives: take them off the list"
+    assert set(UNGIVEN) <= set(fields), "listed fields that no table has"

@@ -1,7 +1,6 @@
 import copy
 import json
-import math
-import time
+import re
 
 import numpy as np
 import pytest
@@ -22,8 +21,8 @@ from tsk import (
     train,
     zero_one,
 )
-from tsk.errors import InputError, NumericalConsistencyError
-from tsk.kme import EmpiricalBatch, ExactBatch, embed_bags
+from tsk.errors import InputError, NumericalConsistencyError, UnsupportedError
+from tsk.kme import EmpiricalBatch, ExactBatch, PointBatch, embed_bags
 import tsk.svm as svm_module
 from tsk.svm import SvmModel, _box_path_max, _newton_step, decision_values, model_from_json, model_to_json, sgn
 
@@ -244,12 +243,6 @@ class TestNewtonSolver:
             assert model.kkt == pytest.approx(kkt_residual(model, gram, y), rel=1e-9)
         assert train(gram, y, 0.001).converged
 
-    def test_deadline_stops_between_iterations(self):
-        gram, y = noisy_points_gram(np.random.default_rng(24), 120)
-        model = train(gram, y, 0.001, deadline=time.perf_counter())
-        assert not model.converged and model.sweeps == 1
-        assert train(gram, y, 0.001, deadline=time.perf_counter() + 60.0).converged
-
     def test_against_pgd_on_larger_instances(self):
         rng = np.random.default_rng(2024)
         instances = []
@@ -352,21 +345,25 @@ class TestDecisionAndPrediction:
 
     def test_uniform_weights_are_omitted_and_restored_bit_for_bit(self):
         data = json.loads(json.dumps(model_to_json(self.model)))
-        assert all("weights" not in rec for rec in data["support"])
+        assert all(set(rec) == {"samples"} for rec in data["support"])
         loaded = model_from_json(data).support
         assert all(np.array_equal(getattr(loaded, f), getattr(self.embs, f)) for f in ("points", "weights", "offsets"))
-        # a file that spells the uniform weights out loads to the same batch
-        for rec in data["support"]:
-            rec["weights"] = [1.0 / len(rec["samples"])] * len(rec["samples"])
-        assert np.array_equal(model_from_json(data).support.weights, self.embs.weights)
 
-    def test_nonuniform_weights_round_trip(self):
+    def test_nonuniform_weights_are_not_written(self):
+        # a model file holds bags of weights 1/m, so a bag weighted otherwise has no record
         weights = np.random.default_rng(8).uniform(0.1, 1.0, size=len(self.embs.points))
         embs = EmpiricalBatch(self.base, self.embs.points, weights, self.embs.offsets)
         model = train(build_gram(self.hk, embs), self.labels, 0.1, support=embs, hkernel=self.hk)
-        data = json.loads(json.dumps(model_to_json(model)))
-        assert all("weights" in rec for rec in data["support"])
-        assert np.array_equal(model_from_json(data).support.weights, weights)
+        with pytest.raises(UnsupportedError, match="weighted otherwise"):
+            model_to_json(model)
+
+    def test_support_other_than_bags_is_not_written(self):
+        # exact and point support have no record in a model file
+        points = np.array([[2.0, 0.0], [-2.0, 0.0]] * 3)
+        for kind, support in {"ExactBatch": ExactBatch(self.base, points, np.full(6, 0.3)), "PointBatch": PointBatch(points)}.items():
+            model = train(build_gram(self.hk, support), self.labels, 0.1, support=support, hkernel=self.hk)
+            with pytest.raises(UnsupportedError, match=kind):
+                model_to_json(model)
 
     def test_decision_values_batch_matches_scalar(self):
         rng = np.random.default_rng(15)
@@ -390,21 +387,15 @@ VALID_MODEL = _valid_model_json()
 COUNTED = ("dual_coefs", "labels", "support")
 
 
-def as_exact_support(data):
-    """Replace the bag records by valid (mean, spread) records, one per bag."""
-    data["support"] = [{"mean": np.mean(rec["samples"], axis=0).tolist(), "spread": 0.3} for rec in data["support"]]
-    return data
-
-
 @st.composite
 def corrupted_models(draw):
     """A copy of VALID_MODEL with one corruption model_from_json must reject. The kinds of one
-    field's value (a coefficient, lambda, clip_bound, a string or boolean in any field, the samples
-    and the exact support) are left to the generated fuzz of tests/test_config.py."""
+    field's value (a coefficient, lambda, clip_bound, a string or boolean in any field, the samples)
+    are left to the generated fuzz of tests/test_config.py."""
     data = copy.deepcopy(VALID_MODEL)
     n = len(data["dual_coefs"])
     index = st.integers(0, n - 1)
-    kind = draw(st.sampled_from(["count", "empty", "label", "weights"]))
+    kind = draw(st.sampled_from(["count", "empty", "label"]))
     if kind == "count":
         field = draw(st.sampled_from(COUNTED))
         if draw(st.booleans()):
@@ -414,16 +405,8 @@ def corrupted_models(draw):
     elif kind == "empty":
         for field in COUNTED:
             data[field] = []
-    elif kind == "label":
-        data["labels"][draw(index)] = draw((st.integers() | st.floats()).filter(lambda v: v not in (-1, 1)))
     else:
-        sup = data["support"]
-        i, j = draw(st.lists(index, min_size=2, max_size=2, unique=True))
-        mi, mj = len(sup[i]["samples"]), len(sup[j]["samples"])
-        shift = {i: [1.0 / mi] * (mi + 1), j: [1.0 / mj] * (mj - 1)}  # the counts add up over the bags
-        bad = [shift, {i: ["0.5"] * mi}, {i: [True] * mi}, {i: [math.inf] * mi}, {i: "0.5"}]
-        for b, weights in draw(st.sampled_from(bad)).items():
-            sup[b]["weights"] = weights
+        data["labels"][draw(index)] = draw((st.integers() | st.floats()).filter(lambda v: v not in (-1, 1)))
     return data
 
 
@@ -431,7 +414,15 @@ class TestModelJsonValidation:
     def test_valid_model_loads(self):
         model = model_from_json(copy.deepcopy(VALID_MODEL))
         assert len(model.support) == len(model.dual_coefs) == 4
-        assert len(model_from_json(as_exact_support(copy.deepcopy(VALID_MODEL))).support) == 4
+
+    def test_records_of_other_support_are_refused(self):
+        # weights, and the (mean, spread) record of an exact embedding, are no fields of a support bag
+        weighted, exact = copy.deepcopy(VALID_MODEL), copy.deepcopy(VALID_MODEL)
+        weighted["support"][0]["weights"] = [1.0 / 3] * 3
+        exact["support"][0] = {"mean": [2.0, 0.0], "spread": 0.3}
+        for data, message in ((weighted, "unknown field support[0].weights"), (exact, "missing field support[0].samples")):
+            with pytest.raises(InputError, match=re.escape(message)):
+                model_from_json(data)
 
     @settings(max_examples=300, deadline=None)
     @given(corrupted_models())
