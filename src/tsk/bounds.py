@@ -9,13 +9,13 @@ schedules, and generators for the two schedule families.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .base_kernels import BaseKernel
-from .errors import InputError
+from .errors import InputError, fields_json
 from .hilbert_kernel import HilbertKernel, HolderModulus
 from .kme import ExactBatch, PointBatch, concentration_bound
 from .svm import build_gram, decision_values_path, hinge, train
@@ -119,7 +119,7 @@ def oracle_rhs(terms: OracleTerms) -> OracleRhs:
 
 @dataclass(frozen=True)
 class ApproxErrorEstimate:
-    lam_grid: tuple
+    lambda_grid: tuple
     test_risks: tuple  # unregularized hinge risk of each trained model on fresh draws
     reg_values: tuple  # test risk + lam * ||f||^2
     norm_sqs: tuple
@@ -128,15 +128,7 @@ class ApproxErrorEstimate:
     kkt: tuple = ()  # KKT residual of each solve
 
     def to_json(self) -> dict:
-        return {
-            "lambda_grid": list(self.lam_grid),
-            "test_risks": list(self.test_risks),
-            "reg_values": list(self.reg_values),
-            "norm_sqs": list(self.norm_sqs),
-            "ahat": list(self.ahat),
-            "converged": list(self.converged),
-            "kkt": list(self.kkt),
-        }
+        return fields_json(self)
 
 
 def approx_error_estimate(
@@ -147,7 +139,6 @@ def approx_error_estimate(
     big_m_or_exact,
     seed: int,
     base_kernel: BaseKernel | None = None,
-    input_space: str = "kme",
     test_n: int | None = None,
 ) -> ApproxErrorEstimate:
     """Large-sample surrogate of the approximation error function.
@@ -161,9 +152,9 @@ def approx_error_estimate(
     are reported next to the estimates. The test kernel is evaluated once for
     the whole grid (`svm.decision_values_path`).
 
-    input_space "kme" embeds the inputs through the base kernel; "mean" uses
-    the raw mean vectors as Hilbert-space points (identity embedding), which
-    keeps the SVM geometry identical to the geometry of the noise integrals.
+    The inputs are embedded through `base_kernel`. Without one, the raw mean
+    vectors are the Hilbert-space points (the identity embedding, `PointBatch`),
+    which keeps the SVM geometry identical to the geometry of the noise integrals.
     """
     lam_grid = tuple(float(l) for l in lam_grid)
     if not lam_grid:
@@ -175,16 +166,12 @@ def approx_error_estimate(
     train_means, train_labels = sample_first_stage(meta, big_n, _subseed(seed, "approx-train"))
     test_means, test_labels = sample_first_stage(meta, test_n, _subseed(seed, "approx-test"))
 
-    if input_space == "mean":
+    if base_kernel is None:
         support, targets = PointBatch(train_means), PointBatch(test_means)
-    elif input_space == "kme":
-        if base_kernel is None:
-            raise InputError("input_space='kme' requires a base kernel")
+    else:
         bag_seed = partial(_subseed, seed, "approx-bag")
         support = embed_inputs(base_kernel, train_means, meta.bag_spread, big_m_or_exact, bag_seed)
         targets = ExactBatch(base_kernel, test_means, np.full(test_n, meta.bag_spread))
-    else:
-        raise InputError(f"unknown input_space {input_space!r}")
     gram = build_gram(hkernel, support)
 
     models = [train(gram, train_labels, lam, support=support, hkernel=hkernel) for lam in lam_grid]
@@ -193,7 +180,7 @@ def approx_error_estimate(
     reg_values = [r + m.lam * m.norm_sq for r, m in zip(test_risks, models)]
     ahat = [max(v - best, 0.0) for v in reg_values]
     return ApproxErrorEstimate(
-        lam_grid=lam_grid,
+        lambda_grid=lam_grid,
         test_risks=tuple(test_risks),
         reg_values=tuple(reg_values),
         norm_sqs=tuple(m.norm_sq for m in models),
@@ -211,7 +198,6 @@ def approx_error_summary(
     big_m_or_exact,
     seeds,
     base_kernel=None,
-    input_space: str = "kme",
     test_n=None,
 ):
     """Mean and standard error of Ahat over independent seeds (at least one)."""
@@ -219,8 +205,7 @@ def approx_error_summary(
         raise InputError("approx-error needs at least one seed")
     runs = [
         approx_error_estimate(
-            meta, hkernel, lam_grid, big_n, big_m_or_exact, s,
-            base_kernel=base_kernel, input_space=input_space, test_n=test_n,
+            meta, hkernel, lam_grid, big_n, big_m_or_exact, s, base_kernel=base_kernel, test_n=test_n,
         )
         for s in seeds
     ]
@@ -239,7 +224,7 @@ def fit_approx_exponent(est: ApproxErrorEstimate):
     Returns (c_hat, beta_hat, degenerate_flag): log-log least squares on the
     positive values; slopes above 1 clamp to 1, slopes <= 0 flag the fit.
     """
-    lam = np.asarray(est.lam_grid)
+    lam = np.asarray(est.lambda_grid)
     ahat = np.asarray(est.ahat)
     mask = ahat > 0
     if mask.sum() < 3:
@@ -254,12 +239,10 @@ def fit_approx_exponent(est: ApproxErrorEstimate):
 
 @dataclass(frozen=True)
 class Schedule:
-    kind: str
     n_grid: tuple
     lam: tuple
     bag_sizes: tuple
     gamma: tuple | None
-    params: dict = field(default_factory=dict)
 
 
 def make_schedule(kind: str, n_grid, alpha: float, beta: float | None = None, mu: float | None = None) -> Schedule:
@@ -280,13 +263,13 @@ def make_schedule(kind: str, n_grid, alpha: float, beta: float | None = None, mu
         if beta is None or not (0.0 < beta <= 1.0):
             raise InputError(f"thm45 needs beta in (0, 1], got {beta}")
         lam = tuple(n ** (-1.0 / (beta + 1.0)) for n in n_grid)
-        return Schedule("thm45", n_grid, lam, bag_sizes, None, {"beta": beta, "alpha": alpha})
+        return Schedule(n_grid, lam, bag_sizes, None)
     if kind == "thm55":
         if mu is None or not (mu > 0):
             raise InputError(f"thm55 needs mu > 0, got {mu}")
         lam = tuple(n**-0.5 for n in n_grid)
         gamma = tuple(n**-mu for n in n_grid)
-        return Schedule("thm55", n_grid, lam, bag_sizes, gamma, {"mu": mu, "alpha": alpha})
+        return Schedule(n_grid, lam, bag_sizes, gamma)
     raise InputError(f"unknown schedule kind {kind!r}")
 
 
@@ -302,13 +285,7 @@ class ConsistencyReport:
         return self.estimation_ok and self.embedding_ok
 
     def to_json(self) -> dict:
-        return {
-            "estimation_sequence": list(self.estimation_sequence),
-            "embedding_sequence": list(self.embedding_sequence),
-            "estimation_ok": self.estimation_ok,
-            "embedding_ok": self.embedding_ok,
-            "ok": self.ok,
-        }
+        return fields_json(self) | {"ok": self.ok}
 
 
 def consistency_check(n_grid, lam_seq, m_seq, modulus: HolderModulus) -> ConsistencyReport:

@@ -28,6 +28,7 @@ from .svm import build_gram, clip, decision_values, model_from_json, model_to_js
 from .synth import bags_from_json
 from .whitenoise import (
     MIN_MC,
+    VerificationReport,
     canonical_surjection_eval,
     characteristic_identity_check,
     feature_inner_mc,
@@ -137,8 +138,8 @@ def _cmd_whitenoise_verify(args) -> int:
         )
         diff = h1 - h2
         target = float(np.exp(-np.dot(diff, diff) / gamma**2))
-        surj = {"estimate": est, "std_error": se, "target": target, "pass": abs(est - target) <= 4.0 * se}
-        checks.append({"isometry": iso.to_json(), "characteristic": char.to_json(), "feature_inner": feat.to_json(), "surjection": surj})
+        surj = VerificationReport(est, se, target, abs(est - target) <= 4.0 * se)
+        checks.append({"isometry": iso.to_json(), "characteristic": char.to_json(), "feature_inner": feat.to_json(), "surjection": surj.to_json()})
     all_pass = all(part["pass"] for c in checks for part in c.values())
     payload = {"dim": dim, "gamma": gamma, "n_mc": n_mc, "seed": seed, "checks": checks, "all_pass": all_pass}
     if args.out:
@@ -163,7 +164,7 @@ def _cmd_approx_error(args) -> int:
     cfg = read(COMMANDS["approx-error"], _load_config(args))
     summary = approx_error_summary(
         cfg["meta"], cfg["hilbert_kernel"], cfg["lambda_grid"], cfg["big_n"], cfg["embedding"], cfg["seeds"],
-        base_kernel=cfg["base_kernel"], input_space=cfg["input_space"], test_n=cfg["test_n"],
+        base_kernel=cfg["base_kernel"], test_n=cfg["test_n"],
     )
     _write_json(args.out, summary)
     print(f"approx-error: wrote {args.out} (ahat {summary['ahat_mean']})")

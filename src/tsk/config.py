@@ -89,7 +89,7 @@ def _one_of(options):
 
 def _same_dim(meta, base_kernel, **values) -> dict:
     """The values read; a config that embeds the meta-distribution's inputs needs one dimension for both."""
-    if base_kernel is not None and meta.dim != base_kernel.dim:
+    if meta.dim != base_kernel.dim:
         raise InputError(f"meta.dim must equal base_kernel.dim: meta dim {meta.dim} does not match base_kernel dim {base_kernel.dim}")
     return values | {"meta": meta, "base_kernel": base_kernel}
 
@@ -99,13 +99,6 @@ def _rates(n_grid, **values) -> dict:
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise InputError(f"n_grid must be a strictly increasing list, got {shown(list(n_grid))}")
     return _same_dim(n_grid=n_grid, **values)
-
-
-def _approx_error(input_space, **values) -> dict:
-    """The values read, checked by `_same_dim`; the kme input space embeds through the base kernel."""
-    if input_space == "kme" and values["base_kernel"] is None:
-        raise InputError('base_kernel must be given with input_space "kme", which embeds the inputs through it')
-    return _same_dim(input_space=input_space, **values)
 
 
 def _noise_exponent(meta, covariance, t_grid, **values) -> dict:
@@ -157,19 +150,21 @@ SIZE, SEED = partial(config_int, minimum=1), partial(config_int, minimum=0)
 POSITIVE, NONNEGATIVE = partial(config_float, above=0.0), partial(config_float, minimum=0.0)
 BASE_KERNEL = Section({"family": (_one_of((GAUSSIAN,)), REQUIRED), "width": (POSITIVE, REQUIRED), "dim": (SIZE, REQUIRED)}, BaseKernel)
 HILBERT_KERNEL = Section({"family": (_one_of((GAUSSIAN,)), REQUIRED), "width": (POSITIVE, REQUIRED)}, HilbertKernel)
+# the family of a meta-distribution, the kind of a schedule and the model of an approximation error, each with the fields it admits
 META = Section({
-    "family": (_one_of((HARD_MARGIN, GAUSSIAN_OVERLAP)), REQUIRED), "dim": (SIZE, REQUIRED),
-    "c": (POSITIVE, REQUIRED), "s": (NONNEGATIVE, REQUIRED), "sigma": (NONNEGATIVE, REQUIRED), "p_plus": REAL, "r": (config_float, 0.0),
-}, lambda family, dim, c, s, sigma, p_plus, r: MetaDistribution(family, dim, c, s, sigma, p_plus, r))
-# the kind of a schedule, and the model of an approximation error, each with the fields it admits
+    "family": (_one_of({HARD_MARGIN: ("r",), GAUSSIAN_OVERLAP: ()}), REQUIRED), "dim": (SIZE, REQUIRED),
+    "c": (POSITIVE, REQUIRED), "s": (NONNEGATIVE, REQUIRED), "sigma": (NONNEGATIVE, REQUIRED),
+    "p_plus": (partial(config_float, minimum=0.0, maximum=1.0), REQUIRED), "r": (POSITIVE, REQUIRED),
+}, lambda family, dim, c, s, sigma, p_plus, r=0.0: MetaDistribution(family, dim, c, s, sigma, p_plus, r))
 SCHEDULE = Section({
-    "kind": (_one_of({"thm45": ("beta",), "thm55": ("mu",)}), REQUIRED), "alpha": REAL, "beta": REAL, "mu": REAL,
+    "kind": (_one_of({"thm45": ("beta",), "thm55": ("mu",)}), REQUIRED), "alpha": (partial(config_float, above=0.0, maximum=2.0), REQUIRED),
+    "beta": (partial(config_float, above=0.0, maximum=1.0), REQUIRED), "mu": (POSITIVE, REQUIRED),
 })
 APPROX_ERROR = Section({
     "model": (_one_of({"zero": (), "constant": ("value",), "power": ("c", "beta")}), "zero"),
     "value": (NONNEGATIVE, REQUIRED), "c": (NONNEGATIVE, REQUIRED), "beta": REAL,
 })
-COVARIANCE = Section({"eigenvalues": (config_floats, REQUIRED)}, lambda eigenvalues: CovarianceOperator(np.asarray(eigenvalues), np.eye(len(eigenvalues))))
+COVARIANCE = Section({"eigenvalues": (partial(config_floats, above=0.0), REQUIRED)}, lambda eigenvalues: CovarianceOperator(np.asarray(eigenvalues), np.eye(len(eigenvalues))))
 
 COMMANDS = {
     "rates": Section({
@@ -180,11 +175,10 @@ COMMANDS = {
         "seed": (SEED, REQUIRED), "universal_c": (POSITIVE, 100.0), "tau": (partial(config_float, minimum=1.0), 1.0),
     }, _rates),
     "approx-error": Section({
-        "meta": (META, REQUIRED), "hilbert_kernel": (HILBERT_KERNEL, REQUIRED), "base_kernel": (BASE_KERNEL, None),
+        "meta": (META, REQUIRED), "hilbert_kernel": (HILBERT_KERNEL, REQUIRED), "base_kernel": (BASE_KERNEL, REQUIRED),
         "lambda_grid": (partial(config_floats, above=0.0), REQUIRED), "big_n": (partial(config_int, minimum=2), REQUIRED), "test_n": (SIZE, None),
-        "embedding": (config_size_or_exact, "exact"), "input_space": (_one_of(("kme", "mean")), "kme"),
-        "seeds": (partial(config_ints, minimum=0), (0,)),
-    }, _approx_error),
+        "embedding": (config_size_or_exact, "exact"), "seeds": (partial(config_ints, minimum=0), (0,)),
+    }, _same_dim),
     "noise-exponent": Section({
         "meta": (META, REQUIRED), "covariance": (COVARIANCE, REQUIRED), "t_grid": (partial(config_floats, above=0.0), REQUIRED),
         "n_outer": (SIZE, REQUIRED), "n_inner": (SIZE, REQUIRED), "seed": (SEED, REQUIRED), "floor": (POSITIVE, 1e-12),

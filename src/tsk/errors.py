@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package, and the type checks for config, model and flag values.
+"""Exception hierarchy shared across the package, the type checks for config, model and flag values, and the JSON form of a result.
 
 CLI exit-code mapping: InputError (and subclasses) -> 2,
 NumericalConsistencyError -> 3.
@@ -6,6 +6,7 @@ NumericalConsistencyError -> 3.
 
 import math
 import numbers
+from dataclasses import fields
 
 
 class InputError(ValueError):
@@ -54,8 +55,10 @@ def config_ints(values, field: str, minimum: int | None = None) -> tuple:
     return tuple(config_int(v, field, minimum) for v in values)
 
 
-def config_float(value, field: str, above: float | None = None, minimum: float | None = None, below: float | None = None) -> float:
-    """A real number read from a config: an int or a finite float, greater than `above`, at least `minimum`, less than `below`.
+def config_float(
+    value, field: str, above: float | None = None, minimum: float | None = None, below: float | None = None, maximum: float | None = None,
+) -> float:
+    """A real number read from a config: an int or a finite float, greater than `above`, at least `minimum`, less than `below`, at most `maximum`.
 
     Booleans, NaN, infinities, strings, null and containers raise InputError
     rather than failing later with a traceback.
@@ -68,13 +71,23 @@ def config_float(value, field: str, above: float | None = None, minimum: float |
         raise InputError(f"{field} must be >= {minimum}, got {shown(value)}")
     if below is not None and not value < below:
         raise InputError(f"{field} must be < {below}, got {shown(value)}")
+    if maximum is not None and value > maximum:
+        raise InputError(f"{field} must be <= {maximum}, got {shown(value)}")
     return float(value)
 
 
-def config_floats(values, field: str, above: float | None = None, minimum: float | None = None, below: float | None = None) -> tuple:
+def config_floats(
+    values, field: str, above: float | None = None, minimum: float | None = None, below: float | None = None, maximum: float | None = None,
+) -> tuple:
     """A nonempty JSON list of real numbers, each checked by `config_float`."""
     if not isinstance(values, (list, tuple)):
         raise InputError(f"{field} must be a list of numbers, got {shown(values)}")
     if not values:
         raise InputError(f"{field} must not be empty")
-    return tuple(config_float(v, field, above, minimum, below) for v in values)
+    return tuple(config_float(v, field, above, minimum, below, maximum) for v in values)
+
+
+def fields_json(result, skip=()) -> dict:
+    """The fields of a dataclass as a JSON object, tuples as lists, leaving out those named in `skip`."""
+    values = {f.name: getattr(result, f.name) for f in fields(result) if f.name not in skip}
+    return {name: list(value) if isinstance(value, tuple) else value for name, value in values.items()}

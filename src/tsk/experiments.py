@@ -11,15 +11,15 @@ from __future__ import annotations
 import io
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .base_kernels import BaseKernel, sup_norm
-from .bounds import OracleTerms, Schedule, make_schedule, oracle_rhs
+from .bounds import OracleTerms, make_schedule, oracle_rhs
 from .config import COMMANDS, read
-from .errors import InputError, NumericalConsistencyError, config_int
+from .errors import InputError, NumericalConsistencyError, config_int, fields_json
 from .hilbert_kernel import HilbertKernel, lipschitz_modulus
 from .kme import SampleSet, _squared_distances_into, concentration_bound, cross_inner, embed_bags, exact_gaussian_embedding, squared_norms
 from .rng import mc_mean_se, normals, stream, subseed
@@ -35,6 +35,7 @@ __all__ = [
     "rate_report_csv",
 ]
 
+# the columns of the rates CSV, in order; a column's lower-cased name is its `RateRow` field
 CSV_COLUMNS = (
     "N",
     "M_N",
@@ -55,46 +56,32 @@ CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A rates config: one field per key of the `rates` table (`config.COMMANDS`), each as the table
+    reads it. `schedule` and `approx_error` are the dicts their sections read; the table gives the defaults."""
+
     meta: MetaDistribution
     base_kernel: BaseKernel
-    hkernel: HilbertKernel
-    schedule_kind: str
-    alpha: float
+    hilbert_kernel: HilbertKernel
+    schedule: dict  # the arguments of `bounds.make_schedule` but the N grid
+    approx_error: dict  # the model of A(lambda), evaluated by `_eval_approx_model`
     n_grid: tuple
     replicates: int
     test_bags: int
+    bayes_mc: int
+    test_embedding: object  # "exact" or an integer bag size
+    train_embedding: str  # "empirical" (bags of size M_N) or "exact"
     seed: int
-    beta: float | None = None
-    mu: float | None = None
-    test_embedding: object = "exact"  # "exact" or an integer bag size
-    train_embedding: str = "empirical"  # "empirical" (bags of size M_N) or "exact"
-    universal_c: float = 100.0
-    tau: float = 1.0
-    approx_error_model: dict = field(default_factory=lambda: {"model": "zero"})
-    bayes_mc: int = 100_000
-
-    def schedule(self) -> Schedule:
-        return make_schedule(self.schedule_kind, self.n_grid, self.alpha, beta=self.beta, mu=self.mu)
+    universal_c: float
+    tau: float
 
     def to_json(self) -> dict:
-        """The config that `from_json` reads back into this one."""
-        cfg = {f.name: getattr(self, f.name) for f in fields(self)}
-        schedule = {"kind": cfg.pop("schedule_kind"), **{key: cfg.pop(key) for key in ("alpha", "beta", "mu")}}
-        cfg.update(meta=self.meta.to_config(), base_kernel=self.base_kernel.to_config(), hilbert_kernel=cfg.pop("hkernel").to_config())
-        cfg.update(n_grid=list(self.n_grid), approx_error=dict(cfg.pop("approx_error_model")))
-        return cfg | {"schedule": {key: value for key, value in schedule.items() if value is not None}}
+        """The config that `from_json` reads back into this one, sharing no object with it."""
+        sections = {name: getattr(self, name).to_config() for name in ("meta", "base_kernel", "hilbert_kernel")}
+        return fields_json(self) | sections | {"schedule": dict(self.schedule), "approx_error": dict(self.approx_error)}
 
     @classmethod
     def from_json(cls, cfg: dict) -> "ExperimentConfig":
-        values = read(COMMANDS["rates"], cfg)
-        schedule = values.pop("schedule")
-        return cls(
-            hkernel=values.pop("hilbert_kernel"),
-            approx_error_model=values.pop("approx_error"),
-            schedule_kind=schedule.pop("kind"),
-            **schedule,
-            **values,
-        )
+        return cls(**read(COMMANDS["rates"], cfg))
 
 
 def _eval_approx_model(model: dict, lam: float) -> float:
@@ -144,23 +131,13 @@ class RateReport:
     slope: float
     slope_floor: float
     violation_rate: float
-    bayes01: float
+    bayes_risk_01: float
     failures: tuple
 
     def summary_json(self, cfg: ExperimentConfig | None = None) -> dict:
-        out = {
-            "n_grid": list(self.n_grid),
-            "medians_excess_01": list(self.medians_excess_01),
-            "median_ses": list(self.median_ses),
-            "slope": self.slope,
-            "slope_floor": self.slope_floor,
-            "violation_rate": self.violation_rate,
-            "bayes_risk_01": self.bayes01,
-            "failures": list(self.failures),
-        }
-        if cfg is not None:
-            out["config"] = cfg.to_json()
-        return out
+        """Every field but the rows, and the config when one is given."""
+        out = fields_json(self, skip=("rows",))
+        return out if cfg is None else out | {"config": cfg.to_json()}
 
 
 class _Unconverged(Exception):
@@ -175,7 +152,7 @@ def _compute_row(cfg: ExperimentConfig, n: int, m_n: int, lam_n: float, gamma_n:
         means, labels = sample_first_stage(cfg.meta, n, subseed(seed_r, "first", n))
         exact = cfg.train_embedding == "exact" or cfg.meta.bag_spread == 0.0
         embs = embed_inputs(cfg.base_kernel, means, cfg.meta.bag_spread, "exact" if exact else m_n, partial(subseed, seed_r, "bag", n))
-        hk = cfg.hkernel if gamma_n is None else cfg.hkernel.with_width(gamma_n)
+        hk = cfg.hilbert_kernel if gamma_n is None else cfg.hilbert_kernel.with_width(gamma_n)
         gram = build_gram(hk, embs)
         model = train(gram, labels, lam_n, support=embs, hkernel=hk)
         if not model.converged:
@@ -186,7 +163,7 @@ def _compute_row(cfg: ExperimentConfig, n: int, m_n: int, lam_n: float, gamma_n:
         vals = decision_values(model, test_embs)
         risk01, hinge_clipped, se01, se_hinge = _risks_from_decisions(vals, test_labels, model.clip_bound)
 
-        approx = _eval_approx_model(cfg.approx_error_model, lam_n)
+        approx = _eval_approx_model(cfg.approx_error, lam_n)
         terms = OracleTerms(
             n=n,
             lam=lam_n,
@@ -223,8 +200,8 @@ def _compute_row(cfg: ExperimentConfig, n: int, m_n: int, lam_n: float, gamma_n:
 def run_rate_experiment(cfg: ExperimentConfig, threads: int | None = None) -> RateReport:
     """Full two-stage sweep over (N, replicate) cells of the schedule, on `threads` worker processes (1 when None)."""
     workers = 1 if threads is None else config_int(threads, "threads", minimum=1)
-    sched = cfg.schedule()
-    gammas = sched.gamma if sched.gamma is not None else tuple([cfg.hkernel.width] * len(sched.n_grid))
+    sched = make_schedule(n_grid=cfg.n_grid, **cfg.schedule)
+    gammas = sched.gamma if sched.gamma is not None else tuple([cfg.hilbert_kernel.width] * len(sched.n_grid))
     bayes01, _ = bayes_risk(cfg.meta, cfg.bayes_mc, subseed(cfg.seed, "bayes"))
     cells = [
         (n, m, lam, gam, rep)
@@ -266,7 +243,7 @@ def run_rate_experiment(cfg: ExperimentConfig, threads: int | None = None) -> Ra
         slope=slope,
         slope_floor=floor,
         violation_rate=float(np.mean(violations)) if violations else math.nan,
-        bayes01=bayes01,
+        bayes_risk_01=bayes01,
         failures=tuple(f"N={r.n} rep={r.replicate}: {r.error}" for r in rows if r.error),
     )
 
@@ -297,22 +274,7 @@ def rate_report_csv(report: RateReport, timing: bool = False) -> str:
     buf = io.StringIO()
     buf.write(",".join(CSV_COLUMNS) + "\n")
     for r in report.rows:
-        cells = [
-            _fmt(r.n),
-            _fmt(r.m_n),
-            _fmt(r.lambda_n),
-            _fmt(r.gamma_n),
-            _fmt(r.replicate),
-            _fmt(r.seed),
-            _fmt(r.emp_risk_01),
-            _fmt(r.emp_risk_hinge_clipped),
-            _fmt(r.bayes_risk),
-            _fmt(r.excess_01),
-            _fmt(r.excess_hinge),
-            _fmt(r.oracle_rhs_value),
-            _fmt(r.oracle_violated),
-            _fmt(r.wall_seconds) if timing else "",
-        ]
+        cells = ("" if column == "wall_seconds" and not timing else _fmt(getattr(r, column.lower())) for column in CSV_COLUMNS)
         buf.write(",".join(cells) + "\n")
     return buf.getvalue()
 

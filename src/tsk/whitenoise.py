@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, fields_json
 from .rng import mc_mean_se, normals, stream
 from .synth import MetaDistribution, delta_batch, eta_batch, sample_first_stage
 
@@ -270,20 +270,8 @@ class NoiseExponentFit:
     i2_se: tuple | None = None
 
     def to_json(self) -> dict:
-        out = {
-            "t_grid": list(self.t_grid),
-            "fit_values": list(self.fit_values),
-            "alpha_hat": self.alpha_hat,
-            "c_hat": self.c_hat,
-            "floor": self.floor,
-            "degenerate": self.degenerate,
-            "valid": self.valid,
-        }
-        for name in ("i1_values", "i1_se", "i2_values", "i2_se"):
-            val = getattr(self, name)
-            if val is not None:
-                out[name] = list(val)
-        return out
+        """The fields, leaving out the integrals of a fit made without them."""
+        return {name: value for name, value in fields_json(self).items() if value is not None}
 
 
 def _check_fit_grid(t_grid, floor: float) -> np.ndarray:

@@ -212,7 +212,7 @@ class TestApproxErrorEstimate:
 
     def test_mean_input_space(self):
         meta5 = MetaDistribution("hard_margin", 5, 2.0, 0.25, 0.0, 0.5, margin=1.0)
-        est = approx_error_estimate(meta5, HilbertKernel("gaussian", 0.5), [0.01, 0.1], 150, "exact", 7, input_space="mean")
+        est = approx_error_estimate(meta5, HilbertKernel("gaussian", 0.5), [0.01, 0.1], 150, "exact", 7)  # no base kernel: identity embedding
         assert all(a >= 0.0 for a in est.ahat)
 
     def test_summary_over_seeds(self):
@@ -223,7 +223,3 @@ class TestApproxErrorEstimate:
     def test_validation(self):
         with pytest.raises(InputError):
             approx_error_estimate(HM, HK, [], 100, "exact", 1, base_kernel=BASE)
-        with pytest.raises(InputError):
-            approx_error_estimate(HM, HK, [0.1], 100, "exact", 1)  # kme needs a base kernel
-        with pytest.raises(InputError):
-            approx_error_estimate(HM, HK, [0.1], 100, "exact", 1, base_kernel=BASE, input_space="identity")

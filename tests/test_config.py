@@ -76,7 +76,7 @@ MISSING = object()
 # and every corruption the fuzz gave the field, now exit 2 naming it as a field its table does not list
 REMOVED = {
     "rates": {("row_time_cap_s",): (partial(config_float, above=0.0), 300.0)},
-    "approx-error": {("seed",): (partial(config_int, minimum=0), 3)},
+    "approx-error": {("seed",): (partial(config_int, minimum=0), 3), ("input_space",): (partial(config_choice, options=("kme", "mean")), "kme")},
     "noise-exponent": {("covariance", "rotation_seed"): (partial(config_int, minimum=0), 3)},
     "model": {
         ("support", 1, "weights"): (config_floats, [0.25] * 4),
@@ -148,6 +148,10 @@ def _corruptions(convert, default):
             low = bounds["above"]
         if low is not None:
             cases["out of range"] = low
+        if "below" in bounds:
+            cases["too large"] = bounds["below"]
+        if "maximum" in bounds:
+            cases["too large"] = bounds["maximum"] + 1
         for _ in range(wrap):
             cases = {name: value if name == "wrong type" else [value] for name, value in cases.items()}
         if func is config_samples:
@@ -267,34 +271,44 @@ def test_misspelled_rates_field_exits_2(workdir, capsys, mutate, path):
     assert f"unknown field {path};" in capsys.readouterr().err
 
 
-# ranges and checks across fields that the library made only after its first draw, or without naming the field
+# ranges, tags and checks across fields that the library made only after its first draw, or without
+# naming the field, or not at all; each with the start of its error message
 LATE_CHECKS = [
-    ("kme-coverage", lambda c: c.update(deltas=[0.1, 2.0]), "deltas", "kme-coverage-deltas"),
-    ("approx-error", lambda c: c["meta"].update(dim=3), "meta.dim", "approx-error-meta.dim"),
-    ("rates", lambda c: c.update(bayes_mc=0), "bayes_mc", "rates-bayes_mc"),
-    ("noise-exponent", lambda c: c.update(n_outer=0), "n_outer", "noise-exponent-n_outer"),
-    ("noise-exponent", lambda c: c.update(t_grid=[2.0, 1.0]), "t_grid", "noise-exponent-2-point t_grid"),
-    ("noise-exponent", lambda c: c.update(covariance={"eigenvalues": [1.0, 0.5]}), "covariance.eigenvalues", "noise-exponent-2 eigenvalues"),
-    ("approx-error", lambda c: c.update(test_n=0), "test_n", "approx-error-test_n"),
-    ("approx-error", lambda c: c.update(big_n=1), "big_n", "approx-error-big_n"),
-    ("approx-error", lambda c: c.pop("base_kernel"), "base_kernel", "approx-error-kme without base_kernel"),
-    ("rates", lambda c: c.update(n_grid=[0, 8]), "n_grid", "rates-n_grid"),
-    ("rates", lambda c: c.update(n_grid=[]), "n_grid", "rates-empty n_grid"),
-    ("rates", lambda c: c.update(n_grid=[16, 8]), "n_grid", "rates-decreasing n_grid"),
-    ("kme-coverage", lambda c: c.update(sigma=-1.0), "sigma", "kme-coverage-sigma"),
-    ("kme-coverage", lambda c: c.update(mean=[0.0, 0.0, 0.0]), "mean", "kme-coverage-3-number mean"),
-    ("kme-coverage", lambda c: c.update(deltas=[]), "deltas", "kme-coverage-empty deltas"),
-    ("kme-coverage", lambda c: c.update(bag_sizes=[]), "bag_sizes", "kme-coverage-empty bag_sizes"),
-    ("approx-error", lambda c: c.update(lambda_grid=[]), "lambda_grid", "approx-error-empty lambda_grid"),
-    ("approx-error", lambda c: c.update(seeds=[]), "seeds", "approx-error-empty seeds"),
+    ("kme-coverage", lambda c: c.update(deltas=[0.1, 2.0]), "deltas must", "kme-coverage-deltas"),
+    ("approx-error", lambda c: c["meta"].update(dim=3), "meta.dim must", "approx-error-meta.dim"),
+    ("rates", lambda c: c.update(bayes_mc=0), "bayes_mc must", "rates-bayes_mc"),
+    ("noise-exponent", lambda c: c.update(n_outer=0), "n_outer must", "noise-exponent-n_outer"),
+    ("noise-exponent", lambda c: c.update(t_grid=[2.0, 1.0]), "t_grid must", "noise-exponent-2-point t_grid"),
+    ("noise-exponent", lambda c: c.update(covariance={"eigenvalues": [1.0, 0.5]}), "covariance.eigenvalues must", "noise-exponent-2 eigenvalues"),
+    ("approx-error", lambda c: c.update(test_n=0), "test_n must", "approx-error-test_n"),
+    ("approx-error", lambda c: c.update(big_n=1), "big_n must", "approx-error-big_n"),
+    ("approx-error", lambda c: c.pop("base_kernel"), "missing field base_kernel", "approx-error-kme without base_kernel"),
+    ("rates", lambda c: c.update(n_grid=[0, 8]), "n_grid must", "rates-n_grid"),
+    ("rates", lambda c: c.update(n_grid=[]), "n_grid must", "rates-empty n_grid"),
+    ("rates", lambda c: c.update(n_grid=[16, 8]), "n_grid must", "rates-decreasing n_grid"),
+    ("kme-coverage", lambda c: c.update(sigma=-1.0), "sigma must", "kme-coverage-sigma"),
+    ("kme-coverage", lambda c: c.update(mean=[0.0, 0.0, 0.0]), "mean must", "kme-coverage-3-number mean"),
+    ("kme-coverage", lambda c: c.update(deltas=[]), "deltas must", "kme-coverage-empty deltas"),
+    ("kme-coverage", lambda c: c.update(bag_sizes=[]), "bag_sizes must", "kme-coverage-empty bag_sizes"),
+    ("approx-error", lambda c: c.update(lambda_grid=[]), "lambda_grid must", "approx-error-empty lambda_grid"),
+    ("approx-error", lambda c: c.update(seeds=[]), "seeds must", "approx-error-empty seeds"),
+    ("approx-error", lambda c: c.update(input_space="kme"), "unknown field input_space;", "approx-error-input_space given"),
+    ("rates", lambda c: c["schedule"].update(alpha=3), "schedule.alpha must be <= 2", "rates-schedule.alpha 3"),
+    ("rates", lambda c: c["schedule"].update(mu=0), "schedule.mu must be > 0", "rates-schedule.mu 0"),
+    ("rates", lambda c: c.update(schedule={"kind": "thm45", "alpha": 1.0, "beta": 1.5}), "schedule.beta must be <= 1", "rates-thm45 schedule.beta 1.5"),
+    ("rates", lambda c: c["meta"].update(p_plus=1.5), "meta.p_plus must be <= 1", "rates-meta.p_plus 1.5"),
+    ("rates", lambda c: c["meta"].update(r=0), "meta.r must be > 0", "rates-hard_margin meta.r 0"),
+    ("rates", lambda c: c["meta"].pop("r"), "missing field meta.r", "rates-hard_margin without meta.r"),
+    ("rates", lambda c: c["meta"].update(family="gaussian_overlap"), "unknown field meta.r;", "rates-gaussian_overlap with meta.r"),
+    ("noise-exponent", lambda c: c["covariance"]["eigenvalues"].__setitem__(2, 0.0), "covariance.eigenvalues must be > 0", "noise-exponent-eigenvalue 0"),
 ]
 
 
-@pytest.mark.parametrize("cmd, edit, path", [pytest.param(*case[:3], id=case[3]) for case in LATE_CHECKS])
-def test_range_exits_2_at_load_before_any_draw(workdir, capsys, cmd, edit, path):
+@pytest.mark.parametrize("cmd, edit, message", [pytest.param(*case[:3], id=case[3]) for case in LATE_CHECKS])
+def test_range_exits_2_at_load_before_any_draw(workdir, capsys, cmd, edit, message):
     with mock.patch("numpy.random.Philox", side_effect=AssertionError("a random stream was opened")):
         assert _run(workdir, cmd, _edited(cmd, edit)) == 2
-    assert capsys.readouterr().err.startswith(f"error: {path} must")
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_every_reference_config_reads():
@@ -338,8 +352,10 @@ def _describe(convert) -> str:
         config_bool: "`true` or `false`", config_label: "-1 or +1", config_labels: "list of -1 or +1",
         config_samples: "nonempty matrix of numbers, rows of one width",
     }[func]
-    if "above" in bounds and "below" in bounds:
-        return text + f" in ({bounds['above']:g}, {bounds['below']:g})"
+    lower = next((f"{bracket}{bounds[key]:g}" for key, bracket in (("above", "("), ("minimum", "[")) if key in bounds), None)
+    upper = next((f"{bounds[key]:g}{bracket}" for key, bracket in (("below", ")"), ("maximum", "]")) if key in bounds), None)
+    if lower and upper:
+        return f"{text} in {lower}, {upper}"
     if "above" in bounds:
         text += f" > {bounds['above']:g}"
     if "minimum" in bounds:

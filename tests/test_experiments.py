@@ -17,6 +17,7 @@ from tsk import (
     run_kme_coverage,
     run_rate_experiment,
 )
+from tsk.config import COMMANDS, REQUIRED
 from tsk.errors import InputError, NumericalConsistencyError
 from tsk.experiments import CSV_COLUMNS, _coverage_distances, _risks_from_decisions, rate_report_csv
 from tsk.kme import ExactBatch
@@ -35,22 +36,20 @@ def smoke_config(**overrides):
     cfg = ExperimentConfig(
         meta=HM,
         base_kernel=BASE,
-        hkernel=HK,
-        schedule_kind="thm55",
-        alpha=1.0,
-        mu=0.25,
+        hilbert_kernel=HK,
+        schedule={"kind": "thm55", "alpha": 1.0, "mu": 0.25},
+        approx_error={"model": "zero"},
         n_grid=(8,),
         replicates=1,
         test_bags=300,
-        seed=11,
-        train_embedding="empirical",
         bayes_mc=2000,
+        test_embedding="exact",
+        train_embedding="empirical",
+        seed=11,
+        universal_c=100.0,
+        tau=1.0,
     )
-    if overrides:
-        from dataclasses import replace
-
-        cfg = replace(cfg, **overrides)
-    return cfg
+    return replace(cfg, **overrides)
 
 
 def trained_separating_model(n=32, seed=3):
@@ -113,6 +112,28 @@ class TestEstimateRisks:
         raw = np.maximum(0.0, 1.0 - labels * vals).mean()
         clipped = np.maximum(0.0, 1.0 - labels * np.clip(vals, -1, 1)).mean()
         assert clipped <= raw + 1e-12
+
+
+def with_defaults(raw: dict) -> dict:
+    """A rates config with the default of every field it leaves out, as the rates table gives them."""
+    return {key: default for key, (_, default) in COMMANDS["rates"].items() if default is not REQUIRED} | raw
+
+
+# both shipped rates configs, and the forms that no shipped config takes: the overlap
+# family, the thm45 schedule, the constant and power approximation-error models and test bags
+UNTAKEN_FORMS = json.loads((CONFIGS / "rates_smoke_empirical.json").read_text()) | {
+    "meta": {"family": "gaussian_overlap", "dim": 2, "c": 1.0, "s": 0.5, "sigma": 0.5, "p_plus": 0.4},
+    "schedule": {"kind": "thm45", "alpha": 1.5, "beta": 0.5},
+    "approx_error": {"model": "power", "c": 0.1, "beta": 0.5},
+    "test_embedding": 20,
+}
+ROUNDTRIP_CONFIGS = [
+    pytest.param(json.loads((CONFIGS / "rates_hard_margin.json").read_text()), id="rates_hard_margin"),
+    pytest.param(json.loads((CONFIGS / "rates_smoke_empirical.json").read_text()), id="rates_smoke_empirical"),
+    pytest.param(UNTAKEN_FORMS, id="untaken forms, power model"),
+    pytest.param(UNTAKEN_FORMS | {"approx_error": {"model": "constant", "value": 0.01}}, id="untaken forms, constant model"),
+    pytest.param({key: value for key, value in UNTAKEN_FORMS.items() if key not in ("approx_error", "bayes_mc", "tau")}, id="defaults"),
+]
 
 
 class TestRateExperiment:
@@ -194,11 +215,15 @@ class TestRateExperiment:
         with pytest.raises(TypeError, match="injected"):
             run_rate_experiment(smoke_config(), threads=1)
 
-    def test_config_json_roundtrip(self):
-        raw = json.loads((CONFIGS / "rates_hard_margin.json").read_text())
+    @pytest.mark.parametrize("raw", ROUNDTRIP_CONFIGS)
+    def test_config_json_roundtrip(self, raw):
         cfg = ExperimentConfig.from_json(raw)
-        assert cfg.n_grid == (32, 64, 128, 256, 512, 1024)
-        assert ExperimentConfig.from_json(cfg.to_json()) == cfg
+        assert cfg.n_grid == tuple(raw["n_grid"])
+        assert ExperimentConfig.from_json(json.loads(json.dumps(cfg.to_json()))) == cfg
+        assert cfg.to_json() == with_defaults(raw)
+        out = cfg.to_json()
+        out["schedule"]["alpha"] = out["approx_error"]["model"] = None
+        assert cfg == ExperimentConfig.from_json(raw)
 
     def test_config_validation(self):
         # the fields are checked where a config is read, by `tsk.config`

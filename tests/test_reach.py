@@ -46,9 +46,9 @@ UNREACHED = {
     "bounds.consistency_check": "the consistency conditions go into the rates summary with ROADMAP item 3",
     "bounds.ConsistencyReport": "the consistency conditions go into the rates summary with ROADMAP item 3",
     "bounds.fit_approx_exponent": "fitted by ROADMAP item 11's approximation-error configs",
-    "kme.PointBatch": 'input_space "mean", run only by acceptance test c07 (see UNTAKEN)',
-    "kme._dot_into": 'input_space "mean", run only by acceptance test c07 (see UNTAKEN)',
-    "kme._point_dots": 'input_space "mean", run only by acceptance test c07 (see UNTAKEN)',
+    "kme.PointBatch": "the identity embedding of `approx_error_estimate` without a base kernel, run only by acceptance test c07",
+    "kme._dot_into": "the identity embedding of `approx_error_estimate` without a base kernel, run only by acceptance test c07",
+    "kme._point_dots": "the identity embedding of `approx_error_estimate` without a base kernel, run only by acceptance test c07",
 }
 
 # (config path, option) -> why no file in configs/ takes it
@@ -59,7 +59,6 @@ UNTAKEN = {
     ("approx_error.model", "power"): "an approximation-error model of ROADMAP item 11",
     ("rates.test_embedding", "an integer"): "test bags of the two-stage learning curve of ROADMAP item 4",
     ("approx-error.embedding", "an integer"): "training bags of the two-stage learning curve of ROADMAP item 4",
-    ("approx-error.input_space", "mean"): "the identity embedding of acceptance test c07",
 }
 
 # field path (command or file, then dotted keys, a list's records as `[i]`) -> why no shipped file gives it
