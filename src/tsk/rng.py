@@ -17,7 +17,7 @@ import math
 import numpy as np
 from scipy.special import ndtri
 
-__all__ = ["stream", "normals", "subseed", "mc_mean_se"]
+__all__ = ["stream", "normals", "normals_from_uniforms", "subseed", "mc_mean_se"]
 
 
 def _encode(part) -> int:
@@ -41,14 +41,18 @@ def subseed(seed: int, *path) -> int:
 
 
 def normals(gen: np.random.Generator, shape) -> np.ndarray:
-    """Standard normals via inverse CDF of the uniform stream.
+    """Standard normals via inverse CDF of the uniform stream."""
+    return normals_from_uniforms(gen.random(shape))
+
+
+def normals_from_uniforms(u: np.ndarray) -> np.ndarray:
+    """The standard normals of uniforms u in [0, 1), by inverse CDF, written over u and returned.
 
     The u == 0 case (probability 2^-53 per draw) is nudged to 2^-53 so the
     transform stays finite.
     """
-    u = gen.random(shape)
-    u = np.maximum(u, 2.0**-53)
-    return ndtri(u)
+    np.maximum(u, 2.0**-53, out=u)
+    return ndtri(u, out=u)
 
 
 def mc_mean_se(vals: np.ndarray):

@@ -15,12 +15,13 @@ literal component extraction.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import InputError, fields_json
-from .rng import mc_mean_se, normals, stream
+from .rng import mc_mean_se, normals, normals_from_uniforms, stream
 from .synth import MetaDistribution, delta_batch, eta_batch, sample_first_stage
 
 __all__ = [
@@ -38,6 +39,7 @@ __all__ = [
 ]
 
 MIN_MC = 1000  # fewest Monte Carlo draws a verification check accepts
+NOISE_BLOCK = 4  # outer points per block of the noise integrals: with fewer, two workers spend much more CPU than one
 
 
 @dataclass(frozen=True)
@@ -222,6 +224,13 @@ def geometric_noise_integrals(
     every t, so the cost grows with n_outer * n_inner and not with the grid
     length. Row j of the result equals that of the one-point grid [t[j]] bit
     for bit.
+
+    The outer points are split into one contiguous range per worker thread,
+    one worker per CPU that this process may run on (at most one per block
+    of NOISE_BLOCK points), and each worker runs its range in such blocks.
+    Every term is computed by the same operations whatever the range or the
+    block that holds it, so the result is the same, bit for bit, for any
+    number of CPUs.
     """
     ts = np.asarray(t, dtype=np.float64)
     if ts.ndim != 1 or ts.shape[0] < 1 or not np.all(ts > 0):
@@ -230,29 +239,76 @@ def geometric_noise_integrals(
         raise InputError("n_outer and n_inner must be >= 1")
     if q.dim != meta.dim:
         raise InputError("covariance dimension must match the problem dimension")
+    from concurrent.futures import ThreadPoolExecutor  # not loaded by `import tsk`
+
     means, _ = sample_first_stage(meta, n_outer, seed)
     weights = np.abs(2.0 * eta_batch(meta, means) - 1.0)
     deltas = delta_batch(meta, means)
     sqrt_q = q.sqrt_matrix()
-    col = ts[:, None]
     t1 = np.empty((ts.shape[0], n_outer))
     t2 = np.empty((ts.shape[0], n_outer))
-    for k in range(n_outer):
-        gen = stream(seed, "noise-inner", k)
-        z = normals(gen, (n_inner, meta.dim)) @ sqrt_q
-        x = means[k]
-        diff = z - x
-        sq = np.einsum("ij,ij->i", diff, diff)
-        inside = sq <= deltas[k] ** 2
-        # row-wise means of C-contiguous (T, n_inner) blocks: each row sums
-        # exactly as np.mean over one t's n_inner values
-        ball_mass = np.mean(np.exp(-sq / col) * inside, axis=1)
-        t1[:, k] = (1.0 - 2.0 * ball_mass) * weights[k]
-        shifted = z + x
-        sq2 = np.einsum("ij,ij->i", shifted, shifted)
-        t2[:, k] = np.mean(np.exp(-sq2 / col), axis=1) * weights[k]
+    n_blocks = -(-n_outer // NOISE_BLOCK)
+    workers = min(_usable_cpus(), n_blocks)
+    edges = [min(n_outer, NOISE_BLOCK * (n_blocks * w // workers)) for w in range(workers + 1)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        ranges = [
+            pool.submit(_noise_terms, t1, t2, lo, hi, ts, means, weights, deltas, sqrt_q, n_inner, seed)
+            for lo, hi in zip(edges, edges[1:])
+        ]
+        for done in ranges:
+            done.result()  # re-raises a worker's exception
     i1, i1_se, i2, i2_se = np.array([(*mc_mean_se(row1), *mc_mean_se(row2)) for row1, row2 in zip(t1, t2)]).T
     return NoiseIntegrals(ts, i1, i1_se, i2, i2_se, t1, t2)
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _noise_terms(t1, t2, lo, hi, ts, means, weights, deltas, sqrt_q, n_inner, seed):
+    """Write columns lo..hi-1 of the per-outer-point terms t1 and t2, NOISE_BLOCK outer points at a time.
+
+    Point k draws its inner uniforms from its own stream (seed, "noise-inner", k).
+    A block turns them into normals, draws of N(0, Q) and squared distances with
+    one call each, then runs the divide, exp and mean of each t over the block in
+    one (block, n_inner) buffer. Each point's values pass through the same
+    element-wise operations and row sums as in a one-point loop, so a column does
+    not depend on where its range or its block starts. The buffers are allocated
+    once per call; this is the function each worker thread runs.
+    """
+    dim = means.shape[1]
+    draws = np.empty((NOISE_BLOCK, n_inner, dim))  # the inner normals, then each point's draws minus or plus x
+    z = np.empty((NOISE_BLOCK, n_inner, dim))
+    sq = np.empty((NOISE_BLOCK, n_inner))
+    inside = np.empty((NOISE_BLOCK, n_inner), dtype=bool)
+    vals = np.empty((NOISE_BLOCK, n_inner))
+    for start in range(lo, hi, NOISE_BLOCK):
+        b = min(NOISE_BLOCK, hi - start)
+        ks = slice(start, start + b)
+        u, zb, sqb, inb, vb = draws[:b], z[:b], sq[:b], inside[:b], vals[:b]
+        for i in range(b):
+            stream(seed, "noise-inner", start + i).random(out=u[i])
+        np.matmul(normals_from_uniforms(u), sqrt_q, out=zb)
+        x = means[ks, None, :]
+        np.einsum("bij,bij->bi", np.subtract(zb, x, out=u), u, out=sqb)
+        # squared one scalar at a time, as in the one-point loop: an array's ** 2 multiplies,
+        # a float64 scalar's calls pow, and the two differ in the last bit for about 1 value in 1,200
+        radii_sq = np.array([delta**2 for delta in deltas[ks]])
+        np.less_equal(sqb, radii_sq[:, None], out=inb)
+        np.negative(sqb, out=sqb)
+        for j, t in enumerate(ts):
+            np.exp(np.divide(sqb, t, out=vb), out=vb)
+            vb *= inb
+            t1[j, ks] = (1.0 - 2.0 * vb.mean(axis=1)) * weights[ks]
+        np.einsum("bij,bij->bi", np.add(zb, x, out=u), u, out=sqb)
+        np.negative(sqb, out=sqb)
+        for j, t in enumerate(ts):
+            np.exp(np.divide(sqb, t, out=vb), out=vb)
+            t2[j, ks] = vb.mean(axis=1) * weights[ks]
 
 
 @dataclass(frozen=True)

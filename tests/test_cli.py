@@ -94,6 +94,13 @@ class TestRates:
         assert main(["rates", "--config", str(missing), "--out", str(tmp_path / "o.csv")]) == 2
         assert str(missing) in capsys.readouterr().err
 
+    def test_truncated_config_exits_2_naming_path(self, tmp_path, capsys):
+        text = (CONFIGS / "rates_hard_margin.json").read_text()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text[: len(text) // 2])
+        assert main(["rates", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+        assert f"invalid JSON in {cfg}" in capsys.readouterr().err
+
 
 NOISE_EXPONENT = json.loads((CONFIGS / "noise_exponent_r5.json").read_text())
 KME_COVERAGE = json.loads((CONFIGS / "kme_coverage.json").read_text())
@@ -518,6 +525,11 @@ class TestTrainPredict:
     def test_nan_spread_in_support_exits_2(self, tmp_path, capsys):
         assert self._predict_exit(tmp_path, lambda sup: sup.__setitem__(2, {"mean": [0.0, 0.0], "spread": math.nan})) == 2
         assert "missing field support[2].samples" in capsys.readouterr().err
+
+    def test_support_bag_of_another_dimension_exits_2(self, tmp_path, capsys):
+        # the base kernel of the model is 2-D; its first support bag gets a third column
+        assert self._predict_exit(tmp_path, lambda sup: [row.append(0.0) for row in sup[0]["samples"]]) == 2
+        assert "support[0].samples must have base_kernel.dim = 2 columns, got 3" in capsys.readouterr().err
 
     def test_nan_mean_in_support_exits_2(self, tmp_path, capsys):
         assert self._predict_exit(tmp_path, lambda sup: sup.__setitem__(0, {"mean": [0.0, math.nan], "spread": 0.5})) == 2

@@ -5,7 +5,8 @@ A shipped program is a `tsk` subcommand run on a file in `configs/` (and
 checked-in `configs/bags_example.json`, and `predict` once more with that
 dataset given as the model, the input mistake whose exit 2 the README
 documents). `trace_programs` runs each of them in one fresh interpreter, in
-process through `tsk.cli.main`, under `sys.settrace` (call events only), at
+process through `tsk.cli.main`, under `sys.settrace` and `threading.settrace`
+(call events only, so the noise fit's worker threads are traced too), at
 reduced sizes that take the same branches. The functions that never run must be exactly those that `UNREACHED`
 lists: an unlisted function that stops running fails, and so does a listed one
 that starts. Every option of a `config_choice` row, and both forms of a
@@ -22,6 +23,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -99,6 +101,7 @@ def trace_programs() -> set:
             called.add((Path(frame.f_code.co_filename).name, frame.f_code.co_firstlineno))
 
     sys.settrace(tracer)
+    threading.settrace(tracer)
     try:
         from tsk.cli import main
 
@@ -107,6 +110,7 @@ def trace_programs() -> set:
                 Path("config.json").write_text(json.dumps(cfg))
             assert main(args) == code, f"tsk {' '.join(args)} did not exit {code}"
     finally:
+        threading.settrace(None)
         sys.settrace(None)
     return called
 

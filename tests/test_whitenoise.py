@@ -215,7 +215,47 @@ class TestGeometricNoise:
 
         with mock.patch.object(whitenoise, "stream", counting_stream):
             fit_geometric_noise(HM5, Q5, [2.0, 1.0, 0.5, 0.25], 40, 50, 13)
-        assert sum(path[0] == "noise-inner" for path in opened) == 40
+        assert sorted(path[1] for path in opened if path[0] == "noise-inner") == list(range(40))
+
+    def test_worker_ranges_equal_the_one_t_loop(self):
+        # each worker fills its own range of columns in blocks; any range (a
+        # partial block at either end, a single point) gives the columns of the
+        # one-t oracle bit for bit, so the result cannot depend on the worker count
+        from tsk import whitenoise
+        from tsk.synth import delta_batch, eta_batch, sample_first_stage
+
+        grid, n_outer, n_inner, seed = np.array([2.0, 0.5, 0.25]), 41, 60, 23
+        q = random_covariance(5, 3)
+        means, _ = sample_first_stage(HM5, n_outer, seed)
+        weights, deltas = np.abs(2.0 * eta_batch(HM5, means) - 1.0), delta_batch(HM5, means)
+        t1, t2 = np.full((len(grid), n_outer), np.nan), np.full((len(grid), n_outer), np.nan)
+        filled = np.zeros(n_outer, dtype=bool)
+        for lo, hi in [(7, 37), (0, 7), (37, 38), (38, 41)]:
+            whitenoise._noise_terms(t1, t2, lo, hi, grid, means, weights, deltas, q.sqrt_matrix(), n_inner, seed)
+            filled[lo:hi] = True
+            assert np.isnan(t1[:, ~filled]).all() and np.isnan(t2[:, ~filled]).all()
+        for j, t in enumerate(grid):
+            ref1, ref2 = noise_terms_one_t(HM5, t, q, n_outer, n_inner, seed)
+            assert np.array_equal(t1[j], ref1) and np.array_equal(t2[j], ref2)
+
+    def test_more_workers_than_cpus_with_fast_thread_switches(self):
+        # eight workers, a thread switch every microsecond: a lost or misplaced
+        # column write would break the equality with the one-t loop
+        import sys
+
+        from tsk import whitenoise
+
+        grid, n_outer, n_inner, seed = [2.0, 0.5], 37, 40, 29
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(whitenoise, "_usable_cpus", return_value=8):
+                r = geometric_noise_integrals(HM5, grid, Q5, n_outer, n_inner, seed)
+        finally:
+            sys.setswitchinterval(interval)
+        for j, t in enumerate(grid):
+            ref1, ref2 = noise_terms_one_t(HM5, t, Q5, n_outer, n_inner, seed)
+            assert np.array_equal(r.terms1[j], ref1) and np.array_equal(r.terms2[j], ref2)
 
     @pytest.mark.parametrize(
         "grid, floor",
