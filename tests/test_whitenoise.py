@@ -1,4 +1,5 @@
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -241,8 +242,6 @@ class TestGeometricNoise:
     def test_more_workers_than_cpus_with_fast_thread_switches(self):
         # eight workers, a thread switch every microsecond: a lost or misplaced
         # column write would break the equality with the one-t loop
-        import sys
-
         from tsk import whitenoise
 
         grid, n_outer, n_inner, seed = [2.0, 0.5], 37, 40, 29
