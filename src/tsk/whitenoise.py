@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -40,6 +41,7 @@ __all__ = [
 
 MIN_MC = 1000  # fewest Monte Carlo draws a verification check accepts
 NOISE_BLOCK = 4  # outer points per block of the noise integrals: with fewer, two workers spend much more CPU than one
+NOISE_WORKERS = 2  # most worker threads of the noise integrals: the speed and CPU time of more were never measured
 
 
 @dataclass(frozen=True)
@@ -226,11 +228,12 @@ def geometric_noise_integrals(
     for bit.
 
     The outer points are split into one contiguous range per worker thread,
-    one worker per CPU that this process may run on (at most one per block
-    of NOISE_BLOCK points), and each worker runs its range in such blocks.
-    Every term is computed by the same operations whatever the range or the
-    block that holds it, so the result is the same, bit for bit, for any
-    number of CPUs.
+    one worker per CPU that this process may run on, at most NOISE_WORKERS
+    and at most one per block of NOISE_BLOCK points, and each worker runs its
+    range in such blocks. Every term is computed by the same operations
+    whatever the range or the block that holds it, so the result is the same,
+    bit for bit, for any number of CPUs. If a worker raises or the caller is
+    interrupted, the other workers stop at the end of their current block.
     """
     ts = np.asarray(t, dtype=np.float64)
     if ts.ndim != 1 or ts.shape[0] < 1 or not np.all(ts > 0):
@@ -239,22 +242,29 @@ def geometric_noise_integrals(
         raise InputError("n_outer and n_inner must be >= 1")
     if q.dim != meta.dim:
         raise InputError("covariance dimension must match the problem dimension")
-    from concurrent.futures import ThreadPoolExecutor  # not loaded by `import tsk`
+    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait  # the thread pool is not loaded by `import tsk`
 
     means, _ = sample_first_stage(meta, n_outer, seed)
     weights = np.abs(2.0 * eta_batch(meta, means) - 1.0)
-    deltas = delta_batch(meta, means)
+    # squared one float64 scalar at a time, as the one-point loop does: an array's ** 2
+    # multiplies, a scalar's calls pow, and the two differ in the last bit for about 1 value in 1,200
+    radii_sq = np.array([delta**2 for delta in delta_batch(meta, means)])
     sqrt_q = q.sqrt_matrix()
     t1 = np.empty((ts.shape[0], n_outer))
     t2 = np.empty((ts.shape[0], n_outer))
     n_blocks = -(-n_outer // NOISE_BLOCK)
-    workers = min(_usable_cpus(), n_blocks)
+    workers = min(_usable_cpus(), NOISE_WORKERS, n_blocks)
     edges = [min(n_outer, NOISE_BLOCK * (n_blocks * w // workers)) for w in range(workers + 1)]
+    stop = threading.Event()
     with ThreadPoolExecutor(max_workers=workers) as pool:
         ranges = [
-            pool.submit(_noise_terms, t1, t2, lo, hi, ts, means, weights, deltas, sqrt_q, n_inner, seed)
+            pool.submit(_noise_terms, t1, t2, lo, hi, ts, means, weights, radii_sq, sqrt_q, n_inner, seed, stop)
             for lo, hi in zip(edges, edges[1:])
         ]
+        try:
+            wait(ranges, return_when=FIRST_EXCEPTION)
+        finally:
+            stop.set()  # after an error or an interrupt, the running workers end at their next block
         for done in ranges:
             done.result()  # re-raises a worker's exception
     i1, i1_se, i2, i2_se = np.array([(*mc_mean_se(row1), *mc_mean_se(row2)) for row1, row2 in zip(t1, t2)]).T
@@ -269,46 +279,46 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _noise_terms(t1, t2, lo, hi, ts, means, weights, deltas, sqrt_q, n_inner, seed):
+def _noise_terms(t1, t2, lo, hi, ts, means, weights, radii_sq, sqrt_q, n_inner, seed, stop):
     """Write columns lo..hi-1 of the per-outer-point terms t1 and t2, NOISE_BLOCK outer points at a time.
 
     Point k draws its inner uniforms from its own stream (seed, "noise-inner", k).
     A block turns them into normals, draws of N(0, Q) and squared distances with
-    one call each, then runs the divide, exp and mean of each t over the block in
-    one (block, n_inner) buffer. Each point's values pass through the same
-    element-wise operations and row sums as in a one-point loop, so a column does
-    not depend on where its range or its block starts. The buffers are allocated
-    once per call; this is the function each worker thread runs.
+    one call each, then takes the divide, exp and mean of every t and point of
+    the block at once in one (T, block, n_inner) buffer. Each point's values pass
+    through the same element-wise operations and row sums as in a one-point
+    loop, so a column does not depend on where its range or its block starts.
+    The buffers are allocated once per call; this is the function each worker
+    thread runs, and it returns early once `stop` is set.
     """
-    dim = means.shape[1]
-    draws = np.empty((NOISE_BLOCK, n_inner, dim))  # the inner normals, then each point's draws minus or plus x
+    dim, n_t = means.shape[1], ts.shape[0]
+    neg_t = -ts[:, None, None]  # x / -t is -x / t bit for bit: IEEE division is exact in the sign
+    # the inner normals, then each point's draws minus or plus x, share their memory with the
+    # values of every t, which are never needed at the same time
+    shared = np.empty(NOISE_BLOCK * n_inner * max(dim, n_t))
+    draws = shared[: NOISE_BLOCK * n_inner * dim].reshape(NOISE_BLOCK, n_inner, dim)
+    vals = shared[: n_t * NOISE_BLOCK * n_inner].reshape(n_t, NOISE_BLOCK, n_inner)
     z = np.empty((NOISE_BLOCK, n_inner, dim))
     sq = np.empty((NOISE_BLOCK, n_inner))
     inside = np.empty((NOISE_BLOCK, n_inner), dtype=bool)
-    vals = np.empty((NOISE_BLOCK, n_inner))
     for start in range(lo, hi, NOISE_BLOCK):
+        if stop.is_set():
+            return
         b = min(NOISE_BLOCK, hi - start)
         ks = slice(start, start + b)
-        u, zb, sqb, inb, vb = draws[:b], z[:b], sq[:b], inside[:b], vals[:b]
+        u, zb, sqb, inb, vb = draws[:b], z[:b], sq[:b], inside[:b], vals[:, :b]
         for i in range(b):
             stream(seed, "noise-inner", start + i).random(out=u[i])
         np.matmul(normals_from_uniforms(u), sqrt_q, out=zb)
         x = means[ks, None, :]
         np.einsum("bij,bij->bi", np.subtract(zb, x, out=u), u, out=sqb)
-        # squared one scalar at a time, as in the one-point loop: an array's ** 2 multiplies,
-        # a float64 scalar's calls pow, and the two differ in the last bit for about 1 value in 1,200
-        radii_sq = np.array([delta**2 for delta in deltas[ks]])
-        np.less_equal(sqb, radii_sq[:, None], out=inb)
-        np.negative(sqb, out=sqb)
-        for j, t in enumerate(ts):
-            np.exp(np.divide(sqb, t, out=vb), out=vb)
-            vb *= inb
-            t1[j, ks] = (1.0 - 2.0 * vb.mean(axis=1)) * weights[ks]
+        np.less_equal(sqb, radii_sq[ks, None], out=inb)
+        np.exp(np.divide(sqb, neg_t, out=vb), out=vb)
+        vb *= inb
+        t1[:, ks] = (1.0 - 2.0 * vb.mean(axis=2)) * weights[ks]
         np.einsum("bij,bij->bi", np.add(zb, x, out=u), u, out=sqb)
-        np.negative(sqb, out=sqb)
-        for j, t in enumerate(ts):
-            np.exp(np.divide(sqb, t, out=vb), out=vb)
-            t2[j, ks] = vb.mean(axis=1) * weights[ks]
+        np.exp(np.divide(sqb, neg_t, out=vb), out=vb)
+        t2[:, ks] = vb.mean(axis=2) * weights[ks]
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,8 @@ closed form are numpy sums. The process pool is loaded only when rate rows
 run on more than one worker. So the programs that compute no distance, and
 those that use exact embeddings only, hold neither. `noise-exponent` loads
 the thread pool (`concurrent.futures.thread`), which runs its outer points
-on every CPU the process may use, and still not the process pool. Module
-names only; memory figures depend on the machine.
+on up to two CPUs that the process may use, and still not the process pool.
+Module names only; memory figures depend on the machine.
 """
 
 import json

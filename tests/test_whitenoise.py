@@ -221,18 +221,23 @@ class TestGeometricNoise:
     def test_worker_ranges_equal_the_one_t_loop(self):
         # each worker fills its own range of columns in blocks; any range (a
         # partial block at either end, a single point) gives the columns of the
-        # one-t oracle bit for bit, so the result cannot depend on the worker count
+        # one-t oracle bit for bit, so the result cannot depend on the worker count;
+        # the grid is longer than the dimension, so the values of every t fill more
+        # of the worker's shared buffer than the draws do
+        import threading
+
         from tsk import whitenoise
         from tsk.synth import delta_batch, eta_batch, sample_first_stage
 
-        grid, n_outer, n_inner, seed = np.array([2.0, 0.5, 0.25]), 41, 60, 23
+        grid, n_outer, n_inner, seed = np.array([4.0, 2.0, 1.0, 0.5, 0.25, 0.125, 0.0625]), 41, 60, 23
         q = random_covariance(5, 3)
         means, _ = sample_first_stage(HM5, n_outer, seed)
-        weights, deltas = np.abs(2.0 * eta_batch(HM5, means) - 1.0), delta_batch(HM5, means)
+        weights = np.abs(2.0 * eta_batch(HM5, means) - 1.0)
+        radii_sq = np.array([delta**2 for delta in delta_batch(HM5, means)])
         t1, t2 = np.full((len(grid), n_outer), np.nan), np.full((len(grid), n_outer), np.nan)
         filled = np.zeros(n_outer, dtype=bool)
         for lo, hi in [(7, 37), (0, 7), (37, 38), (38, 41)]:
-            whitenoise._noise_terms(t1, t2, lo, hi, grid, means, weights, deltas, q.sqrt_matrix(), n_inner, seed)
+            whitenoise._noise_terms(t1, t2, lo, hi, grid, means, weights, radii_sq, q.sqrt_matrix(), n_inner, seed, threading.Event())
             filled[lo:hi] = True
             assert np.isnan(t1[:, ~filled]).all() and np.isnan(t2[:, ~filled]).all()
         for j, t in enumerate(grid):
@@ -248,13 +253,38 @@ class TestGeometricNoise:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with mock.patch.object(whitenoise, "_usable_cpus", return_value=8):
+            with mock.patch.object(whitenoise, "_usable_cpus", return_value=8), mock.patch.object(whitenoise, "NOISE_WORKERS", 8):
                 r = geometric_noise_integrals(HM5, grid, Q5, n_outer, n_inner, seed)
         finally:
             sys.setswitchinterval(interval)
         for j, t in enumerate(grid):
             ref1, ref2 = noise_terms_one_t(HM5, t, Q5, n_outer, n_inner, seed)
             assert np.array_equal(r.terms1[j], ref1) and np.array_equal(r.terms2[j], ref2)
+
+    def test_worker_count_is_capped(self):
+        from tsk import whitenoise
+
+        with mock.patch.object(whitenoise, "_usable_cpus", return_value=64), mock.patch.object(whitenoise, "_noise_terms") as worker:
+            geometric_noise_integrals(HM5, [1.0], Q5, 1000, 10, 3)
+        assert [call.args[2:4] for call in worker.call_args_list] == [(0, 500), (500, 1000)]
+
+    def test_worker_error_stops_the_other_worker(self):
+        # point 100 of the first range [0, 1000) fails; the second worker stops
+        # at its next block instead of running all of [1000, 2000)
+        from tsk import whitenoise
+
+        opened = []
+
+        def failing_stream(seed, *path):
+            if path == ("noise-inner", 100):
+                raise MemoryError("no room for the inner draws")
+            opened.append(path[1])
+            return stream(seed, *path)
+
+        with mock.patch.object(whitenoise, "_usable_cpus", return_value=2), mock.patch.object(whitenoise, "stream", failing_stream):
+            with pytest.raises(MemoryError, match="no room"):
+                geometric_noise_integrals(HM5, [1.0], Q5, 2000, 2000, 3)
+        assert sum(k >= 1000 for k in opened) < 500
 
     @pytest.mark.parametrize(
         "grid, floor",
