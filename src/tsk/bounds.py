@@ -43,7 +43,10 @@ class OracleTerms:
     Loss-specific constants default to the clipped hinge loss: Lipschitz
     constant 1 on any interval, clip bound 1, sup of the clipped loss B = 2.
     The hypothesis-space Bayes gap is 0 when the second-level RKHS is rich
-    enough; it stays configurable.
+    enough; it stays configurable. A rates row gives N >= 2 and tau >= 1 as
+    the `rates` table admits them, lambda_N > 0 from its schedule and
+    A(lambda_N) >= 0 from its `approx_error` model; only the bag sizes, one
+    per training point, are checked here.
     """
 
     n: int
@@ -59,14 +62,6 @@ class OracleTerms:
     bayes_gap: float = 0.0
 
     def __post_init__(self):
-        if self.n < 2:
-            raise InputError(f"the bound needs N >= 2, got {self.n}")
-        if not (self.lam > 0):
-            raise InputError(f"lambda must be > 0, got {self.lam}")
-        if self.tau < 1.0:
-            raise InputError(f"tau must be >= 1, got {self.tau}")
-        if self.approx_error < 0 or self.bayes_gap < 0:
-            raise InputError("approximation error and Bayes gap must be >= 0")
         if len(self.bag_sizes) != self.n:
             raise InputError("one bag size per training point is required")
 
@@ -157,10 +152,6 @@ def approx_error_estimate(
     which keeps the SVM geometry identical to the geometry of the noise integrals.
     """
     lam_grid = tuple(float(l) for l in lam_grid)
-    if not lam_grid:
-        raise InputError("lambda grid must be nonempty")
-    if big_n < 2:
-        raise InputError("big_n must be >= 2")
     test_n = big_n if test_n is None else int(test_n)
 
     train_means, train_labels = sample_first_stage(meta, big_n, _subseed(seed, "approx-train"))
@@ -201,8 +192,6 @@ def approx_error_summary(
     test_n=None,
 ):
     """Mean and standard error of Ahat over independent seeds (at least one)."""
-    if not seeds:
-        raise InputError("approx-error needs at least one seed")
     runs = [
         approx_error_estimate(
             meta, hkernel, lam_grid, big_n, big_m_or_exact, s, base_kernel=base_kernel, test_n=test_n,
@@ -250,27 +239,19 @@ def make_schedule(kind: str, n_grid, alpha: float, beta: float | None = None, mu
 
     thm45: lam_N = N^(-1/(beta+1)), M_N = ceil(N^(2/alpha)).
     thm55: lam_N = N^(-1/2), M_N = ceil(N^(2/alpha)), gamma_N = N^(-mu).
+
+    The arguments are those that the `rates` table (`config.COMMANDS`) admits:
+    a strictly increasing grid of N >= 2, alpha in (0, 2], and beta in (0, 1]
+    for thm45 or mu > 0 for thm55.
     """
     n_grid = tuple(int(n) for n in n_grid)
-    if not n_grid or any(n < 2 for n in n_grid):
-        raise InputError("N grid entries must be >= 2")
-    if any(b >= a for a, b in zip(n_grid[1:], n_grid)):
-        raise InputError("N grid must be strictly increasing")
-    if not (0.0 < alpha <= 2.0):
-        raise InputError(f"alpha must lie in (0, 2], got {alpha}")
     bag_sizes = tuple(int(math.ceil(n ** (2.0 / alpha))) for n in n_grid)
     if kind == "thm45":
-        if beta is None or not (0.0 < beta <= 1.0):
-            raise InputError(f"thm45 needs beta in (0, 1], got {beta}")
         lam = tuple(n ** (-1.0 / (beta + 1.0)) for n in n_grid)
         return Schedule(n_grid, lam, bag_sizes, None)
-    if kind == "thm55":
-        if mu is None or not (mu > 0):
-            raise InputError(f"thm55 needs mu > 0, got {mu}")
-        lam = tuple(n**-0.5 for n in n_grid)
-        gamma = tuple(n**-mu for n in n_grid)
-        return Schedule(n_grid, lam, bag_sizes, gamma)
-    raise InputError(f"unknown schedule kind {kind!r}")
+    lam = tuple(n**-0.5 for n in n_grid)
+    gamma = tuple(n**-mu for n in n_grid)
+    return Schedule(n_grid, lam, bag_sizes, gamma)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from itertools import chain
 import numpy as np
 
 from .base_kernels import GAUSSIAN, BaseKernel
-from .errors import InputError, config_float, config_floats, config_int, config_ints, shown
+from .errors import InputError, config_float, config_floats, config_int, config_ints, config_width, shown
 from .hilbert_kernel import HilbertKernel
 from .kme import EmpiricalBatch, SampleSet, uniform_weights
 from .svm import SvmModel
@@ -148,8 +148,13 @@ def _dataset(bags):
 REAL = (config_float, REQUIRED)
 SIZE, SEED = partial(config_int, minimum=1), partial(config_int, minimum=0)
 POSITIVE, NONNEGATIVE = partial(config_float, above=0.0), partial(config_float, minimum=0.0)
-BASE_KERNEL = Section({"family": (_one_of((GAUSSIAN,)), REQUIRED), "width": (POSITIVE, REQUIRED), "dim": (SIZE, REQUIRED)}, BaseKernel)
-HILBERT_KERNEL = Section({"family": (_one_of((GAUSSIAN,)), REQUIRED), "width": (POSITIVE, REQUIRED)}, HilbertKernel)
+BETA = partial(config_float, above=0.0, maximum=1.0)  # the exponent of A(lambda) <= c lambda^beta, in the schedule and the model
+# a kernel's family names the one kernel there is, and is not a field of the kernel read
+BASE_KERNEL = Section(
+    {"family": (_one_of((GAUSSIAN,)), REQUIRED), "width": (config_width, REQUIRED), "dim": (SIZE, REQUIRED)},
+    lambda family, width, dim: BaseKernel(width, dim),
+)
+HILBERT_KERNEL = Section({"family": (_one_of((GAUSSIAN,)), REQUIRED), "width": (config_width, REQUIRED)}, lambda family, width: HilbertKernel(width))
 # the family of a meta-distribution, the kind of a schedule and the model of an approximation error, each with the fields it admits
 META = Section({
     "family": (_one_of({HARD_MARGIN: ("r",), GAUSSIAN_OVERLAP: ()}), REQUIRED), "dim": (SIZE, REQUIRED),
@@ -158,11 +163,11 @@ META = Section({
 }, lambda family, dim, c, s, sigma, p_plus, r=0.0: MetaDistribution(family, dim, c, s, sigma, p_plus, r))
 SCHEDULE = Section({
     "kind": (_one_of({"thm45": ("beta",), "thm55": ("mu",)}), REQUIRED), "alpha": (partial(config_float, above=0.0, maximum=2.0), REQUIRED),
-    "beta": (partial(config_float, above=0.0, maximum=1.0), REQUIRED), "mu": (POSITIVE, REQUIRED),
+    "beta": (BETA, REQUIRED), "mu": (POSITIVE, REQUIRED),
 })
 APPROX_ERROR = Section({
     "model": (_one_of({"zero": (), "constant": ("value",), "power": ("c", "beta")}), "zero"),
-    "value": (NONNEGATIVE, REQUIRED), "c": (NONNEGATIVE, REQUIRED), "beta": REAL,
+    "value": (NONNEGATIVE, REQUIRED), "c": (NONNEGATIVE, REQUIRED), "beta": (BETA, REQUIRED),
 })
 COVARIANCE = Section({"eigenvalues": (partial(config_floats, above=0.0), REQUIRED)}, lambda eigenvalues: CovarianceOperator(np.asarray(eigenvalues), np.eye(len(eigenvalues))))
 

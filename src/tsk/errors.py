@@ -7,6 +7,7 @@ NumericalConsistencyError -> 3.
 import math
 import numbers
 from dataclasses import fields
+from functools import partial
 
 
 class InputError(ValueError):
@@ -85,6 +86,11 @@ def config_floats(
     if not values:
         raise InputError(f"{field} must not be empty")
     return tuple(config_float(v, field, above, minimum, below, maximum) for v in values)
+
+
+# a kernel width w whose square is a finite, positive, normal float, as the kernels divide by w^2:
+# the one rule for every width, read from a config or derived by `HilbertKernel.with_width`
+config_width = partial(config_float, minimum=2.0**-511, below=2.0**512)
 
 
 def fields_json(result, skip=()) -> dict:

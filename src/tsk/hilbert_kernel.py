@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base_kernels import GAUSSIAN
-from .errors import InputError
+from .errors import InputError, config_width
 from .kme import _squared_distances_into, cross_inner, squared_norms
 
 __all__ = ["HilbertKernel", "HolderModulus", "hk_eval", "lipschitz_modulus"]
@@ -24,17 +24,12 @@ __all__ = ["HilbertKernel", "HolderModulus", "hk_eval", "lipschitz_modulus"]
 
 @dataclass(frozen=True)
 class HilbertKernel:
-    family: str  # always "gaussian"
+    """The gaussian kernel on embeddings; its config names the family "gaussian"."""
+
     width: float  # length scale in embedding-space norm units
 
-    def __post_init__(self):
-        if self.family != GAUSSIAN:
-            raise InputError(f"unknown second-level kernel family {self.family!r}")
-        if self.width is None or not (self.width > 0):
-            raise InputError(f"gaussian second-level kernel needs width > 0, got {self.width}")
-
     def to_config(self) -> dict:
-        return {"family": self.family, "width": float(self.width)}
+        return {"family": GAUSSIAN, "width": float(self.width)}
 
     @classmethod
     def from_config(cls, cfg: dict) -> "HilbertKernel":
@@ -42,7 +37,8 @@ class HilbertKernel:
         return read(HILBERT_KERNEL, cfg, "hilbert_kernel")
 
     def with_width(self, width: float) -> "HilbertKernel":
-        return HilbertKernel(self.family, width)
+        """The kernel at a width computed by the program (a schedule's gamma_N), checked as a config's width is."""
+        return HilbertKernel(config_width(width, "second-level kernel width"))
 
 
 @dataclass(frozen=True)

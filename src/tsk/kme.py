@@ -330,14 +330,13 @@ def concentration_bound(m: int, delta: float, kernel_sup: float) -> float:
     """High-probability estimation radius for the empirical embedding of one bag.
 
     2 sqrt(s^2 / M) + sqrt(2 s ln(1/delta) / M) for sup-norm s; valid with
-    probability at least 1 - delta.
+    probability at least 1 - delta. M >= 1 and s > 0 are the callers' (a
+    table's bag size or a schedule's M_N, and `sup_norm`). delta is checked:
+    the oracle bound computes it as e^-tau / N, which underflows to 0 for a
+    large tau.
     """
     if not (0.0 < delta < 1.0):
         raise InputError(f"delta must lie in (0, 1), got {delta}")
-    if m < 1:
-        raise InputError(f"bag size must be >= 1, got {m}")
-    if not (kernel_sup > 0):
-        raise InputError(f"kernel sup-norm must be > 0, got {kernel_sup}")
     return 2.0 * math.sqrt(kernel_sup * kernel_sup / m) + math.sqrt(
         2.0 * kernel_sup * math.log(1.0 / delta) / m
     )

@@ -80,7 +80,7 @@ def clip(t, m: float):
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Cached second-level kernel matrix over the training bags."""
+    """Cached second-level kernel matrix over the training bags: square, finite and exactly symmetric."""
 
     entries: np.ndarray
 
@@ -88,6 +88,8 @@ class GramMatrix:
         k = np.asarray(self.entries, dtype=np.float64)
         if k.ndim != 2 or k.shape[0] != k.shape[1]:
             raise InputError(f"Gram matrix must be square, got shape {k.shape}")
+        if not np.all(np.isfinite(k)):
+            raise InputError("Gram matrix contains non-finite entries")
         if not np.array_equal(k, k.T):
             raise InputError("Gram matrix must be symmetric")
         object.__setattr__(self, "entries", k)
@@ -232,17 +234,13 @@ def train(
     the projected-gradient (KKT) residual is <= tol, or after max_sweeps outer
     iterations. Returns a model whose KKT residual is <= tol, or one flagged
     converged=False carrying the residual reached; `sweeps` counts the outer
-    iterations.
+    iterations. lam is > 0, as every table and schedule gives it.
     """
     n = gram.size
     y = _as_labels(labels, n)
     if support is not None and len(support) != n:
         raise InputError(f"support holds {len(support)} embeddings for {n} training labels")
-    if not (lam > 0):
-        raise InputError(f"lambda must be > 0, got {lam}")
     k = gram.entries
-    if not np.all(np.isfinite(k)):
-        raise InputError("Gram matrix contains non-finite entries")
     if not np.all(np.diag(k) > 0.0):
         raise InputError("Gram matrix has a diagonal entry <= 0; a second-level Gram has a unit diagonal")
 

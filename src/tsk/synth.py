@@ -52,23 +52,9 @@ class MetaDistribution:
     margin: float = 0.0  # r: guaranteed half-gap between the hard_margin supports
 
     def __post_init__(self):
-        if self.family not in (HARD_MARGIN, GAUSSIAN_OVERLAP):
-            raise InputError(f"unknown meta-distribution family {self.family!r}")
-        if self.dim < 1:
-            raise InputError("dim must be >= 1")
-        if not (self.center_offset > 0):
-            raise InputError("center offset c must be > 0")
-        if self.center_spread < 0 or self.bag_spread < 0:
-            raise InputError("spreads must be >= 0")
-        if not (0.0 < self.p_plus < 1.0) and self.p_plus not in (0.0, 1.0):
-            raise InputError(f"p_plus must lie in [0, 1], got {self.p_plus}")
-        if self.family == HARD_MARGIN:
-            if not (self.margin > 0):
-                raise InputError("hard_margin needs margin r > 0")
-            if self.center_offset - self.center_spread < self.margin - 1e-12:
-                raise InputError(
-                    "hard_margin supports must be separated by at least 2r: need c - s >= r"
-                )
+        """The rules across fields; each field's own range is a row of the `meta` table (`config.META`)."""
+        if self.family == HARD_MARGIN and self.center_offset - self.center_spread < self.margin - 1e-12:
+            raise InputError("hard_margin supports must be separated by at least 2r: need c - s >= r")
         if self.family == GAUSSIAN_OVERLAP and not (self.center_spread > 0):
             raise InputError("gaussian_overlap needs center spread s > 0")
 
@@ -99,8 +85,6 @@ def _ball_points(gen, n: int, dim: int, radius: float) -> np.ndarray:
 
 def sample_first_stage(meta: MetaDistribution, n: int, seed: int):
     """Draw n i.i.d. (Q, y) pairs; returns (means (n, d), labels (n,))."""
-    if n < 1:
-        raise InputError("first-stage sample size must be >= 1")
     gen = stream(seed, "first-stage")
     u = gen.random(n)
     labels = np.where(u < meta.p_plus, 1, -1)
@@ -116,10 +100,6 @@ def sample_second_stage(q_params, m: int, seed: int) -> SampleSet:
     """m i.i.d. rows from N(mean, spread^2 I); spread 0 yields m copies of the mean."""
     mean, spread = q_params
     mean = np.asarray(mean, dtype=np.float64)
-    if m < 1:
-        raise InputError("bag size must be >= 1")
-    if spread < 0:
-        raise InputError("spread must be >= 0")
     if spread == 0.0:
         return SampleSet(np.tile(mean, (m, 1)))
     gen = stream(seed, "second-stage")
@@ -156,8 +136,6 @@ def bayes_risk(meta: MetaDistribution, mc_draws: int, seed: int):
     Returns (estimate, standard_error). Exactly (0.0, 0.0) for hard_margin,
     without sampling, since the conditional probability is 0/1 there.
     """
-    if mc_draws < 1:
-        raise InputError("mc_draws must be >= 1")
     if meta.family == HARD_MARGIN:
         return 0.0, 0.0
     means, _ = sample_first_stage(meta, mc_draws, seed)

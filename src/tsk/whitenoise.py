@@ -39,14 +39,15 @@ __all__ = [
     "random_covariance",
 ]
 
-MIN_MC = 1000  # fewest Monte Carlo draws a verification check accepts
+MIN_MC = 1000  # fewest Monte Carlo draws that `whitenoise-verify --mc` accepts
 NOISE_BLOCK = 4  # outer points per block of the noise integrals: with fewer, two workers spend much more CPU than one
 NOISE_WORKERS = 2  # most worker threads of the noise integrals: the speed and CPU time of more were never measured
 
 
 @dataclass(frozen=True)
 class CovarianceOperator:
-    """Symmetric positive-definite covariance via its eigendecomposition."""
+    """Symmetric positive-definite covariance via its eigendecomposition; the eigenvalues are > 0
+    (the `covariance` table's row, and `random_covariance`'s log-uniform draw)."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # orthonormal columns
@@ -57,8 +58,6 @@ class CovarianceOperator:
         d = lam.shape[0]
         if lam.ndim != 1 or vec.shape != (d, d):
             raise InputError("eigenvalues must be (d,), eigenvectors (d, d)")
-        if not np.all(lam > 0):
-            raise InputError("covariance eigenvalues must all be > 0 (trivial kernel)")
         if not np.allclose(vec.T @ vec, np.eye(d), atol=1e-10):
             raise InputError("eigenvector matrix must be orthonormal")
         object.__setattr__(self, "eigenvalues", lam)
@@ -118,7 +117,6 @@ class VerificationReport:
 
 def white_noise_isometry_check(h1, h2, q: CovarianceOperator, n_mc: int, seed: int) -> VerificationReport:
     """E[W_h1 W_h2] under N(0, Q) equals <h1, h2>; verified at 4 standard errors."""
-    _check_mc(n_mc)
     gen = stream(seed, "isometry")
     z = q.sample(gen, n_mc)
     w1 = z @ q.wn_coeff(h1)
@@ -136,7 +134,6 @@ def characteristic_identity_check(
     The real part is compared with the closed form and the imaginary part
     with 0, both at 4 standard errors.
     """
-    _check_mc(n_mc)
     gen = stream(seed, "characteristic")
     z = q.sample(gen, n_mc)
     w = z @ q.wn_coeff(h)
@@ -161,9 +158,6 @@ def feature_inner_mc(x, xp, gamma: float, q: CovarianceOperator, n_mc: int, seed
     Re E[exp(i (sqrt(2)/gamma) (W_x - W_x'))] must equal exp(-||x-x'||^2 / gamma^2)
     for every admissible Q.
     """
-    _check_mc(n_mc)
-    if not (gamma > 0):
-        raise InputError(f"gamma must be > 0, got {gamma}")
     gen = stream(seed, "feature-inner")
     x = np.asarray(x, dtype=np.float64)
     xp = np.asarray(xp, dtype=np.float64)
@@ -181,7 +175,6 @@ def canonical_surjection_eval(g, x, gamma: float, q: CovarianceOperator, n_mc: i
 
     g maps a batch of points (n, d) to complex values (n,).
     """
-    _check_mc(n_mc)
     gen = stream(seed, "surjection")
     z = q.sample(gen, n_mc)
     w = z @ q.wn_coeff(x)
@@ -221,11 +214,13 @@ def geometric_noise_integrals(
     (seed, outer index) only, so the whole grid shares all randomness and the
     pointwise monotonicity in t is preserved exactly.
 
-    `t` is a nonempty 1-D sequence of positive scales. Each outer point opens
-    its inner stream and draws its normals once, and that one draw serves
-    every t, so the cost grows with n_outer * n_inner and not with the grid
-    length. Row j of the result equals that of the one-point grid [t[j]] bit
-    for bit.
+    `t` is a nonempty 1-D sequence of positive scales, n_outer and n_inner are
+    >= 1 and q acts on meta.dim coordinates: the `noise-exponent` table
+    (`config.COMMANDS`) refuses any other input, and they are not checked
+    again here. Each outer point opens its inner stream and draws its normals
+    once, and that one draw serves every t, so the cost grows with
+    n_outer * n_inner and not with the grid length. Row j of the result
+    equals that of the one-point grid [t[j]] bit for bit.
 
     The outer points are split into one contiguous range per worker thread,
     one worker per CPU that this process may run on, at most NOISE_WORKERS
@@ -236,12 +231,6 @@ def geometric_noise_integrals(
     interrupted, the other workers stop at the end of their current block.
     """
     ts = np.asarray(t, dtype=np.float64)
-    if ts.ndim != 1 or ts.shape[0] < 1 or not np.all(ts > 0):
-        raise InputError(f"t must be a nonempty 1-D grid of values > 0, got {t}")
-    if n_outer < 1 or n_inner < 1:
-        raise InputError("n_outer and n_inner must be >= 1")
-    if q.dim != meta.dim:
-        raise InputError("covariance dimension must match the problem dimension")
     from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait  # the thread pool is not loaded by `import tsk`
 
     means, _ = sample_first_stage(meta, n_outer, seed)
@@ -340,18 +329,6 @@ class NoiseExponentFit:
         return {name: value for name, value in fields_json(self).items() if value is not None}
 
 
-def _check_fit_grid(t_grid, floor: float) -> np.ndarray:
-    """The t grid of a power-law fit: 1-D, at least 3 finite values > 0; floor finite and > 0."""
-    t = np.asarray(t_grid, dtype=np.float64)
-    if t.ndim != 1 or t.shape[0] < 3:
-        raise InputError(f"t grid needs at least 3 points, got {t.tolist()}")
-    if not np.all(np.isfinite(t) & (t > 0)):
-        raise InputError(f"t grid must be finite and positive, got {t.tolist()}")
-    if not (math.isfinite(floor) and floor > 0):
-        raise InputError(f"floor must be finite and > 0, got {floor}")
-    return t
-
-
 def fit_noise_exponent(t_grid, i_values, floor: float = 1e-12) -> NoiseExponentFit:
     """Least-squares power law I(t) <= C t^alpha on a finite grid.
 
@@ -359,7 +336,7 @@ def fit_noise_exponent(t_grid, i_values, floor: float = 1e-12) -> NoiseExponentF
     excluded; C is the smallest constant covering every positive grid value.
     Fits with alpha <= 0 are kept but marked invalid.
     """
-    t = _check_fit_grid(t_grid, floor)
+    t = np.asarray(t_grid, dtype=np.float64)
     i = np.asarray(i_values, dtype=np.float64)
     if t.shape != i.shape:
         raise InputError("t and I grids must have the same length")
@@ -401,15 +378,10 @@ def fit_geometric_noise(
     """Estimate both integrals on the grid and fit their pointwise maximum.
 
     One (C, alpha) pair has to cover both localization integrals, so the fit
-    runs on max(I1, I2). The grid and floor are checked before any sampling,
-    and one `geometric_noise_integrals` call serves the whole grid.
+    runs on max(I1, I2), and one `geometric_noise_integrals` call serves the
+    whole grid. The grid (at least 3 values > 0) and the floor (> 0) are those
+    that the `noise-exponent` table admits; they are not checked again here.
     """
-    t = _check_fit_grid(t_grid, floor)
-    ints = geometric_noise_integrals(meta, t, q, n_outer, n_inner, seed)
+    ints = geometric_noise_integrals(meta, t_grid, q, n_outer, n_inner, seed)
     fit = fit_noise_exponent(t_grid, np.maximum(ints.i1, ints.i2), floor)
     return replace(fit, i1_values=tuple(ints.i1), i1_se=tuple(ints.i1_se), i2_values=tuple(ints.i2), i2_se=tuple(ints.i2_se))
-
-
-def _check_mc(n_mc: int):
-    if n_mc < MIN_MC:
-        raise InputError(f"Monte Carlo checks need n_mc >= {MIN_MC}, got {n_mc}")

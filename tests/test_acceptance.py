@@ -193,7 +193,7 @@ def test_criterion_07_geometric_noise_pipeline():
     for gamma in (0.25, 0.5, 1.0):
         est_runs = [
             approx_error_estimate(
-                meta, HilbertKernel("gaussian", gamma), [0.01, 0.1], 2000, "exact",
+                meta, HilbertKernel(gamma), [0.01, 0.1], 2000, "exact",
                 seed, test_n=2000,  # no base kernel: the means are the Hilbert-space points
             )
             for seed in (31, 32, 33)

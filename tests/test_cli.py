@@ -80,6 +80,22 @@ class TestRates:
         row = dict(zip(*(line.split(",") for line in out.read_text().splitlines())))
         assert row["oracle_violated"] == "nan"
 
+    # two checks that a valid config reaches: a large mu makes gamma_N = N^-mu 0, and a large
+    # tau makes the confidence e^-tau / N of the embedding term 0, so every row fails
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"schedule": {"kind": "thm55", "alpha": 1.0, "mu": 2000}}, "InputError: second-level kernel width must be >= 1.4916681462400413e-154, got 0.0"),
+            ({"tau": 2000}, "InputError: delta must lie in (0, 1), got 0.0"),
+        ],
+        ids=["mu 2000", "tau 2000"],
+    )
+    def test_a_check_that_every_row_reaches_exits_3(self, tmp_path, capsys, fields, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(SMOKE_RATES | fields))
+        assert main(["rates", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 3
+        assert capsys.readouterr().err == f"error: no row succeeded; first failure: N=8 rep=0: {message}\n"
+
     def test_unwritable_out_exits_2_before_computing(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(SMOKE_RATES))
@@ -134,7 +150,7 @@ def test_train_nonpositive_width_exits_2_naming_it(tmp_path, capsys):
     write_dataset(data)
     cfg.write_text(json.dumps(json.loads((CONFIGS / "train_example.json").read_text()) | {"hilbert_kernel": {"family": "gaussian", "width": -1}}))
     assert main(["train", "--config", str(cfg), "--data", str(data), "--out", str(tmp_path / "m.json")]) == 2
-    assert capsys.readouterr().err.startswith("error: hilbert_kernel.width must be > 0")
+    assert capsys.readouterr().err.startswith("error: hilbert_kernel.width must be >= 1.4916681462400413e-154, got -1")
 
 
 def test_train_non_integer_max_sweeps_exits_2(tmp_path, capsys):
@@ -506,7 +522,7 @@ class TestTrainPredict:
         # a model on exact Gaussian embeddings predicts in memory, as the rates experiment's exact rows do,
         # but a model file holds sample bags only: it is not written, and (mean, spread) records are refused
         means, labels = sample_first_stage(MetaDistribution("hard_margin", 2, 2.0, 0.25, 0.5, 0.5, margin=1.0), 6, 3)
-        base, hk = BaseKernel("gaussian", 1.0, 2), HilbertKernel("gaussian", 1.0)
+        base, hk = BaseKernel(1.0, 2), HilbertKernel(1.0)
         support = ExactBatch(base, means, np.full(6, 0.5))
         model = train(build_gram(hk, support), labels, 0.1, support=support, hkernel=hk)
         bags = [sample_second_stage((mean, 0.5), 40, 50 + i) for i, mean in enumerate(means)]

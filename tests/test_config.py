@@ -272,7 +272,8 @@ def test_misspelled_rates_field_exits_2(workdir, capsys, mutate, path):
 
 
 # ranges, tags and checks across fields that the library made only after its first draw, or without
-# naming the field, or not at all; each with the start of its error message
+# naming the field, or not at all (a width > 0 whose square underflows or overflows stopped `train` on a
+# ZeroDivisionError or an OverflowError, or blamed the Gram's symmetry); each with the start of its error message
 LATE_CHECKS = [
     ("kme-coverage", lambda c: c.update(deltas=[0.1, 2.0]), "deltas must", "kme-coverage-deltas"),
     ("approx-error", lambda c: c["meta"].update(dim=3), "meta.dim must", "approx-error-meta.dim"),
@@ -301,6 +302,11 @@ LATE_CHECKS = [
     ("rates", lambda c: c["meta"].pop("r"), "missing field meta.r", "rates-hard_margin without meta.r"),
     ("rates", lambda c: c["meta"].update(family="gaussian_overlap"), "unknown field meta.r;", "rates-gaussian_overlap with meta.r"),
     ("noise-exponent", lambda c: c["covariance"]["eigenvalues"].__setitem__(2, 0.0), "covariance.eigenvalues must be > 0", "noise-exponent-eigenvalue 0"),
+    ("rates", lambda c: c.update(approx_error={"model": "power", "c": 1, "beta": -3000}), "approx_error.beta must be > 0", "rates-approx_error.beta -3000"),
+    ("train", lambda c: c["base_kernel"].update(family="laplacian"), "base_kernel.family must be one of 'gaussian'", "train-laplacian base_kernel"),
+    ("train", lambda c: c["base_kernel"].update(width=1e-200), "base_kernel.width must be >= ", "train-base_kernel.width 1e-200"),
+    ("train", lambda c: c["hilbert_kernel"].update(width=1e200), "hilbert_kernel.width must be < ", "train-hilbert_kernel.width 1e200"),
+    ("train", lambda c: c["hilbert_kernel"].update(width=1e-200), "hilbert_kernel.width must be >= ", "train-hilbert_kernel.width 1e-200"),
 ]
 
 

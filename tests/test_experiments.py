@@ -28,8 +28,8 @@ from oracles import coverage_distances_one_by_one
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 HM = MetaDistribution("hard_margin", 2, 2.0, 0.25, 0.5, 0.5, margin=1.0)
-BASE = BaseKernel("gaussian", 1.0, 2)
-HK = HilbertKernel("gaussian", 1.0)
+BASE = BaseKernel(1.0, 2)
+HK = HilbertKernel(1.0)
 
 
 def smoke_config(**overrides):
@@ -382,7 +382,7 @@ NESTED_FLOATS = (
     (("meta", "p_plus"), False),
     (("meta", "r"), True),
     (("approx_error", "c"), False),
-    (("approx_error", "beta"), False),
+    (("approx_error", "beta"), True),
 )
 VALID_POWER_RATES = VALID_RATES | {"approx_error": {"model": "power", "c": 0.1, "beta": 0.5}}
 VALID_CONSTANT_RATES = VALID_RATES | {"approx_error": {"model": "constant", "value": 0.01}}

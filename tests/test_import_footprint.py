@@ -55,11 +55,11 @@ from tsk import BaseKernel, HilbertKernel
 from tsk.cli import main
 from tsk.kme import EmpiricalBatch, ExactBatch, cross_inner
 from tsk.svm import build_gram
-k = BaseKernel("gaussian", 1.0, 2)
+k = BaseKernel(1.0, 2)
 exact = ExactBatch(k, np.arange(6.0).reshape(3, 2), np.full(3, 0.5))
 other = ExactBatch(k, np.ones((2, 2)), np.array([0.1, 0.4]))
 bags = EmpiricalBatch(k, np.arange(8.0).reshape(4, 2), np.full(4, 0.5), [0, 2, 4])
-build_gram(HilbertKernel("gaussian", 1.0), exact)
+build_gram(HilbertKernel(1.0), exact)
 cross_inner(exact, other)
 cross_inner(exact, bags)
 assert main(["rates", "--config", "rates.json", "--out", "rates.csv", "--threads", "1"]) == 0
@@ -74,7 +74,7 @@ import numpy as np
 from tsk import BaseKernel, HilbertKernel
 from tsk.kme import EmpiricalBatch
 from tsk.svm import build_gram
-bags = EmpiricalBatch(BaseKernel("gaussian", 1.0, 2), np.arange(8.0).reshape(4, 2), np.full(4, 0.5), [0, 2, 4])
-build_gram(HilbertKernel("gaussian", 1.0), bags)
+bags = EmpiricalBatch(BaseKernel(1.0, 2), np.arange(8.0).reshape(4, 2), np.full(4, 0.5), [0, 2, 4])
+build_gram(HilbertKernel(1.0), bags)
 """
     assert loaded_after(script, tmp_path) == {"scipy.spatial": True, "concurrent.futures.process": False}

@@ -18,13 +18,13 @@ from tsk.svm import SvmModel, build_gram, decision_value, decision_values, train
 
 from oracles import brute_pair_sum
 
-BASE = BaseKernel("gaussian", 1.0, 2)
+BASE = BaseKernel(1.0, 2)
 KINDS = ("exact", "empirical", "mixed")
 # "mixed" trains on empirical embeddings and decides on exact ones, the mixed
 # pair of a rate sweep with empirical training bags and exact test inputs
 SUPPORT_KIND = {"exact": "exact", "empirical": "empirical", "mixed": "empirical"}
 TARGET_KIND = {"exact": "exact", "empirical": "empirical", "mixed": "exact"}
-HKERNELS = (HilbertKernel("gaussian", 1.0),)
+HKERNELS = (HilbertKernel(1.0),)
 
 
 def make_embeddings(kind, n, seed):
@@ -79,7 +79,7 @@ def oracle_decision(model, e):
     return math.fsum(c * oracle_kernel(model.hkernel, s, e) for c, s in zip(coef, singles(model.support)))
 
 
-@pytest.mark.parametrize("hk", HKERNELS, ids=lambda hk: hk.family)
+@pytest.mark.parametrize("hk", HKERNELS, ids=lambda hk: hk.to_config()["family"])
 @pytest.mark.parametrize("kind", KINDS)
 class TestSinglePath:
     def fit(self, kind, hk):
@@ -108,7 +108,7 @@ class TestSinglePath:
             assert decision_value(model, e) == pytest.approx(w, rel=1e-12)
 
 
-@pytest.mark.parametrize("hk", HKERNELS, ids=lambda hk: hk.family)
+@pytest.mark.parametrize("hk", HKERNELS, ids=lambda hk: hk.to_config()["family"])
 def test_pair_sums_per_decision_batch(monkeypatch, hk):
     # kernel evaluations of k support norms, t target norms and k * t cross terms, each computed once
     support, labels = make_embeddings("empirical", 7, seed=5)
@@ -146,7 +146,7 @@ def test_gram_entries_equal_single_pair_calls():
         for j in range(i, len(embs)):
             assert gram[i, j] == gram[j, i] == cross_inner(embs.take([i]), embs.take([j]))[0, 0]
     assert np.array_equal(np.diag(gram), squared_norms(embs))
-    assert np.all(np.diag(build_gram(HilbertKernel("gaussian", 1.0), embs).entries) == 1.0)
+    assert np.all(np.diag(build_gram(HilbertKernel(1.0), embs).entries) == 1.0)
     assert np.all(np.diag(_squared_distances_into(gram, squared_norms(embs), squared_norms(embs))) == 0.0)
 
 

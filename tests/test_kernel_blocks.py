@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from tsk import BaseKernel, HilbertKernel, MetaDistribution, bayes_risk
-from tsk.bounds import approx_error_summary
 from tsk.errors import InputError
 from tsk.hilbert_kernel import _hk_into
 from tsk.kme import (
@@ -24,13 +23,13 @@ from tsk.kme import (
     gaussian_kme_cross_inner,
     squared_norms,
 )
-from tsk.rng import mc_mean_se
+from tsk.rng import mc_mean_se, stream
 from tsk.svm import SvmModel, build_gram, decision_values, decision_values_path
 
 from oracles import tabulated_kme_cross_inner
 
-BASE = BaseKernel("gaussian", 1.0, 2)
-GAUSS = HilbertKernel("gaussian", 0.7)
+BASE = BaseKernel(1.0, 2)
+GAUSS = HilbertKernel(0.7)
 
 
 def old_squared_distances(inners, na, nb):
@@ -71,7 +70,7 @@ def spreads_of(kind, n, side, rng):
 @pytest.mark.parametrize("spreads", ["one", "few", "distinct", "a_only_one", "b_only_one"])
 def test_broadcast_closed_form_equals_tabulated(shape, d, spreads):
     rng = np.random.default_rng(shape[0] + 7 * d)
-    k = BaseKernel("gaussian", 0.8, d)
+    k = BaseKernel(0.8, d)
     means_a, means_b = rng.normal(size=(shape[0], d)), rng.normal(size=(shape[1], d))
     sa, sb = spreads_of(spreads, shape[0], "a", rng), spreads_of(spreads, shape[1], "b", rng)
     got = gaussian_kme_cross_inner(k, means_a, sa, means_b, sb)
@@ -145,8 +144,6 @@ def test_path_refuses_models_that_do_not_share_support_and_kernel():
 def test_hard_margin_bayes_risk_is_exactly_zero_without_sampling():
     hm = MetaDistribution("hard_margin", 2, 2.0, 0.25, 0.5, 0.5, margin=1.0)
     assert bayes_risk(hm, 10**9, 3) == (0.0, 0.0)
-    with pytest.raises(InputError):
-        bayes_risk(hm, 0, 3)
 
 
 def test_mc_mean_se_reduces_along_axis_0():
@@ -160,10 +157,9 @@ def test_mc_mean_se_reduces_along_axis_0():
     assert one_d == (float(vals[:, 0].mean()), float(vals[:, 0].std(ddof=1) / math.sqrt(7)))
 
 
-def test_approx_error_summary_needs_a_seed():
-    hm = MetaDistribution("hard_margin", 2, 2.0, 0.25, 0.5, 0.5, margin=1.0)
-    with pytest.raises(InputError, match="at least one seed"):
-        approx_error_summary(hm, GAUSS, [0.1], 4, "exact", [], base_kernel=BASE)
+def test_stream_path_ints_must_be_nonnegative():
+    with pytest.raises(ValueError, match="stream path ints must be >= 0"):
+        stream(0, -1)
 
 
 def traced_peak(fn) -> int:

@@ -18,7 +18,7 @@ Y = np.where(RNG.random(T.size) < 0.5, -1, 1)
 
 
 def _hk_eval_case():
-    rng, base, hk = np.random.default_rng(3), BaseKernel("gaussian", 0.9, 2), HilbertKernel("gaussian", 0.8)
+    rng, base, hk = np.random.default_rng(3), BaseKernel(0.9, 2), HilbertKernel(0.8)
     a = ExactBatch(base, rng.normal(size=(4, 2)), rng.uniform(0.0, 0.5, size=4))
     b = EmpiricalBatch(base, rng.normal(size=(6, 2)), rng.uniform(0.1, 1.0, size=6), np.cumsum([0, 1, 3, 2]))
     batch = _hk_into(hk, cross_inner(a, b), squared_norms(a), squared_norms(b)).ravel()

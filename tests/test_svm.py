@@ -145,8 +145,8 @@ class TestSolverProperties:
         assert r1 == pytest.approx(r2, rel=1e-10)
 
     def test_duplicate_bags_rank_deficient_gram(self):
-        base = BaseKernel("gaussian", 1.0, 2)
-        hk = HilbertKernel("gaussian", 1.0)
+        base = BaseKernel(1.0, 2)
+        hk = HilbertKernel(1.0)
         bag = SampleSet(np.array([[0.0, 0.0], [0.3, 0.1]]))
         embs = embed_bags(base, [bag, bag, SampleSet(np.array([[2.0, 2.0]]))])
         gram = build_gram(hk, embs)
@@ -155,10 +155,36 @@ class TestSolverProperties:
         assert kkt_residual(model, gram, [1, 1, -1]) <= 1e-8
 
     def test_nonfinite_gram_rejected(self):
+        # NaN is not equal to itself, so a NaN Gram is named non-finite ahead of the symmetry check
         k = np.eye(2)
         k[0, 1] = k[1, 0] = np.nan
-        with pytest.raises(InputError):
-            train(GramMatrix(k), [1, -1], 0.1)
+        with pytest.raises(InputError, match="non-finite"):
+            GramMatrix(k)
+
+    def test_non_square_or_asymmetric_gram_rejected(self):
+        for k in (np.ones((2, 3)), np.ones(3)):
+            with pytest.raises(InputError, match="Gram matrix must be square"):
+                GramMatrix(k)
+        with pytest.raises(InputError, match="Gram matrix must be symmetric"):
+            GramMatrix(np.array([[1.0, 0.5], [0.5 + 2.0**-52, 1.0]]))
+
+    def test_labels_and_support_must_match_the_gram(self):
+        gram = GramMatrix(np.eye(3))
+        with pytest.raises(InputError, match=re.escape("labels must have shape (3,)")):
+            train(gram, [1, -1], 0.1)
+        support = embed_bags(BaseKernel(1.0, 2), [SampleSet(np.zeros((1, 2)))] * 2)
+        with pytest.raises(InputError, match="support holds 2 embeddings for 3 training labels"):
+            train(gram, [1, -1, 1], 0.1, support=support)
+
+    def test_norm_above_the_a_priori_bound_raises(self, monkeypatch):
+        # every coefficient at C on K = 100 I gives ||f||^2 = 100 N C^2 = 1250 > 1/lambda = 10
+        def all_at_the_wall(k, y, alpha, f, box_c, coords):
+            alpha[:] = box_c
+            f[:] = k @ (alpha * y)
+
+        monkeypatch.setattr(svm_module._backend, "cd_sweep", all_at_the_wall)
+        with pytest.raises(NumericalConsistencyError, match="exceeds the a-priori bound"):
+            train(GramMatrix(100.0 * np.eye(2)), [1, -1], 0.1, max_sweeps=1)
 
     @pytest.mark.parametrize("entry", [0.0, -0.5])
     def test_nonpositive_diagonal_rejected(self, entry):
@@ -187,11 +213,11 @@ class TestNewtonSolver:
     def test_rank_deficient_gram_of_duplicate_bags_converges(self):
         # 12 distinct exact embeddings, each three times: Q_FF is singular
         rng = np.random.default_rng(21)
-        base = BaseKernel("gaussian", 1.0, 2)
+        base = BaseKernel(1.0, 2)
         means = rng.normal(size=(12, 2)) + np.where(np.arange(12) % 2 == 0, 1.0, -1.0)[:, None]
         embs = ExactBatch(base, np.repeat(means, 3, axis=0), np.full(36, 0.3))
         y = np.repeat(np.where(np.arange(12) % 2 == 0, 1.0, -1.0), 3)
-        gram = build_gram(HilbertKernel("gaussian", 1.0), embs)
+        gram = build_gram(HilbertKernel(1.0), embs)
         assert np.linalg.matrix_rank(gram.entries) <= 12
         lams = (0.001, 0.01, 0.1)
         oracle, _ = pgd_dual_objectives([(gram.entries, y, lam) for lam in lams], iters=200_000)
@@ -282,8 +308,8 @@ class TestDualPrimalAgainstOracles:
 
 class TestDecisionAndPrediction:
     def setup_method(self):
-        self.base = BaseKernel("gaussian", 1.0, 2)
-        self.hk = HilbertKernel("gaussian", 1.0)
+        self.base = BaseKernel(1.0, 2)
+        self.hk = HilbertKernel(1.0)
         rng = np.random.default_rng(5)
         self.embs = embed_bags(
             self.base, [SampleSet(rng.normal(size=(3, 2)) + (2.0 if i % 2 == 0 else -2.0)) for i in range(6)]
@@ -365,6 +391,16 @@ class TestDecisionAndPrediction:
             with pytest.raises(UnsupportedError, match=kind):
                 model_to_json(model)
 
+    def test_model_without_support_neither_decides_nor_is_written(self):
+        model = train(self.gram, self.labels, 0.1)
+        for use in (lambda: decision_values(model, self.embs), lambda: model_to_json(model)):
+            with pytest.raises(InputError, match="carries no support embeddings"):
+                use()
+
+    def test_no_gram_of_zero_embeddings(self):
+        with pytest.raises(InputError, match="zero embeddings"):
+            build_gram(self.hk, embed_bags(self.base, []))
+
     def test_decision_values_batch_matches_scalar(self):
         rng = np.random.default_rng(15)
         tests = embed_bags(self.base, [SampleSet(rng.normal(size=(2, 2))) for _ in range(5)])
@@ -374,8 +410,8 @@ class TestDecisionAndPrediction:
 
 
 def _valid_model_json():
-    base = BaseKernel("gaussian", 1.0, 2)
-    hk = HilbertKernel("gaussian", 1.0)
+    base = BaseKernel(1.0, 2)
+    hk = HilbertKernel(1.0)
     rng = np.random.default_rng(7)
     embs = embed_bags(base, [SampleSet(rng.normal(size=(3, 2)) + (2.0 if i % 2 == 0 else -2.0)) for i in range(4)])
     labels = [1, -1, 1, -1]

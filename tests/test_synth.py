@@ -150,14 +150,11 @@ class TestDelta:
 
 class TestValidationAndIo:
     def test_family_validation(self):
-        with pytest.raises(InputError):
-            MetaDistribution("bimodal", 2, 1.0, 0.1, 0.1, 0.5)
-        with pytest.raises(InputError):
-            MetaDistribution("hard_margin", 2, 1.0, 0.95, 0.1, 0.5, margin=0.2)  # c - s < r
-        with pytest.raises(InputError):
-            MetaDistribution("hard_margin", 2, 1.0, 0.1, 0.1, 0.5)  # r = 0
-        with pytest.raises(InputError):
-            MetaDistribution("gaussian_overlap", 2, 1.0, 0.0, 0.1, 0.5)  # s = 0
+        # the rules across fields of a family; each field's own range is a row of the meta table
+        with pytest.raises(InputError, match="need c - s >= r"):
+            MetaDistribution("hard_margin", 2, 1.0, 0.95, 0.1, 0.5, margin=0.2)
+        with pytest.raises(InputError, match="gaussian_overlap needs center spread s > 0"):
+            MetaDistribution("gaussian_overlap", 2, 1.0, 0.0, 0.1, 0.5)
 
     def test_config_roundtrip(self):
         assert MetaDistribution.from_config(HM.to_config()) == HM

@@ -1,5 +1,8 @@
+import json
 import math
+import re
 import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -14,6 +17,7 @@ from tsk import (
     geometric_noise_integrals,
     white_noise_isometry_check,
 )
+from tsk.cli import main
 from tsk.errors import InputError
 from tsk.rng import normals, stream
 from tsk.whitenoise import canonical_surjection_eval, fit_geometric_noise, random_covariance
@@ -27,10 +31,14 @@ Q5 = CovarianceOperator(np.array([1.0, 0.8, 0.6, 0.4, 0.2]), np.eye(5))
 
 class TestCovarianceOperator:
     def test_basic_validation(self):
-        with pytest.raises(InputError):
-            CovarianceOperator(np.array([1.0, 0.0]), np.eye(2))
-        with pytest.raises(InputError):
+        # the eigenvalues > 0 rule is a row of the covariance table
+        for eigenvalues, eigenvectors in ((np.ones(2), np.eye(3)), (np.ones((2, 2)), np.eye(2))):
+            with pytest.raises(InputError, match="eigenvalues must be"):
+                CovarianceOperator(eigenvalues, eigenvectors)
+        with pytest.raises(InputError, match="orthonormal"):
             CovarianceOperator(np.array([1.0, 1.0]), np.array([[1.0, 1.0], [0.0, 1.0]]))
+        with pytest.raises(InputError, match=re.escape("vector must have shape (2,)")):
+            Q_DIAG.wn_coeff(np.ones(3))
 
     def test_matrix_roundtrip_through_constructor(self):
         q = random_covariance(4, 123)
@@ -182,12 +190,6 @@ class TestGeometricNoise:
         diff = t2 - exact_terms
         assert abs(diff.mean()) <= 4.0 * diff.std(ddof=1) / math.sqrt(n_outer)
 
-    def test_input_validation(self):
-        with pytest.raises(InputError):
-            geometric_noise_integrals(HM5, [0.0], Q5, 10, 10, 1)
-        with pytest.raises(InputError):
-            geometric_noise_integrals(HM5, [1.0], Q_DIAG, 10, 10, 1)
-
     def test_grid_call_equals_single_t_calls(self):
         grid = (2.0, 1.0, 1.0, 0.25)  # a repeated t must give repeated rows
         r = geometric_noise_integrals(HM5, grid, Q5, 60, 300, 17)
@@ -199,11 +201,6 @@ class TestGeometricNoise:
                 assert np.all(getattr(r, name)[j] == getattr(one, name)[0]), name
             ref1, ref2 = noise_terms_one_t(HM5, t, Q5, 60, 300, 17)
             assert np.all(one.terms1[0] == ref1) and np.all(one.terms2[0] == ref2)
-
-    def test_grid_validation(self):
-        for bad in (1.0, [], [1.0, -0.5], [[1.0, 0.5]], [1.0, math.nan]):
-            with pytest.raises(InputError):
-                geometric_noise_integrals(HM5, bad, Q5, 10, 10, 1)
 
     def test_fit_opens_one_inner_stream_per_outer_point(self):
         from tsk import whitenoise
@@ -290,11 +287,14 @@ class TestGeometricNoise:
         "grid, floor",
         [([2.0, 1.0, 0.5, -1.0], 1e-12), ([2.0, 1.0], 1e-12), ([2.0, math.inf, 0.5], 1e-12), ([2.0, 1.0, 0.5], math.inf)],
     )
-    def test_fit_rejects_grid_before_sampling(self, grid, floor):
+    def test_fit_rejects_grid_before_sampling(self, tmp_path, capsys, grid, floor):
+        # the grid and the floor are checked where the noise-exponent config is read, by its table
+        cfg = json.loads((Path(__file__).resolve().parent.parent / "configs" / "noise_exponent_r5.json").read_text())
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg | {"t_grid": grid, "floor": floor}))
         with mock.patch("tsk.whitenoise.geometric_noise_integrals") as integrals:
-            with pytest.raises(InputError):
-                fit_geometric_noise(HM5, Q5, grid, 40, 50, 13, floor=floor)
+            assert main(["noise-exponent", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "fit.json")]) == 2
         integrals.assert_not_called()
+        assert re.match(r"error: (t_grid|floor) must", capsys.readouterr().err)
 
 
 class TestNoiseExponentFit:
@@ -330,10 +330,9 @@ class TestNoiseExponentFit:
         assert f.alpha_hat < 0
 
     def test_grid_validation(self):
-        with pytest.raises(InputError):
-            fit_noise_exponent([1.0, 0.5], [1.0, 0.5])
-        with pytest.raises(InputError):
-            fit_noise_exponent([1.0, -0.5, 0.25], [1.0, 0.5, 0.2])
+        # the grid's own rules are the t_grid row and the noise-exponent build step
+        with pytest.raises(InputError, match="t and I grids must have the same length"):
+            fit_noise_exponent([1.0, 0.5, 0.25], [1.0, 0.5])
 
 
 def test_fit_geometric_noise_smoke():
